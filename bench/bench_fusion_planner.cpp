@@ -6,8 +6,9 @@
 //   logreg:  g = t(X) %*% (sigma(-y⊙(X%*%w))⊙-y) + lambda*w
 //            (an elementwise chain the hardcoded pass cannot touch)
 //
-// Three plan modes per script: unfused interpretation, the hardcoded
-// fuse_patterns() pass, and the cost-based planner. Reported per mode:
+// Three plan modes per script: unfused interpretation, the hardcoded mode
+// (the planner restricted to the Equation-1 family), and the full
+// cost-based planner. Reported per mode:
 // kernel launches (the quantity fusion minimizes), modeled time, fusion
 // groups chosen, and max |Δweights| vs the unfused run.
 //

@@ -1,6 +1,6 @@
 // The compiler-side view: a declarative expression DAG for Equation 1 is
-// rewritten by the fusion pass into a single fused-kernel node (§4.4's
-// "transparently selects our fused GPU kernel"), and the §3.2 code
+// rewritten by the Equation-1-only planner into a single fused-kernel node
+// (§4.4's "transparently selects our fused GPU kernel"), and the §3.2 code
 // generator emits the CUDA source a real system would hand to NVRTC.
 #include <iostream>
 
@@ -30,20 +30,21 @@ static int run_example(const sysml::PlannerOptions& popts) {
 
   // The declarative expression: w = 0.5 * X^T (v ⊙ (X*y)) + 2*z,
   // written as primitive operators the way a script compiler would.
-  auto root = sysml::pattern_expression(
+  const auto root = sysml::pattern_expression(
       0.5, sysml::input_matrix(Xid), sysml::input_vector(v),
       sysml::input_vector(y), 2.0, sysml::input_vector(z));
 
   std::cout << "unfused DAG: " << sysml::count_nodes(root) << " nodes\n";
 
-  sysml::FusionReport report;
-  root = sysml::fuse_patterns(root, &report);
-  std::cout << "fusion pass: " << report.patterns_fused
-            << " Equation-1 pattern(s) recognized; " << report.nodes_before
-            << " -> " << report.nodes_after << " nodes; root is now ["
-            << to_string(root->kind) << "]\n";
+  // The hardcoded mode's view: the planner restricted to Equation 1.
+  const auto fused = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  std::cout << "fusion pass: " << fused.groups.size()
+            << " Equation-1 pattern(s) recognized; "
+            << sysml::count_nodes(root) << " -> "
+            << sysml::count_nodes(fused.root) << " nodes; root is now ["
+            << to_string(fused.root->kind) << "]\n";
 
-  const auto out = sysml::execute(rt, root);
+  const auto out = sysml::execute(rt, fused.root);
   const auto w = rt.read_vector(out);
   std::cout << "executed through the runtime: " << rt.stats().gpu_ops
             << " GPU op(s), " << rt.stats().cpu_ops << " CPU op(s), "
@@ -52,7 +53,7 @@ static int run_example(const sysml::PlannerOptions& popts) {
   std::cout << "||w||_inf = "
             << la::max_abs_diff(w, std::vector<real>(w.size(), 0.0)) << "\n\n";
 
-  // The cost-based planner generalizes the template pass: it also fuses
+  // The full cost-based planner goes beyond Equation 1: it also fuses
   // elementwise chains the Equation-1 matcher cannot see. Here, the logreg
   // residual sigmoid(-y ⊙ Xw) ⊙ -y plus the regularization axpy.
   const auto w0 = rt.add_vector(la::random_vector(400, 7), "w0");

@@ -37,11 +37,13 @@ double percentile(std::span<const double> xs, double p) {
   FUSEDML_CHECK(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // p * n / 100 (not p / 100 * n) is exact for integer p and n, so e.g.
+  // p99 of 100 samples is rank 99, not 100.
+  const double rank =
+      std::ceil(p * static_cast<double>(sorted.size()) / 100.0);
+  const auto r = std::clamp<std::size_t>(static_cast<std::size_t>(rank), 1,
+                                         sorted.size());
+  return sorted[r - 1];
 }
 
 double min_of(std::span<const double> xs) {

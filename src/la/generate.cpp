@@ -2,14 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "la/vector_ops.h"
 
 namespace fusedml::la {
 
+namespace {
+
+/// Every generator's shape guard: sizes reach here straight from bench and
+/// example flags (--rows / --cols), so a bad one must fail with a message
+/// naming it rather than as an allocator error deep inside std::vector.
+void check_shape(index_t rows, index_t cols) {
+  FUSEDML_CHECK(rows >= 1, "rows must be >= 1, got " + std::to_string(rows));
+  FUSEDML_CHECK(cols >= 1, "cols must be >= 1, got " + std::to_string(cols));
+}
+
+}  // namespace
+
 CsrMatrix uniform_sparse(index_t rows, index_t cols, double sparsity,
                          std::uint64_t seed) {
+  check_shape(rows, cols);
   FUSEDML_CHECK(sparsity >= 0.0 && sparsity <= 1.0,
                 "sparsity must be in [0,1]");
   Rng rng(seed);
@@ -36,6 +50,7 @@ CsrMatrix uniform_sparse(index_t rows, index_t cols, double sparsity,
 
 CsrMatrix kdd_like(index_t rows, index_t cols, double nnz_per_row,
                    double skew, std::uint64_t seed) {
+  check_shape(rows, cols);
   FUSEDML_CHECK(nnz_per_row >= 0.0, "nnz_per_row must be non-negative");
   FUSEDML_CHECK(skew >= 0.0, "skew must be non-negative");
   Rng rng(seed);
@@ -73,6 +88,7 @@ CsrMatrix kdd_like(index_t rows, index_t cols, double nnz_per_row,
 }
 
 DenseMatrix higgs_like(index_t rows, index_t cols, std::uint64_t seed) {
+  check_shape(rows, cols);
   Rng rng(seed);
   DenseMatrix out(rows, cols);
   for (real& v : out.data()) v = rng.normal();
@@ -80,6 +96,7 @@ DenseMatrix higgs_like(index_t rows, index_t cols, std::uint64_t seed) {
 }
 
 DenseMatrix dense_random(index_t rows, index_t cols, std::uint64_t seed) {
+  check_shape(rows, cols);
   Rng rng(seed);
   DenseMatrix out(rows, cols);
   for (real& v : out.data()) v = rng.uniform(-1.0, 1.0);
@@ -87,6 +104,7 @@ DenseMatrix dense_random(index_t rows, index_t cols, std::uint64_t seed) {
 }
 
 CsrMatrix banded(index_t rows, index_t cols, index_t band) {
+  check_shape(rows, cols);
   FUSEDML_CHECK(band >= 1, "band must be >= 1");
   std::vector<offset_t> row_off(static_cast<usize>(rows) + 1, 0);
   std::vector<index_t> col_idx;

@@ -3,13 +3,14 @@
 //
 // This is the single public execution surface the refactor converges on:
 // each solver builds its inner-loop expressions once through the
-// ExprBuilder/Program frontend (sysml/expr.h), the fusion planner (or the
-// hardcoded §4.4 template pass) rewrites them, and Runtime::run interprets
-// the planned DAGs — PatternExecutor is now an internal backend reached
-// only through the operator registry. The serving layer routes every
-// ScriptKind here, benches iterate script_library() instead of hand-wiring
-// call sites, and the legacy imperative solvers in ml/ remain only as the
-// pre-refactor oracles the bit-exactness tests compare against.
+// ExprBuilder/Program frontend (sysml/expr.h), the fusion planner (in the
+// hardcoded mode restricted to the §4.4 Equation-1 family) rewrites them,
+// and Runtime::run interprets the planned DAGs — PatternExecutor is now an
+// internal backend reached only through the operator registry. The serving
+// layer routes every ScriptKind here, benches iterate script_library()
+// instead of hand-wiring call sites, and the legacy imperative solvers in
+// ml/ remain only as the pre-refactor oracles the bit-exactness tests
+// compare against.
 //
 // Bit-exactness contract (asserted in tests/test_script_library.cpp): on a
 // runtime whose scheduler places ops on the device, the planner path of

@@ -112,211 +112,6 @@ int count_nodes(const NodePtr& root) {
 }
 
 namespace {
-
-struct CoreMatch {
-  real alpha = 1;
-  NodePtr X, v, y;  // v may be null
-  std::vector<const Node*> covered;  // scale?, mvt, ewise?, mv
-};
-
-/// Matches [Scale(alpha)] -> MvT(X, [EwiseMul(v,)] Mv(X, y)) with the SAME
-/// matrix node on both products — the data-reuse condition fusion needs.
-std::optional<CoreMatch> match_core(const NodePtr& node) {
-  CoreMatch out;
-  NodePtr mvt_node = node;
-  if (node->kind == OpKind::kScale) {
-    out.alpha = node->scalar;
-    out.covered.push_back(node.get());
-    mvt_node = node->inputs[0];
-  }
-  if (mvt_node->kind != OpKind::kMvT) return std::nullopt;
-  // A pre-scaled MvT already pays its alpha per-term inside the kernel;
-  // folding it into the Equation-1 template would re-associate the scale
-  // (alpha * sum vs sum of alpha-scaled terms) and break bit-exactness.
-  if (mvt_node->scalar != real{1}) return std::nullopt;
-  out.X = mvt_node->inputs[0];
-  if (out.X->kind != OpKind::kInputMatrix) return std::nullopt;
-  out.covered.push_back(mvt_node.get());
-
-  NodePtr t = mvt_node->inputs[1];
-  if (t->kind == OpKind::kEwiseMul) {
-    // Either operand order: v ⊙ (X*y) or (X*y) ⊙ v.
-    for (int side = 0; side < 2; ++side) {
-      const NodePtr& maybe_mv = t->inputs[side];
-      const NodePtr& maybe_v = t->inputs[1 - side];
-      if (maybe_mv->kind == OpKind::kMv &&
-          maybe_mv->inputs[0] == out.X) {
-        out.v = maybe_v;
-        out.y = maybe_mv->inputs[1];
-        out.covered.push_back(t.get());
-        out.covered.push_back(maybe_mv.get());
-        return out;
-      }
-    }
-    return std::nullopt;
-  }
-  if (t->kind == OpKind::kMv && t->inputs[0] == out.X) {
-    out.y = t->inputs[1];
-    out.covered.push_back(t.get());
-    return out;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<Equation1Match> match_equation1(const NodePtr& node) {
-  Equation1Match m;
-  NodePtr core_root = node;
-  std::vector<const Node*> add_covered;
-
-  if (node->kind == OpKind::kAdd) {
-    // One operand is the core, the other the beta*z term (either order).
-    for (int side = 0; side < 2; ++side) {
-      const NodePtr& maybe_core = node->inputs[side];
-      NodePtr maybe_z = node->inputs[1 - side];
-      real maybe_beta = 1;
-      const Node* z_scale = nullptr;
-      if (maybe_z->kind == OpKind::kScale) {
-        maybe_beta = maybe_z->scalar;
-        z_scale = maybe_z.get();
-        maybe_z = maybe_z->inputs[0];
-      }
-      if (match_core(maybe_core)) {
-        core_root = maybe_core;
-        m.beta = maybe_beta;
-        m.z = maybe_z;
-        add_covered.push_back(node.get());
-        if (z_scale != nullptr) add_covered.push_back(z_scale);
-        break;
-      }
-    }
-    if (!m.z) return std::nullopt;
-  }
-
-  auto core = match_core(core_root);
-  if (!core) return std::nullopt;
-  m.alpha = core->alpha;
-  m.X = core->X;
-  m.v = core->v;
-  m.y = core->y;
-  m.covered = std::move(add_covered);
-  m.covered.insert(m.covered.end(), core->covered.begin(),
-                   core->covered.end());
-  return m;
-}
-
-std::unordered_map<const Node*, std::vector<const Node*>> consumer_map(
-    const NodePtr& root) {
-  std::unordered_map<const Node*, std::vector<const Node*>> consumers;
-  std::unordered_set<const Node*> seen;
-  std::vector<const Node*> stack = {root.get()};
-  consumers[root.get()];  // the root has no consumers but must be present
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node == nullptr || !seen.insert(node).second) continue;
-    auto visit = [&](const NodePtr& in) {
-      if (!in) return;
-      consumers[in.get()].push_back(node);
-      stack.push_back(in.get());
-    };
-    for (const auto& in : node->inputs) visit(in);
-    for (const auto& in :
-         {node->fused_matrix, node->fused_v, node->fused_y, node->fused_z}) {
-      visit(in);
-    }
-  }
-  return consumers;
-}
-
-bool fusion_is_materialization_safe(
-    const Equation1Match& m, const NodePtr& match_root,
-    const std::unordered_map<const Node*, std::vector<const Node*>>&
-        consumers) {
-  std::unordered_set<const Node*> covered(m.covered.begin(), m.covered.end());
-  // A retained operand that is itself a covered interior node means the
-  // fused kernel would both recompute it internally AND read it as an
-  // input — e.g. z sharing the X*y node with the core. Never profitable.
-  for (const NodePtr& operand : {m.X, m.v, m.y, m.z}) {
-    if (operand && covered.count(operand.get()) != 0) return false;
-  }
-  // Every interior node below the match root must be consumed only inside
-  // the match; an outside consumer forces materialization of the
-  // intermediate anyway, so the fused kernel would duplicate that work.
-  for (const Node* c : m.covered) {
-    if (c == match_root.get()) continue;
-    const auto it = consumers.find(c);
-    if (it == consumers.end()) continue;
-    for (const Node* parent : it->second) {
-      if (covered.count(parent) == 0) return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-NodePtr rewrite(
-    const NodePtr& node,
-    const std::unordered_map<const Node*, std::vector<const Node*>>&
-        consumers,
-    std::unordered_map<const Node*, NodePtr>& memo, int& fused,
-    int& rejected) {
-  const auto it = memo.find(node.get());
-  if (it != memo.end()) return it->second;
-
-  // Match at the LARGEST extent first (pre-order): a bottom-up pass would
-  // collapse the alpha*X^T(...) core before an enclosing +beta*z Add could
-  // claim the full pattern.
-  if (auto m = match_equation1(node)) {
-    if (fusion_is_materialization_safe(*m, node, consumers)) {
-      ++fused;
-      auto replacement = std::make_shared<Node>();
-      replacement->kind = OpKind::kFusedPattern;
-      replacement->scalar = m->alpha;
-      replacement->scalar2 = m->beta;
-      replacement->fused_matrix = m->X;
-      replacement->fused_v = m->v;
-      replacement->fused_y = m->y;
-      replacement->fused_z = m->z;
-      // The fused node's operands may themselves contain fusable work.
-      for (auto* slot : {&replacement->fused_v, &replacement->fused_y,
-                         &replacement->fused_z}) {
-        if (*slot) *slot = rewrite(*slot, consumers, memo, fused, rejected);
-      }
-      memo.emplace(node.get(), replacement);
-      return replacement;
-    }
-    ++rejected;
-  }
-  NodePtr current = node;
-  for (auto& in : current->inputs) {
-    in = rewrite(in, consumers, memo, fused, rejected);
-  }
-  memo.emplace(node.get(), current);
-  return current;
-}
-
-}  // namespace
-
-NodePtr fuse_patterns(NodePtr root, FusionReport* report) {
-  const int before = count_nodes(root);
-  const auto consumers = consumer_map(root);
-  std::unordered_map<const Node*, NodePtr> memo;
-  int fused = 0;
-  int rejected = 0;
-  root = rewrite(root, consumers, memo, fused, rejected);
-  if (report) {
-    report->patterns_fused = fused;
-    report->nodes_before = before;
-    report->nodes_after = count_nodes(root);
-    report->rejected_multi_consumer = rejected;
-  }
-  return root;
-}
-
-namespace {
 TensorId eval(Runtime& rt, const NodePtr& node,
               std::unordered_map<const Node*, TensorId>& memo) {
   const auto it = memo.find(node.get());

@@ -1,10 +1,10 @@
-// Expression DAGs and the kernel-fusion rewrite pass.
+// Expression DAGs of primitive linear-algebra operators, and their
+// interpreter.
 //
 // SystemML compiles declarative scripts into operator DAGs; the paper's
 // integration (§4.4) makes the system "transparently select our fused GPU
-// kernel" for the Equation-1 pattern. This module reproduces that
-// compiler-side story: build a DAG of primitive linear-algebra operators,
-// run fuse_patterns() — which pattern-matches the subgraph
+// kernel" for the Equation-1 pattern. This module holds the compiler-side
+// IR: build a DAG of primitive operators — e.g. Equation 1 as
 //
 //        Add
 //       /   \.
@@ -18,16 +18,16 @@
 //           /  \.
 //          X    y
 //
-// (and all its Table-1 degenerations: missing Scale/EwiseMul/Add) — and
-// replaces it with a single FusedPattern node. execute() then interprets
-// the DAG over a Runtime, so fused nodes land on the device as ONE kernel
-// while unfused DAGs run operator-at-a-time.
+// — and execute() interprets it over a Runtime. Fused node kinds
+// (kFusedPattern, kFusedEwise, ...) are produced only by the fusion planner
+// (sysml/fusion_planner.h), which recognizes the Equation-1 subgraph and all
+// its Table-1 degenerations (missing Scale/EwiseMul/Add) and returns a
+// rewritten DAG; fused nodes land on the device as ONE kernel, while
+// unfused DAGs run operator-at-a-time.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -106,57 +106,6 @@ NodePtr sparse_mask(NodePtr X, NodePtr om);
 ///   alpha * X^T (v ⊙ (X*y)) + beta*z     (pass nullptr for absent v / z)
 NodePtr pattern_expression(real alpha, NodePtr X, NodePtr v, NodePtr y,
                            real beta, NodePtr z);
-
-// --- Pattern matching --------------------------------------------------------
-
-/// A successful structural match of the Equation-1 template
-///   alpha * X^T (v ⊙ (X*y)) + beta*z
-/// rooted at some node (v / z may be absent — the Table-1 degenerations).
-/// `covered` lists the interior operator nodes the fused kernel would
-/// replace (the match root, the MvT/Mv pair, and any Scale/EwiseMul/Add
-/// glue); the retained operands X, v, y, z are NOT in it.
-struct Equation1Match {
-  real alpha = 1;
-  real beta = 0;
-  NodePtr X, v, y, z;  ///< v / z may be null
-  std::vector<const Node*> covered;
-};
-
-/// Non-destructive matcher shared by fuse_patterns() and the cost-based
-/// fusion planner. Matches at the LARGEST extent rooted at `node`.
-std::optional<Equation1Match> match_equation1(const NodePtr& node);
-
-/// Parents of every node reachable from root (materialization analysis:
-/// an intermediate with a consumer outside a fusion candidate must be
-/// materialized anyway, so fusing it buys nothing and recomputes work).
-std::unordered_map<const Node*, std::vector<const Node*>> consumer_map(
-    const NodePtr& root);
-
-/// True when fusing `m` rooted in the DAG of `consumers` would NOT force an
-/// interior intermediate to be materialized anyway: every covered interior
-/// node (other than the match root) is consumed only inside the match, and
-/// no retained operand (X/v/y/z) is itself a covered interior node.
-bool fusion_is_materialization_safe(
-    const Equation1Match& m, const NodePtr& match_root,
-    const std::unordered_map<const Node*, std::vector<const Node*>>&
-        consumers);
-
-// --- The fusion pass ---------------------------------------------------------
-
-struct FusionReport {
-  int patterns_fused = 0;    ///< Equation-1 subgraphs collapsed
-  int nodes_before = 0;
-  int nodes_after = 0;
-  int rejected_multi_consumer = 0;  ///< matches skipped by the
-                                    ///< materialization-point analysis
-};
-
-/// Rewrites the DAG in place (returns the possibly-replaced root):
-/// every maximal Equation-1 subgraph becomes one kFusedPattern node.
-/// Matches whose intermediates are consumed elsewhere in the DAG are left
-/// unfused (they would be recomputed AND materialized — see
-/// fusion_is_materialization_safe).
-NodePtr fuse_patterns(NodePtr root, FusionReport* report = nullptr);
 
 /// Number of distinct nodes reachable from root.
 int count_nodes(const NodePtr& root);

@@ -1,7 +1,6 @@
 #include "sysml/expr.h"
 
 #include <sstream>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -19,32 +18,6 @@ const char* to_string(PlanMode mode) {
 }
 
 namespace {
-
-/// Deep-copies the interior of a DAG while SHARING the leaf nodes.
-/// fuse_patterns() rewrites its input in place, so the hardcoded pass must
-/// run on a clone — otherwise preparing one mode would corrupt the pristine
-/// roots every other cache entry points at. Leaves stay shared on purpose:
-/// bind() mutates the leaf's tensor id and every prepared plan must see it.
-NodePtr clone_interior(const NodePtr& node,
-                       std::unordered_map<const Node*, NodePtr>& memo) {
-  if (!node) return nullptr;
-  if (const auto it = memo.find(node.get()); it != memo.end()) {
-    return it->second;
-  }
-  if (node->kind == OpKind::kInputMatrix ||
-      node->kind == OpKind::kInputVector) {
-    memo.emplace(node.get(), node);
-    return node;
-  }
-  auto copy = std::make_shared<Node>(*node);
-  for (auto& in : copy->inputs) in = clone_interior(in, memo);
-  for (auto* slot : {&copy->fused_matrix, &copy->fused_v, &copy->fused_y,
-                     &copy->fused_z}) {
-    if (*slot) *slot = clone_interior(*slot, memo);
-  }
-  memo.emplace(node.get(), copy);
-  return copy;
-}
 
 NodePtr leaf_node(OpKind kind) {
   auto node = std::make_shared<Node>();
@@ -138,12 +111,12 @@ void Program::bind(const std::string& leaf, TensorId id) {
   FUSEDML_CHECK(false, "Program has no leaf named '" + leaf + "'");
 }
 
-std::string Program::shape_signature(Runtime& rt, PlanMode mode) const {
+std::string Program::shape_signature(Runtime& rt, PlanMode mode,
+                                     const PlannerOptions& po) const {
   std::ostringstream os;
   os << to_string(mode);
-  if (mode == PlanMode::kPlanner) {
+  if (mode != PlanMode::kUnfused) {
     // Planner knobs change the plan, so they are part of the cache key.
-    const PlannerOptions& po = rt.planner_options();
     os << "[p" << po.enable_pattern_fusion << 'e' << po.enable_ewise_fusion
        << 'r' << po.enable_row_fusion << 's' << po.enable_sddmm_fusion << 'b'
        << po.candidate_budget << 'm' << po.min_benefit_ms << ']';
@@ -160,7 +133,12 @@ std::string Program::shape_signature(Runtime& rt, PlanMode mode) const {
 
 void Program::prepare(Runtime& rt, PlanMode mode) {
   const Timer plan_timer;  // host wall clock — planning is unmodeled work
-  const std::string key = shape_signature(rt, mode);
+  // The hardcoded pass is the planner restricted to Equation 1; planner
+  // mode plans with the session's knobs.
+  const PlannerOptions opts = mode == PlanMode::kHardcodedPass
+                                  ? equation1_only()
+                                  : rt.planner_options();
+  const std::string key = shape_signature(rt, mode, opts);
   if (const auto it = cache_.find(key); it != cache_.end()) {
     current_ = &it->second;
     ++cache_hits_;
@@ -170,29 +148,16 @@ void Program::prepare(Runtime& rt, PlanMode mode) {
     std::ostringstream explain;
     for (const auto& [name, root] : outputs_) {
       RootPlan rp;
-      switch (mode) {
-        case PlanMode::kUnfused:
-          rp.root = root;
-          break;
-        case PlanMode::kHardcodedPass: {
-          std::unordered_map<const Node*, NodePtr> memo;
-          FusionReport report;
-          rp.root = fuse_patterns(clone_interior(root, memo), &report);
-          prep.fused_groups += report.patterns_fused;
-          explain << "output " << name << ": hardcoded fuse_patterns: "
-                  << report.patterns_fused << " pattern(s) fused\n";
-          break;
-        }
-        case PlanMode::kPlanner: {
-          FusionPlan plan = plan_fusion(rt, root, rt.planner_options());
-          rp.root = plan.root;
-          rp.has_prediction = true;
-          rp.launches = plan.launches_planned;
-          rp.ms = plan.modeled_planned_ms;
-          prep.fused_groups += static_cast<int>(plan.groups.size());
-          explain << "output " << name << ":\n" << plan.explain();
-          break;
-        }
+      if (mode == PlanMode::kUnfused) {
+        rp.root = root;
+      } else {
+        FusionPlan plan = plan_fusion(rt, root, opts);
+        rp.root = plan.root;
+        rp.has_prediction = true;
+        rp.launches = plan.launches_planned;
+        rp.ms = plan.modeled_planned_ms;
+        prep.fused_groups += static_cast<int>(plan.groups.size());
+        explain << "output " << name << ":\n" << plan.explain();
       }
       prep.roots.push_back(std::move(rp));
     }
@@ -203,7 +168,7 @@ void Program::prepare(Runtime& rt, PlanMode mode) {
     current_ = &slot->second;
     rt.note_plan_prepare(plan_timer.elapsed_ms(), /*cache_hit=*/false);
   }
-  if (mode == PlanMode::kPlanner) rt.note_plan(current_->explain);
+  if (mode != PlanMode::kUnfused) rt.note_plan(current_->explain);
 }
 
 TensorId Program::run(Runtime& rt, const std::string& output) {

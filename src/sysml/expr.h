@@ -36,8 +36,10 @@ namespace fusedml::sysml {
 /// How a Program's DAG is prepared before interpretation.
 enum class PlanMode {
   kUnfused,        ///< interpret the operator DAG as built
-  kHardcodedPass,  ///< the §4.4-style template rewrite (fuse_patterns)
-  kPlanner,        ///< the cost-based fusion planner (fusion_planner.h)
+  kHardcodedPass,  ///< §4.4: the planner restricted to the Equation-1
+                   ///< family (equation1_only() in fusion_planner.h)
+  kPlanner,        ///< the cost-based fusion planner with the runtime's
+                   ///< planner options (fusion_planner.h)
 };
 
 const char* to_string(PlanMode mode);
@@ -50,11 +52,11 @@ struct ScriptResult {
   RuntimeStats runtime_stats;
   MemoryStats memory_stats;
   double end_to_end_ms = 0.0;
-  std::string plan_explain;     ///< what the planner chose (planner mode)
+  std::string plan_explain;     ///< what the planner chose (fusion modes)
   int fused_groups = 0;         ///< fusion groups across the script's programs
   int plans_built = 0;          ///< shape-signature plans constructed
   int plan_cache_hits = 0;      ///< prepare() calls served from the cache
-  obs::PlanAudit plan_audit;    ///< plan-vs-actual audit (planner mode)
+  obs::PlanAudit plan_audit;    ///< plan-vs-actual audit (fusion modes)
 };
 
 /// A symbolic value inside a Program under construction — just a handle to
@@ -131,12 +133,14 @@ class Program {
   void bind(const std::string& leaf, TensorId id);
 
   /// Plans every output for (mode, current leaf shapes). Cached: the same
-  /// mode + shapes never plan twice. Planner mode records the plan with
-  /// rt.note_plan() so Runtime::explain() can print it.
+  /// mode + options + shapes never plan twice. Both fusion modes plan
+  /// through plan_fusion() and record the plan with rt.note_plan() so
+  /// Runtime::explain() can print it.
   void prepare(Runtime& rt, PlanMode mode);
 
-  /// Interprets one prepared output (default: the first). Planner-prepared
-  /// roots re-arm the runtime's plan-audit prediction before executing.
+  /// Interprets one prepared output (default: the first). Roots prepared by
+  /// a fusion mode re-arm the runtime's plan-audit prediction before
+  /// executing.
   TensorId run(Runtime& rt, const std::string& output = "");
 
   int plans_built() const { return plans_built_; }
@@ -150,7 +154,7 @@ class Program {
 
   struct RootPlan {
     NodePtr root;
-    bool has_prediction = false;      // planner mode only
+    bool has_prediction = false;      // fusion modes only
     std::uint64_t launches = 0;       // planner's per-execution prediction
     double ms = 0.0;
   };
@@ -160,7 +164,10 @@ class Program {
     int fused_groups = 0;
   };
 
-  std::string shape_signature(Runtime& rt, PlanMode mode) const;
+  /// Cache key: mode, the planner options the mode plans with, and the
+  /// shape of every bound leaf.
+  std::string shape_signature(Runtime& rt, PlanMode mode,
+                              const PlannerOptions& opts) const;
 
   std::vector<std::pair<std::string, NodePtr>> leaves_;
   std::vector<std::pair<std::string, NodePtr>> outputs_;

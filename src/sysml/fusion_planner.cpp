@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -48,6 +49,168 @@ bool is_ewise(const Node* n) {
     default:
       return false;
   }
+}
+
+// --- The Equation-1 matcher --------------------------------------------------
+
+/// A successful structural match of the Equation-1 template
+///   alpha * X^T (v ⊙ (X*y)) + beta*z
+/// rooted at some node (v / z may be absent — the Table-1 degenerations).
+/// `covered` lists the interior operator nodes the fused kernel would
+/// replace (the match root, the MvT/Mv pair, and any Scale/EwiseMul/Add
+/// glue); the retained operands X, v, y, z are NOT in it.
+struct Equation1Match {
+  real alpha = 1;
+  real beta = 0;
+  NodePtr X, v, y, z;  ///< v / z may be null
+  std::vector<const Node*> covered;
+};
+
+struct CoreMatch {
+  real alpha = 1;
+  NodePtr X, v, y;  // v may be null
+  std::vector<const Node*> covered;  // scale?, mvt, ewise?, mv
+};
+
+/// Matches [Scale(alpha)] -> MvT(X, [EwiseMul(v,)] Mv(X, y)) with the SAME
+/// matrix node on both products — the data-reuse condition fusion needs.
+std::optional<CoreMatch> match_core(const NodePtr& node) {
+  CoreMatch out;
+  NodePtr mvt_node = node;
+  if (node->kind == OpKind::kScale) {
+    out.alpha = node->scalar;
+    out.covered.push_back(node.get());
+    mvt_node = node->inputs[0];
+  }
+  if (mvt_node->kind != OpKind::kMvT) return std::nullopt;
+  // A pre-scaled MvT already pays its alpha per-term inside the kernel;
+  // folding it into the Equation-1 template would re-associate the scale
+  // (alpha * sum vs sum of alpha-scaled terms) and break bit-exactness.
+  if (mvt_node->scalar != real{1}) return std::nullopt;
+  out.X = mvt_node->inputs[0];
+  if (out.X->kind != OpKind::kInputMatrix) return std::nullopt;
+  out.covered.push_back(mvt_node.get());
+
+  NodePtr t = mvt_node->inputs[1];
+  if (t->kind == OpKind::kEwiseMul) {
+    // Either operand order: v ⊙ (X*y) or (X*y) ⊙ v.
+    for (int side = 0; side < 2; ++side) {
+      const NodePtr& maybe_mv = t->inputs[side];
+      const NodePtr& maybe_v = t->inputs[1 - side];
+      if (maybe_mv->kind == OpKind::kMv &&
+          maybe_mv->inputs[0] == out.X) {
+        out.v = maybe_v;
+        out.y = maybe_mv->inputs[1];
+        out.covered.push_back(t.get());
+        out.covered.push_back(maybe_mv.get());
+        return out;
+      }
+    }
+    return std::nullopt;
+  }
+  if (t->kind == OpKind::kMv && t->inputs[0] == out.X) {
+    out.y = t->inputs[1];
+    out.covered.push_back(t.get());
+    return out;
+  }
+  return std::nullopt;
+}
+
+/// Matches the Equation-1 template at the LARGEST extent rooted at `node`:
+/// an optional Add with a [Scale(beta)] z term around the core.
+std::optional<Equation1Match> match_equation1(const NodePtr& node) {
+  Equation1Match m;
+  NodePtr core_root = node;
+  std::vector<const Node*> add_covered;
+
+  if (node->kind == OpKind::kAdd) {
+    // One operand is the core, the other the beta*z term (either order).
+    for (int side = 0; side < 2; ++side) {
+      const NodePtr& maybe_core = node->inputs[side];
+      NodePtr maybe_z = node->inputs[1 - side];
+      real maybe_beta = 1;
+      const Node* z_scale = nullptr;
+      if (maybe_z->kind == OpKind::kScale) {
+        maybe_beta = maybe_z->scalar;
+        z_scale = maybe_z.get();
+        maybe_z = maybe_z->inputs[0];
+      }
+      if (match_core(maybe_core)) {
+        core_root = maybe_core;
+        m.beta = maybe_beta;
+        m.z = maybe_z;
+        add_covered.push_back(node.get());
+        if (z_scale != nullptr) add_covered.push_back(z_scale);
+        break;
+      }
+    }
+    if (!m.z) return std::nullopt;
+  }
+
+  auto core = match_core(core_root);
+  if (!core) return std::nullopt;
+  m.alpha = core->alpha;
+  m.X = core->X;
+  m.v = core->v;
+  m.y = core->y;
+  m.covered = std::move(add_covered);
+  m.covered.insert(m.covered.end(), core->covered.begin(),
+                   core->covered.end());
+  return m;
+}
+
+/// Parents of every node reachable from root (materialization analysis:
+/// an intermediate with a consumer outside a fusion candidate must be
+/// materialized anyway, so fusing it buys nothing and recomputes work).
+ConsumerMap consumer_map(const NodePtr& root) {
+  ConsumerMap consumers;
+  std::unordered_set<const Node*> seen;
+  std::vector<const Node*> stack = {root.get()};
+  consumers[root.get()];  // the root has no consumers but must be present
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    if (node == nullptr || !seen.insert(node).second) continue;
+    auto visit = [&](const NodePtr& in) {
+      if (!in) return;
+      consumers[in.get()].push_back(node);
+      stack.push_back(in.get());
+    };
+    for (const auto& in : node->inputs) visit(in);
+    for (const auto& in :
+         {node->fused_matrix, node->fused_v, node->fused_y, node->fused_z}) {
+      visit(in);
+    }
+  }
+  return consumers;
+}
+
+/// True when fusing `m` rooted in the DAG of `consumers` would NOT force an
+/// interior intermediate to be materialized anyway: every covered interior
+/// node (other than the match root) is consumed only inside the match, and
+/// no retained operand (X/v/y/z) is itself a covered interior node.
+bool fusion_is_materialization_safe(const Equation1Match& m,
+                                    const NodePtr& match_root,
+                                    const ConsumerMap& consumers) {
+  std::unordered_set<const Node*> covered(m.covered.begin(), m.covered.end());
+  // A retained operand that is itself a covered interior node means the
+  // fused kernel would both recompute it internally AND read it as an
+  // input — e.g. z sharing the X*y node with the core. Never profitable.
+  for (const NodePtr& operand : {m.X, m.v, m.y, m.z}) {
+    if (operand && covered.count(operand.get()) != 0) return false;
+  }
+  // Every interior node below the match root must be consumed only inside
+  // the match; an outside consumer forces materialization of the
+  // intermediate anyway, so the fused kernel would duplicate that work.
+  for (const Node* c : m.covered) {
+    if (c == match_root.get()) continue;
+    const auto it = consumers.find(c);
+    if (it == consumers.end()) continue;
+    for (const Node* parent : it->second) {
+      if (covered.count(parent) == 0) return false;
+    }
+  }
+  return true;
 }
 
 /// Shape + cost oracle over one DAG: leaf shapes come from the runtime's
@@ -211,6 +374,14 @@ class CostOracle {
         mat_bytes = static_cast<double>(info.bytes);
         sparse = info.is_sparse;
         op = RegistryOp::kTransposedProduct;
+        if (!sparse && n->scalar != real{1}) {
+          // Dense X^T*y runs gemv_t and then a separate scal launch for
+          // alpha (OpRegistry::transposed_product); the sparse kernel
+          // applies alpha per term inside its single launch.
+          NodeCost out = profile_cost(op, sparse, mat_bytes, length(n));
+          out += profile_cost(RegistryOp::kScal, false, 0, length(n));
+          return out;
+        }
         break;
       }
       case OpKind::kEwiseMul:
@@ -243,10 +414,18 @@ class CostOracle {
       default:
         return {};
     }
+    return profile_cost(op, sparse, mat_bytes, length(n));
+  }
+
+  /// Cost of one registry op from its declared fused-backend profile:
+  /// launches * overhead + matrix passes and `n_elems`-long vector streams
+  /// at effective bandwidth.
+  NodeCost profile_cost(RegistryOp op, bool sparse, double mat_bytes,
+                        index_t n_elems) {
     const auto p = op_profile(op, Backend::kFused, sparse);
-    const double n_elems = static_cast<double>(length(n));
     const double bytes = p.matrix_passes * mat_bytes +
-                         p.vector_words_per_elem * n_elems * sizeof(real);
+                         p.vector_words_per_elem *
+                             static_cast<double>(n_elems) * sizeof(real);
     return {p.launches,
             static_cast<double>(p.launches) * launch_ms_ + bw_ms(bytes)};
   }
@@ -896,6 +1075,14 @@ std::string FusionPlan::explain() const {
      << launches_planned << ", modeled " << modeled_unfused_ms << " ms -> "
      << modeled_planned_ms << " ms";
   return os.str();
+}
+
+PlannerOptions equation1_only() {
+  PlannerOptions opts;
+  opts.enable_ewise_fusion = false;
+  opts.enable_row_fusion = false;
+  opts.enable_sddmm_fusion = false;
+  return opts;
 }
 
 FusionPlan plan_fusion(Runtime& rt, const NodePtr& root,

@@ -103,4 +103,10 @@ struct FusionPlan {
 FusionPlan plan_fusion(Runtime& rt, const NodePtr& root,
                        const PlannerOptions& opts = {});
 
+/// The fixed options of PlanMode::kHardcodedPass: the planner restricted to
+/// the Equation-1 family (ewise, row and sddmm off, default budget and
+/// benefit threshold) — §4.4's "transparently selects our fused GPU kernel"
+/// and nothing else. Independent of the --planner-* flags.
+PlannerOptions equation1_only();
+
 }  // namespace fusedml::sysml

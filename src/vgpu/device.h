@@ -5,16 +5,14 @@
 // a BlockCtx. Inside, the kernel iterates its warps/vectors/lanes explicitly
 // in warp-synchronous phases — the paper's algorithms all have a static
 // barrier structure (init / row loop / __syncthreads / final aggregation),
-// so this lock-step style is exact. Blocks may execute on host worker
-// threads; global-memory writes from kernels must go through atomic_add()
-// (plain writes are fine for block-private outputs).
+// so this lock-step style is exact. Blocks run one at a time, in block
+// order, on the launching thread; global-memory accumulations go through
+// atomic_add() so the kernels read like their CUDA counterparts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <thread>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -32,15 +30,10 @@
 
 namespace fusedml::vgpu {
 
-/// Lock-free atomic add on a double living in ordinary host memory —
-/// the virtual device's atomicAdd(double*).
-inline void atomic_add(real& target, real value) {
-  std::atomic_ref<real> ref(target);
-  real expected = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(expected, expected + value,
-                                    std::memory_order_relaxed)) {
-  }
-}
+/// The virtual device's atomicAdd(double*). Blocks run sequentially in
+/// block order, so a plain add gives the same bits a serialized atomic
+/// would.
+inline void atomic_add(real& target, real value) { target += value; }
 
 /// Per-block execution context handed to kernels.
 class BlockCtx {
@@ -88,11 +81,8 @@ struct LaunchStats {
 
 class Device {
  public:
-  explicit Device(DeviceSpec spec = gtx_titan(), CostParams params = {},
-                  int host_threads = 1)
-      : spec_(std::move(spec)),
-        cost_model_(spec_, params),
-        host_threads_(host_threads < 1 ? 1 : host_threads) {}
+  explicit Device(DeviceSpec spec = gtx_titan(), CostParams params = {})
+      : spec_(std::move(spec)), cost_model_(spec_, params) {}
 
   const DeviceSpec& spec() const { return spec_; }
   const CostModel& cost_model() const { return cost_model_; }
@@ -146,14 +136,10 @@ class Device {
         compute_occupancy(spec_, cfg.block_size, cfg.resources);
 
     Timer wall;
-    if (host_threads_ == 1 || cfg.grid_size == 1) {
-      for (int b = 0; b < cfg.grid_size; ++b) {
-        BlockCtx ctx(b, cfg, spec_);
-        kernel(ctx);
-        stats.counters += ctx.counters();
-      }
-    } else {
-      run_blocks_parallel(cfg, kernel, stats.counters);
+    for (int b = 0; b < cfg.grid_size; ++b) {
+      BlockCtx ctx(b, cfg, spec_);
+      kernel(ctx);
+      stats.counters += ctx.counters();
     }
     stats.wall_ms = wall.elapsed_ms();
 
@@ -240,7 +226,6 @@ class Device {
  private:
   DeviceSpec spec_;
   CostModel cost_model_;
-  int host_threads_;
   FaultInjector* injector_ = nullptr;
   std::uint64_t pending_silent_ = 0;
   std::uint64_t silent_seq_ = 0;
@@ -296,29 +281,6 @@ class Device {
     if (obs::metrics().enabled()) {
       obs::metrics().counter("vgpu.faults_injected").add();
     }
-  }
-
-  template <typename Kernel>
-  void run_blocks_parallel(const LaunchConfig& cfg, Kernel& kernel,
-                           MemCounters& merged) {
-    const int workers = std::min(host_threads_, cfg.grid_size);
-    std::vector<MemCounters> partials(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    std::atomic<int> next_block{0};
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        for (;;) {
-          const int b = next_block.fetch_add(1, std::memory_order_relaxed);
-          if (b >= cfg.grid_size) break;
-          BlockCtx ctx(b, cfg, spec_);
-          kernel(ctx);
-          partials[w] += ctx.counters();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (const auto& p : partials) merged += p;
   }
 };
 

@@ -32,8 +32,8 @@ void SharedMemory::atomic_add(usize word, real value) {
   bounds_check(word);
   ++counters_.smem_accesses;
   ++counters_.atomic_shared_ops;
-  // Blocks execute one at a time per executor worker and shared memory is
-  // private to the block, so a plain add is the correct semantics.
+  // Blocks execute one at a time and shared memory is private to the
+  // block, so a plain add is the correct semantics.
   data_[word] += value;
 }
 

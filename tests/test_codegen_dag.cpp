@@ -12,6 +12,7 @@
 #include "la/vector_ops.h"
 #include "patterns/executor.h"
 #include "sysml/dag.h"
+#include "sysml/fusion_planner.h"
 #include "sysml/runtime.h"
 #include "test_util.h"
 
@@ -199,7 +200,7 @@ TEST(KernelCache, ExecutorCachesAcrossIterations) {
       << "iterations 2..5 reuse the generated kernel";
 }
 
-// --- DAG + fusion pass --------------------------------------------------------------
+// --- DAG + the Equation-1-only planner ---------------------------------------
 
 struct DagFixture : ::testing::Test {
   vgpu::Device dev;
@@ -217,13 +218,12 @@ TEST_F(DagFixture, FusionCollapsesTheFullPattern) {
       sysml::input_vector(rt.add_vector(y, "y")), 2.0,
       sysml::input_vector(rt.add_vector(z, "z")));
 
-  sysml::FusionReport report;
-  root = sysml::fuse_patterns(root, &report);
-  EXPECT_EQ(report.patterns_fused, 1);
-  EXPECT_EQ(root->kind, sysml::OpKind::kFusedPattern);
-  EXPECT_DOUBLE_EQ(root->scalar, 0.5);
-  EXPECT_DOUBLE_EQ(root->scalar2, 2.0);
-  EXPECT_LT(report.nodes_after, report.nodes_before);
+  const auto plan = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  EXPECT_EQ(plan.groups.size(), 1u);
+  EXPECT_EQ(plan.root->kind, sysml::OpKind::kFusedPattern);
+  EXPECT_DOUBLE_EQ(plan.root->scalar, 0.5);
+  EXPECT_DOUBLE_EQ(plan.root->scalar2, 2.0);
+  EXPECT_LT(sysml::count_nodes(plan.root), sysml::count_nodes(root));
 }
 
 TEST_F(DagFixture, AllDegenerationsFuse) {
@@ -234,15 +234,14 @@ TEST_F(DagFixture, AllDegenerationsFuse) {
   const auto zn = sysml::input_vector(rt.add_vector(z, "z"));
 
   // X^T(Xy), X^T(v⊙(Xy)), X^T(Xy)+bz, a*X^T(Xy).
-  for (auto root : {sysml::pattern_expression(1, Xn, nullptr, yn, 0, nullptr),
-                    sysml::pattern_expression(1, Xn, vn, yn, 0, nullptr),
-                    sysml::pattern_expression(1, Xn, nullptr, yn, 3, zn),
-                    sysml::pattern_expression(2, Xn, nullptr, yn, 0,
-                                              nullptr)}) {
-    sysml::FusionReport report;
-    root = sysml::fuse_patterns(root, &report);
-    EXPECT_EQ(report.patterns_fused, 1);
-    EXPECT_EQ(root->kind, sysml::OpKind::kFusedPattern);
+  for (const auto& root :
+       {sysml::pattern_expression(1, Xn, nullptr, yn, 0, nullptr),
+        sysml::pattern_expression(1, Xn, vn, yn, 0, nullptr),
+        sysml::pattern_expression(1, Xn, nullptr, yn, 3, zn),
+        sysml::pattern_expression(2, Xn, nullptr, yn, 0, nullptr)}) {
+    const auto plan = sysml::plan_fusion(rt, root, sysml::equation1_only());
+    EXPECT_EQ(plan.groups.size(), 1u);
+    EXPECT_EQ(plan.root->kind, sysml::OpKind::kFusedPattern);
   }
 }
 
@@ -253,11 +252,10 @@ TEST_F(DagFixture, DifferentMatricesDoNotFuse) {
   const auto Xb = sysml::input_matrix(rt.add_sparse(X2, "X2"));
   const auto yn = sysml::input_vector(rt.add_vector(y, "y"));
   // mvt(X2, mv(X, y)): valid algebra but NOT the reuse pattern.
-  auto root = sysml::mvt(Xb, sysml::mv(Xa, yn));
-  sysml::FusionReport report;
-  root = sysml::fuse_patterns(root, &report);
-  EXPECT_EQ(report.patterns_fused, 0);
-  EXPECT_NE(root->kind, sysml::OpKind::kFusedPattern);
+  const auto root = sysml::mvt(Xb, sysml::mv(Xa, yn));
+  const auto plan = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  EXPECT_EQ(plan.groups.size(), 0u);
+  EXPECT_NE(plan.root->kind, sysml::OpKind::kFusedPattern);
 }
 
 TEST_F(DagFixture, FusedAndUnfusedExecutionsAgreeWithOracle) {
@@ -269,7 +267,9 @@ TEST_F(DagFixture, FusedAndUnfusedExecutionsAgreeWithOracle) {
         sysml::input_vector(rt.add_vector(v, "v")),
         sysml::input_vector(rt.add_vector(y, "y")), 2.0,
         sysml::input_vector(rt.add_vector(z, "z")));
-    if (fuse) root = sysml::fuse_patterns(root);
+    if (fuse) {
+      root = sysml::plan_fusion(rt, root, sysml::equation1_only()).root;
+    }
     const auto out = sysml::execute(rt, root);
     expect_vectors_near(expect, rt.read_vector(out), 1e-8);
   }
@@ -287,7 +287,9 @@ TEST_F(DagFixture, FusionReducesOpsAndTime) {
         1, sysml::input_matrix(rt.add_sparse(big, "X")),
         sysml::input_vector(rt.add_vector(vv, "v")),
         sysml::input_vector(rt.add_vector(yy, "y")), 0, nullptr);
-    if (fuse) root = sysml::fuse_patterns(root);
+    if (fuse) {
+      root = sysml::plan_fusion(rt, root, sysml::equation1_only()).root;
+    }
     sysml::execute(rt, root);
     const auto& s = rt.stats();
     (fuse ? fused_ms : unfused_ms) = s.total_ms();
@@ -304,18 +306,17 @@ TEST_F(DagFixture, NestedPatternInsideLargerExpressionFuses) {
   const auto zn = sysml::input_vector(rt.add_vector(z, "z"));
   // 3 * (X^T(Xy)) + z as scale/add around a fusable core — core fuses,
   // the surrounding ops stay.
-  auto root = sysml::add(
+  const auto root = sysml::add(
       sysml::scale(3.0, sysml::mvt(Xn, sysml::mv(Xn, yn))),
       zn);
-  sysml::FusionReport report;
-  root = sysml::fuse_patterns(root, &report);
-  EXPECT_EQ(report.patterns_fused, 1);
+  const auto plan = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  EXPECT_EQ(plan.groups.size(), 1u);
   // The whole expression IS the pattern with beta=1: root collapses fully.
-  EXPECT_EQ(root->kind, sysml::OpKind::kFusedPattern);
-  EXPECT_DOUBLE_EQ(root->scalar, 3.0);
-  EXPECT_DOUBLE_EQ(root->scalar2, 1.0);
+  EXPECT_EQ(plan.root->kind, sysml::OpKind::kFusedPattern);
+  EXPECT_DOUBLE_EQ(plan.root->scalar, 3.0);
+  EXPECT_DOUBLE_EQ(plan.root->scalar2, 1.0);
 
-  const auto out = sysml::execute(rt, root);
+  const auto out = sysml::execute(rt, plan.root);
   auto expect = la::reference::pattern(3.0, X, {}, y, 0, {});
   la::axpy(1.0, z, expect);
   expect_vectors_near(expect, rt.read_vector(out), 1e-8);
@@ -332,15 +333,14 @@ TEST_F(DagFixture, SharedIntermediateBlocksPatternFusion) {
   const auto Xn = sysml::input_matrix(rt.add_sparse(Xs, "Xs"));
   const auto yn = sysml::input_vector(rt.add_vector(ys, "ys"));
   const auto m = sysml::mv(Xn, yn);
-  auto root = sysml::add(sysml::mvt(Xn, m), sysml::scale(2.0, m));
+  const auto root = sysml::add(sysml::mvt(Xn, m), sysml::scale(2.0, m));
 
-  sysml::FusionReport report;
-  root = sysml::fuse_patterns(root, &report);
-  EXPECT_EQ(report.patterns_fused, 0);
-  EXPECT_GE(report.rejected_multi_consumer, 1);
-  EXPECT_NE(root->kind, sysml::OpKind::kFusedPattern);
+  const auto plan = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  EXPECT_EQ(plan.groups.size(), 0u);
+  EXPECT_GE(plan.rejected_multi_consumer, 1);
+  EXPECT_NE(plan.root->kind, sysml::OpKind::kFusedPattern);
 
-  const auto out = sysml::execute(rt, root);
+  const auto out = sysml::execute(rt, plan.root);
   auto want = la::reference::pattern(1.0, Xs, {}, ys, 0, {});
   la::axpy(2.0, la::reference::spmv(Xs, ys), want);
   expect_vectors_near(want, rt.read_vector(out), 1e-8);
@@ -352,12 +352,11 @@ TEST_F(DagFixture, IndependentCopiesOfThePatternStillFuse) {
   sysml::Runtime rt(dev, {});
   const auto Xn = sysml::input_matrix(rt.add_sparse(X, "X"));
   const auto yn = sysml::input_vector(rt.add_vector(y, "y"));
-  auto root = sysml::add(sysml::mvt(Xn, sysml::mv(Xn, yn)),
-                         sysml::mvt(Xn, sysml::mv(Xn, yn)));
-  sysml::FusionReport report;
-  root = sysml::fuse_patterns(root, &report);
-  EXPECT_EQ(report.patterns_fused, 2);
-  EXPECT_EQ(report.rejected_multi_consumer, 0);
+  const auto root = sysml::add(sysml::mvt(Xn, sysml::mv(Xn, yn)),
+                               sysml::mvt(Xn, sysml::mv(Xn, yn)));
+  const auto plan = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  EXPECT_EQ(plan.groups.size(), 2u);
+  EXPECT_EQ(plan.rejected_multi_consumer, 0);
 }
 
 TEST(Dag, CountNodesHandlesSharing) {

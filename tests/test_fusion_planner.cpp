@@ -53,8 +53,9 @@ TEST_F(PlannerFixture, ChoosesEquation1LikeTheHardcodedPass) {
   const auto got_planned = rt.read_vector(sysml::execute(rt, plan.root));
   expect_vectors_near(la::reference::pattern(0.5, X, v, y, 2.0, z),
                       got_planned, 1e-8);
-  auto hardcoded = sysml::fuse_patterns(root);
-  const auto got_hardcoded = rt.read_vector(sysml::execute(rt, hardcoded));
+  const auto hardcoded = sysml::plan_fusion(rt, root, sysml::equation1_only());
+  const auto got_hardcoded =
+      rt.read_vector(sysml::execute(rt, hardcoded.root));
   EXPECT_EQ(std::vector<real>(got_planned.begin(), got_planned.end()),
             std::vector<real>(got_hardcoded.begin(), got_hardcoded.end()));
 }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "la/convert.h"
@@ -225,6 +226,34 @@ TEST(Generate, BandedStructure) {
   // Diagonal dominance for CG-friendliness.
   const auto d = csr_to_dense(X);
   for (index_t i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(d.at(i, i), 4.0);
+}
+
+TEST(Generate, RejectsNonPositiveShapesNamingTheArgument) {
+  // --rows / --cols flow straight into these generators; a bad size must be
+  // a checked error naming the argument, not a std::length_error.
+  auto message_of = [](auto&& make) {
+    try {
+      make();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  using Generator = void (*)(index_t rows, index_t cols);
+  const Generator generators[] = {
+      [](index_t r, index_t c) { uniform_sparse(r, c, 0.1, 1); },
+      [](index_t r, index_t c) { kdd_like(r, c, 4.0, 1.0, 1); },
+      [](index_t r, index_t c) { higgs_like(r, c, 1); },
+      [](index_t r, index_t c) { dense_random(r, c, 1); },
+      [](index_t r, index_t c) { banded(r, c, 3); },
+  };
+  for (const Generator gen : generators) {
+    EXPECT_NE(message_of([&] { gen(-5, 4); }).find("rows"), std::string::npos);
+    EXPECT_NE(message_of([&] { gen(0, 4); }).find("rows"), std::string::npos);
+    EXPECT_NE(message_of([&] { gen(4, 0); }).find("cols"), std::string::npos);
+    EXPECT_NE(message_of([&] { gen(4, -1); }).find("cols"), std::string::npos);
+    EXPECT_NO_THROW(gen(1, 1));
+  }
 }
 
 TEST(Generate, RegressionLabelsCorrelateWithTrueWeights) {

@@ -314,32 +314,43 @@ TEST(ScriptModes, PlannerStrictlyReducesLaunchesForNewAlgorithms) {
 }
 
 TEST(ScriptModes, PlannerMatchesHardcodedPassBitExactly) {
-  // Both rewrites collapse exactly the Equation-1 template sites, and every
-  // additional elementwise group the planner fuses is bit-preserving — so
-  // the two prepared plans must agree to the last bit on every algorithm.
+  // Both modes plan through plan_fusion: the hardcoded pass is the planner
+  // restricted to the Equation-1 family, and every additional elementwise
+  // group the full planner fuses is bit-preserving — so the two prepared
+  // plans must agree to the last bit on every algorithm and storage. Both
+  // arm a plan prediction, and the plan-vs-actual audit sees zero drift.
   const auto X = la::uniform_sparse(400, 20, 0.1, 610);
+  const auto Xd = la::csr_to_dense(X);
   const auto y_reg = la::regression_labels(X, 610, 0.1);
   const auto y_cls = la::classification_labels(X, 610, 0.1);
 
-  for (const auto alg :
-       {Algorithm::kLrCg, Algorithm::kLogregGd, Algorithm::kGlm,
-        Algorithm::kSvm, Algorithm::kHits, Algorithm::kAls, Algorithm::kKmeans,
-        Algorithm::kPagerank, Algorithm::kMinibatchLogreg}) {
-    std::span<const real> labels =
-        (alg == Algorithm::kLogregGd || alg == Algorithm::kSvm ||
-         alg == Algorithm::kMinibatchLogreg)
-            ? std::span<const real>(y_cls)
-            : std::span<const real>(y_reg);
-    std::vector<real> got[2];
-    const PlanMode modes[2] = {PlanMode::kHardcodedPass, PlanMode::kPlanner};
-    for (int i = 0; i < 2; ++i) {
-      const auto* spec = ml::find_script(alg, false, modes[i]);
-      ASSERT_NE(spec, nullptr);
-      vgpu::Device dev;
-      sysml::Runtime rt(dev, forced_gpu());
-      got[i] = spec->run_sparse(rt, X, labels, 4).weights;
+  for (const bool dense : {false, true}) {
+    for (const auto alg :
+         {Algorithm::kLrCg, Algorithm::kLogregGd, Algorithm::kGlm,
+          Algorithm::kSvm, Algorithm::kHits, Algorithm::kAls,
+          Algorithm::kKmeans, Algorithm::kPagerank,
+          Algorithm::kMinibatchLogreg}) {
+      std::span<const real> labels =
+          (alg == Algorithm::kLogregGd || alg == Algorithm::kSvm ||
+           alg == Algorithm::kMinibatchLogreg)
+              ? std::span<const real>(y_cls)
+              : std::span<const real>(y_reg);
+      std::vector<real> got[2];
+      const PlanMode modes[2] = {PlanMode::kHardcodedPass, PlanMode::kPlanner};
+      for (int i = 0; i < 2; ++i) {
+        const auto* spec = ml::find_script(alg, dense, modes[i]);
+        ASSERT_NE(spec, nullptr);
+        vgpu::Device dev;
+        sysml::Runtime rt(dev, forced_gpu());
+        const auto r = dense ? spec->run_dense(rt, Xd, labels, 4)
+                             : spec->run_sparse(rt, X, labels, 4);
+        got[i] = r.weights;
+        EXPECT_TRUE(r.plan_audit.has_prediction) << spec->name;
+        EXPECT_EQ(r.plan_audit.launch_drift(), 0) << spec->name;
+      }
+      EXPECT_EQ(got[0], got[1])
+          << (dense ? "dense " : "csr ") << to_string(alg);
     }
-    EXPECT_EQ(got[0], got[1]) << to_string(alg);
   }
 }
 

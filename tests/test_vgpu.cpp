@@ -335,24 +335,5 @@ TEST(Device, RejectsBadConfigs) {
   EXPECT_THROW(dev.launch(cfg, [](BlockCtx&) {}), Error);
 }
 
-TEST(Device, ParallelHostExecutionMatchesSequential) {
-  Device seq(gtx_titan(), {}, 1);
-  Device par(gtx_titan(), {}, 4);
-  LaunchConfig cfg;
-  cfg.grid_size = 64;
-  cfg.block_size = 32;
-  std::vector<real> acc_seq(1, 0), acc_par(1, 0);
-  const auto s1 = seq.launch(cfg, [&](BlockCtx& ctx) {
-    ctx.mem().add_flops(7);
-    atomic_add(acc_seq[0], 1.0);
-  });
-  const auto s2 = par.launch(cfg, [&](BlockCtx& ctx) {
-    ctx.mem().add_flops(7);
-    atomic_add(acc_par[0], 1.0);
-  });
-  EXPECT_DOUBLE_EQ(acc_seq[0], acc_par[0]);
-  EXPECT_EQ(s1.counters.flops, s2.counters.flops);
-}
-
 }  // namespace
 }  // namespace fusedml::vgpu
