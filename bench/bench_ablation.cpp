@@ -30,8 +30,8 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(
-      cli.get_int("rows", 50000, "rows for the sparse ablations"));
+  const auto rows =
+      cli.get_positive("rows", 50000, "rows for the sparse ablations");
   const double sparsity = cli.get_double("sparsity", 0.01, "nnz fraction");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);

@@ -143,10 +143,8 @@ bool bit_equal(std::span<const real> a, std::span<const real> b) {
 
 int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows =
-      static_cast<index_t>(cli.get_int("rows", 4000, "dataset rows"));
-  const auto cols =
-      static_cast<index_t>(cli.get_int("cols", 60, "dataset columns"));
+  const auto rows = cli.get_positive("rows", 4000, "dataset rows");
+  const auto cols = cli.get_positive("cols", 60, "dataset columns");
   const auto popts = sysml::planner_options_from_cli(cli);
   obs::apply_standard_flags(cli);
   bench::JsonReport json(cli, "bench_algorithms");

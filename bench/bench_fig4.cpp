@@ -23,8 +23,8 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(
-      cli.get_int("rows", 100000, "rows in X (paper: 500000)"));
+  const auto rows =
+      cli.get_positive("rows", 100000, "rows in X (paper: 500000)");
   const double sparsity = cli.get_double("sparsity", 0.01, "nnz fraction");
   const auto cols = bench::parse_cols(cli.get_string(
       "cols", "200,400,800,1024,2048,4096", "column sweep"));

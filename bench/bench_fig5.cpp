@@ -25,8 +25,8 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(
-      cli.get_int("rows", 20000, "rows in X (paper: 500000)"));
+  const auto rows =
+      cli.get_positive("rows", 20000, "rows in X (paper: 500000)");
   const auto cols = bench::parse_cols(
       cli.get_string("cols", "64,128,256,512,1024,2048", "column sweep"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));

@@ -28,10 +28,9 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(
-      cli.get_int("rows", 100000, "rows in X (paper: 500000)"));
-  const auto n =
-      static_cast<index_t>(cli.get_int("cols", 1000, "columns (paper: 1000)"));
+  const auto rows =
+      cli.get_positive("rows", 100000, "rows in X (paper: 500000)");
+  const auto n = cli.get_positive("cols", 1000, "columns (paper: 1000)");
   const double sparsity = cli.get_double("sparsity", 0.01, "nnz fraction");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   const bool dump_surface =

@@ -135,11 +135,10 @@ bool run_script(Table& table, const std::string& name,
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(cli.get_int("rows", 2000, ""));
-  const auto cols = static_cast<index_t>(cli.get_int("cols", 400, ""));
+  const auto rows = cli.get_positive("rows", 2000, "");
+  const auto cols = cli.get_positive("cols", 400, "");
   const auto sparsity = cli.get_double("sparsity", 0.01, "");
-  const auto iters =
-      static_cast<int>(cli.get_int("iterations", 10, "per script"));
+  const auto iters = cli.get_positive("iterations", 10, "per script");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   const auto popts = sysml::planner_options_from_cli(cli);
   obs::apply_standard_flags(cli);

@@ -24,10 +24,8 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows =
-      static_cast<index_t>(cli.get_int("rows", 20000, "training rows"));
-  const auto cols =
-      static_cast<index_t>(cli.get_int("cols", 400, "feature columns"));
+  const auto rows = cli.get_positive("rows", 20000, "training rows");
+  const auto cols = cli.get_positive("cols", 400, "feature columns");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);
   bench::JsonReport json(cli, "resilience");

@@ -61,12 +61,11 @@ serve::Priority mixed_priority(int i) {
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows =
-      static_cast<index_t>(cli.get_int("rows", 4000, "dataset rows"));
-  const auto cols =
-      static_cast<index_t>(cli.get_int("cols", 200, "dataset columns"));
-  const int requests = cli.get_int("requests", 96, "requests per load level");
-  const int workers = cli.get_int("workers", 4, "pool worker threads");
+  const auto rows = cli.get_positive("rows", 4000, "dataset rows");
+  const auto cols = cli.get_positive("cols", 200, "dataset columns");
+  const int requests =
+      cli.get_positive("requests", 96, "requests per load level");
+  const int workers = cli.get_positive("workers", 4, "pool worker threads");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);
   const serve::ServingFlags serving_flags = serve::apply_serving_flags(cli);

@@ -23,9 +23,8 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto rows = static_cast<index_t>(
-      cli.get_int("rows", 200000, "rows in X"));
-  const auto n = static_cast<index_t>(cli.get_int("cols", 1000, "columns"));
+  const auto rows = cli.get_positive("rows", 200000, "rows in X");
+  const auto n = cli.get_positive("cols", 1000, "columns");
   const double sparsity = cli.get_double("sparsity", 0.01, "nnz fraction");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);

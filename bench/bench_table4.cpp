@@ -21,7 +21,7 @@ using namespace fusedml;
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
-  const auto scale = cli.get_double(
+  const auto scale = cli.get_positive(
       "scale", 100.0, "dataset shrink factor vs the real KDD 2010");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);

@@ -47,11 +47,10 @@ EndToEnd run(vgpu::Device& dev, patterns::Backend backend, const Matrix& X,
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto scale =
-      cli.get_double("scale", 100.0, "dataset shrink factor vs KDD/HIGGS");
-  const auto kdd_iters =
-      static_cast<int>(cli.get_int("kdd-iterations", 100, "paper: 100"));
+      cli.get_positive("scale", 100.0, "dataset shrink factor vs KDD/HIGGS");
+  const auto kdd_iters = cli.get_positive("kdd-iterations", 100, "paper: 100");
   const auto higgs_iters =
-      static_cast<int>(cli.get_int("higgs-iterations", 32, "paper: 32"));
+      cli.get_positive("higgs-iterations", 32, "paper: 32");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);
   bench::JsonReport json(cli, "table5");

@@ -1,6 +1,10 @@
 #include "common/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -64,6 +68,36 @@ bool Cli::get_bool(const std::string& name, bool def,
   if (it == args_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
+
+template <typename T>
+T Cli::get_positive(const std::string& name, T def, const std::string& help) {
+  static_assert(std::is_same_v<T, index_t> || std::is_same_v<T, double>);
+  declare(name, std::to_string(def), help);
+  const auto it = args_.find(name);
+  if (it == args_.end()) return def;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_same_v<T, double>) {
+    const double v = std::strtod(text, &end);
+    if (end != text && *end == '\0' && std::isfinite(v) && v > 0.0) return v;
+    throw Error("--" + name + " must be a finite number > 0, got " +
+                it->second);
+  } else {
+    constexpr long long kMax = std::numeric_limits<T>::max();
+    const long long v = std::strtoll(text, &end, 10);
+    if (end != text && *end == '\0' && errno == 0 && v >= 1 && v <= kMax) {
+      return static_cast<T>(v);
+    }
+    throw Error("--" + name + " must be an integer in [1, " +
+                std::to_string(kMax) + "], got " + it->second);
+  }
+}
+
+template index_t Cli::get_positive(const std::string&, index_t,
+                                   const std::string&);
+template double Cli::get_positive(const std::string&, double,
+                                  const std::string&);
 
 void Cli::finish() const {
   for (const auto& [name, _] : args_) {

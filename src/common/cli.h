@@ -28,6 +28,14 @@ class Cli {
   bool get_bool(const std::string& name, bool def,
                 const std::string& help = "");
 
+  /// The validated reader for every flag that sizes a run — dimensions,
+  /// iteration/request/worker counts (T = index_t: an integer in
+  /// [1, INT32_MAX]) and scale factors (T = double: finite and > 0). A
+  /// value that does not parse whole or breaks the rule raises an Error
+  /// naming the flag here, before a caller narrows or divides by it.
+  template <typename T>
+  T get_positive(const std::string& name, T def, const std::string& help = "");
+
   /// True when --help was passed; callers should print usage() and exit 0.
   bool help_requested() const { return help_requested_; }
 

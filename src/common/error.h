@@ -23,6 +23,7 @@ enum class ErrorCode {
   kData,         ///< corrupted or malformed data (ECC, bad input file)
   kDeadline,     ///< modeled deadline/retry budget exhausted — fail fast
   kSilentCorruption,  ///< output failed an ABFT check — transient, recompute
+  kNonFinite,    ///< a checked value is NaN/Inf — the math, not a fault
 };
 
 inline const char* to_string(ErrorCode code) {
@@ -34,6 +35,7 @@ inline const char* to_string(ErrorCode code) {
     case ErrorCode::kData: return "data";
     case ErrorCode::kDeadline: return "deadline";
     case ErrorCode::kSilentCorruption: return "silent-corruption";
+    case ErrorCode::kNonFinite: return "non-finite";
   }
   return "?";
 }
@@ -107,6 +109,16 @@ class SilentCorruptionError : public Error {
   explicit SilentCorruptionError(const std::string& what,
                                  double penalty_ms = 0.0)
       : Error(what, ErrorCode::kSilentCorruption, penalty_ms) {}
+};
+
+/// An ABFT check met a non-finite observed or expected value (a diverging
+/// solver, an overflowing exp). Recomputing reproduces it, so it is neither
+/// silent corruption nor transient: never retried, never degraded, and
+/// never counted against the device's health.
+class NonFiniteError : public Error {
+ public:
+  explicit NonFiniteError(const std::string& what)
+      : Error(what, ErrorCode::kNonFinite, 0.0) {}
 };
 
 /// A modeled deadline (or total retry budget) was exhausted. Never retried:

@@ -1,9 +1,29 @@
 #include "common/resilience.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
 
+#include "common/error.h"
+
 namespace fusedml {
+
+RetryPolicy RetryPolicy::within_deadline(double spent_ms,
+                                         double deadline_ms) const {
+  if (deadline_ms <= 0.0) return *this;
+  if (spent_ms >= deadline_ms) {
+    throw DeadlineError("modeled deadline exceeded before dispatch (" +
+                        std::to_string(spent_ms) + " of " +
+                        std::to_string(deadline_ms) + " ms spent)");
+  }
+  RetryPolicy clamped = *this;
+  const double remaining_ms = deadline_ms - spent_ms;
+  clamped.max_total_overhead_ms =
+      max_total_overhead_ms > 0.0
+          ? std::min(max_total_overhead_ms, remaining_ms)
+          : remaining_ms;
+  return clamped;
+}
 
 void RunReport::print(std::ostream& os) const {
   os << "== resilience report: " << label_ << " ==\n";

@@ -48,6 +48,14 @@ struct RetryPolicy {
     for (int i = 1; i < attempt; ++i) b *= backoff_multiplier;
     return b < backoff_cap_ms ? b : backoff_cap_ms;
   }
+
+  /// The policy for one dispatch under a modeled deadline, given the
+  /// `spent_ms` already on the caller's clock. A `deadline_ms` of 0 means
+  /// none: the policy comes back unchanged. Once the clock has reached the
+  /// deadline this throws DeadlineError instead of dispatching; otherwise
+  /// the retry budget is clamped to the time remaining, so a fault storm
+  /// cannot back off past the deadline inside one op.
+  RetryPolicy within_deadline(double spent_ms, double deadline_ms) const;
 };
 
 /// What one resilient layer observed and did. Aggregates with += so ops,

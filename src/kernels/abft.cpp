@@ -207,14 +207,21 @@ void AbftVerifier::conclude(const char* what, real observed, real expected,
     m.counter("verify.checks").add();
     if (charge.launches != 0) m.counter("verify.launches").add(charge.launches);
   }
+  compare(what, observed, expected, scale, charge.modeled_ms);
+}
+
+void AbftVerifier::compare(const char* what, real observed, real expected,
+                           real scale, double penalty_ms) {
+  if (!std::isfinite(observed) || !std::isfinite(expected)) {
+    std::ostringstream os;
+    os << "ABFT check on " << what << " saw a non-finite value: observed "
+       << observed << ", expected " << expected
+       << " — the computation overflowed or diverged";
+    throw NonFiniteError(os.str());
+  }
   const real tol =
       kAbftRelTol * (real{1} + std::abs(expected) + std::abs(scale));
   if (std::abs(observed - expected) <= tol) return;
-  mismatch(what, observed, expected, charge.modeled_ms);
-}
-
-void AbftVerifier::mismatch(const char* what, real observed, real expected,
-                            double penalty_ms) {
   ++mismatches_;
   if (obs::metrics().enabled()) {
     obs::metrics().counter("verify.mismatches").add();
@@ -375,10 +382,7 @@ VerifyCharge AbftVerifier::check_map(std::span<const real> out,
   if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
   for (usize i = 0; i < out.size(); ++i) {
     const real expected = f(x[i]);
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected));
-    if (std::abs(out[i] - expected) > tol) {
-      mismatch("map", out[i], expected, 0.0);
-    }
+    compare("map", out[i], expected, 0, 0.0);
   }
   return charge;
 }
@@ -392,10 +396,7 @@ VerifyCharge AbftVerifier::check_ewise_chain(
   const auto ref = cpu_.ewise_chain(program, inputs);
   for (usize i = 0; i < out.size(); ++i) {
     const real expected = ref.value[i];
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected));
-    if (std::abs(out[i] - expected) > tol) {
-      mismatch("fused_ewise", out[i], expected, 0.0);
-    }
+    compare("fused_ewise", out[i], expected, 0, 0.0);
   }
   return charge;
 }
@@ -410,10 +411,7 @@ VerifyCharge AbftVerifier::check_outer_map(std::span<const real> out,
   const usize n = v.size();
   for (usize i = 0; i < out.size(); ++i) {
     const real expected = f(u[i / n] * v[i % n]);
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected));
-    if (std::abs(out[i] - expected) > tol) {
-      mismatch("outer_map", out[i], expected, 0.0);
-    }
+    compare("outer_map", out[i], expected, 0, 0.0);
   }
   return charge;
 }
@@ -431,10 +429,7 @@ VerifyCharge AbftVerifier::check_sparse_mask(std::span<const real> out,
       const real expected =
           X.values()[k] *
           om[static_cast<usize>(r) * n + static_cast<usize>(X.col_idx()[k])];
-      const real tol = kAbftRelTol * (real{1} + std::abs(expected));
-      if (std::abs(out[k] - expected) > tol) {
-        mismatch("sparse_mask", out[k], expected, 0.0);
-      }
+      compare("sparse_mask", out[k], expected, 0, 0.0);
     }
   }
   return charge;
@@ -448,10 +443,7 @@ VerifyCharge AbftVerifier::check_sparse_mask(std::span<const real> out,
   if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
   for (usize i = 0; i < out.size(); ++i) {
     const real expected = X.data()[i] * om[i];
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected));
-    if (std::abs(out[i] - expected) > tol) {
-      mismatch("sparse_mask", out[i], expected, 0.0);
-    }
+    compare("sparse_mask", out[i], expected, 0, 0.0);
   }
   return charge;
 }
@@ -472,11 +464,8 @@ VerifyCharge AbftVerifier::check_masked_product(std::span<const real> out,
       expected += t;
       abs_terms += std::abs(t);
     }
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected) + abs_terms);
-    const real o = out[static_cast<usize>(r)];
-    if (std::abs(o - expected) > tol) {
-      mismatch("masked_product", o, expected, 0.0);
-    }
+    compare("masked_product", out[static_cast<usize>(r)], expected, abs_terms,
+            0.0);
   }
   return charge;
 }
@@ -497,11 +486,8 @@ VerifyCharge AbftVerifier::check_masked_product(std::span<const real> out,
       expected += t;
       abs_terms += std::abs(t);
     }
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected) + abs_terms);
-    const real o = out[static_cast<usize>(r)];
-    if (std::abs(o - expected) > tol) {
-      mismatch("masked_product", o, expected, 0.0);
-    }
+    compare("masked_product", out[static_cast<usize>(r)], expected, abs_terms,
+            0.0);
   }
   return charge;
 }
@@ -557,11 +543,7 @@ VerifyCharge AbftVerifier::check_fused_row(
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("fused_row", observed, exp_sum, exp_scale, charge);
   for (usize i = 0; i < out.size(); ++i) {
-    const real tol =
-        kAbftRelTol * (real{1} + std::abs(expected[i]) + scale[i]);
-    if (std::abs(out[i] - expected[i]) > tol) {
-      mismatch("fused_row", out[i], expected[i], charge.modeled_ms);
-    }
+    compare("fused_row", out[i], expected[i], scale[i], charge.modeled_ms);
   }
   return charge;
 }
@@ -599,11 +581,7 @@ VerifyCharge AbftVerifier::check_fused_row(
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("fused_row", observed, exp_sum, exp_scale, charge);
   for (usize i = 0; i < out.size(); ++i) {
-    const real tol =
-        kAbftRelTol * (real{1} + std::abs(expected[i]) + scale[i]);
-    if (std::abs(out[i] - expected[i]) > tol) {
-      mismatch("fused_row", out[i], expected[i], charge.modeled_ms);
-    }
+    compare("fused_row", out[i], expected[i], scale[i], charge.modeled_ms);
   }
   return charge;
 }
@@ -633,10 +611,7 @@ VerifyCharge AbftVerifier::check_fused_sddmm(
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("fused_sddmm", observed, exp_sum, exp_scale, charge);
   for (usize i = 0; i < out.size(); ++i) {
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected[i]) + scale[i]);
-    if (std::abs(out[i] - expected[i]) > tol) {
-      mismatch("fused_sddmm", out[i], expected[i], charge.modeled_ms);
-    }
+    compare("fused_sddmm", out[i], expected[i], scale[i], charge.modeled_ms);
   }
   return charge;
 }
@@ -667,10 +642,7 @@ VerifyCharge AbftVerifier::check_fused_sddmm(
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("fused_sddmm", observed, exp_sum, exp_scale, charge);
   for (usize i = 0; i < out.size(); ++i) {
-    const real tol = kAbftRelTol * (real{1} + std::abs(expected[i]) + scale[i]);
-    if (std::abs(out[i] - expected[i]) > tol) {
-      mismatch("fused_sddmm", out[i], expected[i], charge.modeled_ms);
-    }
+    compare("fused_sddmm", out[i], expected[i], scale[i], charge.modeled_ms);
   }
   return charge;
 }

@@ -24,7 +24,9 @@
 // false-positive and injected corruptions are always caught (when the
 // policy samples the op). A mismatch throws SilentCorruptionError; the
 // caller's execute_resilient loop treats it like any transient fault and
-// recomputes.
+// recomputes. A NaN or Inf on either side of a comparison is not
+// corruption — recomputing reproduces it — so it throws NonFiniteError,
+// which the retry loop rethrows at once.
 //
 // VerifyPolicy::kSpot samples every spot_interval()-th GPU dispatch —
 // cheap continuous assurance; kFull checks every GPU dispatch — required
@@ -95,7 +97,8 @@ class AbftVerifier {
 
   // --- Matrix-op checks (one device reduction each) ----------------------
   // All throw SilentCorruptionError on mismatch (penalty = the check's own
-  // modeled cost; the registry adds the doomed attempt's cost on rethrow).
+  // modeled cost; the registry adds the doomed attempt's cost on rethrow)
+  // and NonFiniteError on a NaN/Inf, like every check below.
   VerifyCharge check_product(std::span<const real> p, const la::CsrMatrix& X,
                              std::span<const real> y);
   VerifyCharge check_product(std::span<const real> p, const la::DenseMatrix& X,
@@ -217,12 +220,16 @@ class AbftVerifier {
   /// it throws SilentCorruptionError immediately (a recompute follows).
   real device_sum(std::span<const real> w, VerifyCharge& charge);
 
-  /// Tolerance-compared verdict shared by every check: books the check into
-  /// the metrics registry and throws SilentCorruptionError on mismatch.
+  /// Books one checksum check into the metrics registry, then compare()s
+  /// with the check's own modeled cost as the penalty.
   void conclude(const char* what, real observed, real expected, real scale,
                 const VerifyCharge& charge);
-  [[noreturn]] void mismatch(const char* what, real observed, real expected,
-                             double penalty_ms);
+  /// The one comparison every check makes. A non-finite observed or
+  /// expected value throws NonFiniteError (the math overflowed — not a
+  /// fault); |observed - expected| beyond kAbftRelTol * (1 + |expected| +
+  /// |scale|) throws SilentCorruptionError carrying `penalty_ms`.
+  void compare(const char* what, real observed, real expected, real scale,
+               double penalty_ms);
 
   vgpu::Device& dev_;
   const CpuBackend& cpu_;

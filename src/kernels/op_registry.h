@@ -2,13 +2,13 @@
 // operation, which kernel implements it on which backend and what that
 // implementation costs.
 //
-// Before this existed, the per-backend dispatch switch lived twice: once in
-// patterns::PatternExecutor (the library entry point benches drive) and
-// once, implicitly, in sysml::Runtime's op_* bodies (the declarative-ML
-// scheduler). The two copies drifted — Runtime bypassed the resilient
-// retry/fallback machinery entirely. Now both layers route through this
-// registry: the backend-switch body for each op exists exactly once, and so
-// does the retry/backoff/degradation loop (execute_resilient).
+// Every caller — patterns::PatternExecutor (the library entry point benches
+// drive) and sysml::Runtime's op_* bodies (the declarative-ML scheduler) —
+// routes through this registry: the backend-switch body for each op exists
+// exactly once, and so does the retry/backoff/degradation loop
+// (execute_resilient). Every GPU body runs the same device frame — arm
+// ABFT, launch, apply injected corruption, verify — through on_device(),
+// except in-place axpy/scal, which spell it out around their input sums.
 //
 // The registry also *declares* what each (op, backend, storage) pairing
 // costs — launches issued, passes over the matrix, vector words moved per
@@ -298,6 +298,15 @@ class OpRegistry {
   BackendHealth* health_ = nullptr;
   DispatchObserver* observer_ = nullptr;
   AbftVerifier sdc_{dev_, cpu_};
+
+  /// The device frame every non-in-place GPU body shares: arm the verifier
+  /// (before the launch, so spot sampling counts dispatches), run `launch`,
+  /// consume any injected silent corruption, and — when this dispatch was
+  /// sampled — fold `check(value)`'s charge into the outcome. axpy/scal
+  /// keep their own frame: they must checksum their inputs before the
+  /// launch overwrites them.
+  template <typename Launch, typename Check>
+  KernelOutcome on_device(Launch&& launch, Check&& check);
 
   /// Consume side of the device's silent-corruption handshake: if any
   /// launch of the op that produced `out` drew kSilentCorruption, perturb

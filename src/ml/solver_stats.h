@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "common/resilience.h"
-#include "patterns/executor.h"
+#include "kernels/op_registry.h"
 
 namespace fusedml::ml {
 
@@ -21,13 +21,13 @@ struct SolverStats {
   /// backoff, backend fallbacks) — the solver-level resilience surface.
   ResilienceStats resilience;
 
-  void add_pattern(const patterns::PatternResult& r) {
+  void add_pattern(const kernels::KernelOutcome& r) {
     pattern_modeled_ms += r.modeled_ms;
     pattern_wall_ms += r.wall_ms;
     launches += r.launches;
     resilience += r.resilience;
   }
-  void add_blas1(const patterns::PatternResult& r) {
+  void add_blas1(const kernels::KernelOutcome& r) {
     blas1_modeled_ms += r.modeled_ms;
     blas1_wall_ms += r.wall_ms;
     launches += r.launches;

@@ -1,54 +1,27 @@
 #include "patterns/executor.h"
 
-#include <algorithm>
-
-#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fusedml::patterns {
 
-PatternResult PatternExecutor::run(
-    const std::function<kernels::KernelOutcome(Backend)>& attempt,
-    PatternKind kind, std::span<real> inout) {
+KernelOutcome PatternExecutor::run(
+    const std::function<KernelOutcome(Backend)>& attempt, PatternKind kind,
+    std::span<real> inout) {
   obs::TraceSpan span("pattern:" + to_string(kind), "pattern",
                       obs::Track::kOps);
-  RetryPolicy policy = retry_;
-  if (deadline_ms_ > 0.0) {
-    if (session_modeled_ms_ >= deadline_ms_) {
-      throw DeadlineError(
-          "pattern session modeled deadline exceeded before dispatch (" +
-          std::to_string(session_modeled_ms_) + " of " +
-          std::to_string(deadline_ms_) + " ms spent)");
-    }
-    const double remaining_ms = deadline_ms_ - session_modeled_ms_;
-    policy.max_total_overhead_ms =
-        policy.max_total_overhead_ms > 0.0
-            ? std::min(policy.max_total_overhead_ms, remaining_ms)
-            : remaining_ms;
-  }
-  kernels::KernelOutcome o =
-      registry_.execute_resilient(backend_, policy, attempt, inout,
-                                  &resilience_);
+  KernelOutcome o = registry_.execute_resilient(
+      backend_, retry_.within_deadline(session_modeled_ms_, deadline_ms_),
+      attempt, inout, &resilience_);
   session_modeled_ms_ += o.modeled_ms;
   if (span.active()) span.arg("kernel", o.kernel);
   if (obs::metrics().enabled()) {
     obs::metrics().counter("patterns.calls").add();
   }
-  PatternResult out;
-  out.value = std::move(o.value);
-  out.modeled_ms = o.modeled_ms;
-  out.wall_ms = o.wall_ms;
-  out.launches = o.launches;
-  out.counters = o.counters;
-  out.kind = kind;
-  out.kernel = std::move(o.kernel);
-  out.backend_used = o.backend_used;
-  out.resilience = o.resilience;
-  return out;
+  return o;
 }
 
-PatternResult PatternExecutor::transposed_product(const la::CsrMatrix& X,
+KernelOutcome PatternExecutor::transposed_product(const la::CsrMatrix& X,
                                                   std::span<const real> y,
                                                   real alpha) {
   record(PatternKind::kXty);
@@ -57,7 +30,7 @@ PatternResult PatternExecutor::transposed_product(const la::CsrMatrix& X,
       PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::transposed_product(const la::DenseMatrix& X,
+KernelOutcome PatternExecutor::transposed_product(const la::DenseMatrix& X,
                                                   std::span<const real> y,
                                                   real alpha) {
   record(PatternKind::kXty);
@@ -66,47 +39,47 @@ PatternResult PatternExecutor::transposed_product(const la::DenseMatrix& X,
       PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::product(const la::CsrMatrix& X,
+KernelOutcome PatternExecutor::product(const la::CsrMatrix& X,
                                        std::span<const real> y) {
   return run([&](Backend b) { return registry_.product(b, X, y); },
              PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::product(const la::DenseMatrix& X,
+KernelOutcome PatternExecutor::product(const la::DenseMatrix& X,
                                        std::span<const real> y) {
   return run([&](Backend b) { return registry_.product(b, X, y); },
              PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::axpy(real alpha, std::span<const real> x,
+KernelOutcome PatternExecutor::axpy(real alpha, std::span<const real> x,
                                     std::span<real> y) {
   return run([&](Backend b) { return registry_.axpy(b, alpha, x, y); },
              PatternKind::kXty, y);
 }
 
-PatternResult PatternExecutor::dot(std::span<const real> x,
+KernelOutcome PatternExecutor::dot(std::span<const real> x,
                                    std::span<const real> y) {
   return run([&](Backend b) { return registry_.dot(b, x, y); },
              PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::nrm2(std::span<const real> x) {
+KernelOutcome PatternExecutor::nrm2(std::span<const real> x) {
   return run([&](Backend b) { return registry_.nrm2(b, x); },
              PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::scal(real alpha, std::span<real> x) {
+KernelOutcome PatternExecutor::scal(real alpha, std::span<real> x) {
   return run([&](Backend b) { return registry_.scal(b, alpha, x); },
              PatternKind::kXty, x);
 }
 
-PatternResult PatternExecutor::ewise_mul(std::span<const real> x,
+KernelOutcome PatternExecutor::ewise_mul(std::span<const real> x,
                                          std::span<const real> y) {
   return run([&](Backend b) { return registry_.ewise_mul(b, x, y); },
              PatternKind::kXty);
 }
 
-PatternResult PatternExecutor::pattern(real alpha, const la::CsrMatrix& X,
+KernelOutcome PatternExecutor::pattern(real alpha, const la::CsrMatrix& X,
                                        std::span<const real> v,
                                        std::span<const real> y, real beta,
                                        std::span<const real> z) {
@@ -118,7 +91,7 @@ PatternResult PatternExecutor::pattern(real alpha, const la::CsrMatrix& X,
       kind);
 }
 
-PatternResult PatternExecutor::pattern(real alpha, const la::DenseMatrix& X,
+KernelOutcome PatternExecutor::pattern(real alpha, const la::DenseMatrix& X,
                                        std::span<const real> v,
                                        std::span<const real> y, real beta,
                                        std::span<const real> z) {

@@ -20,8 +20,6 @@
 #include <functional>
 #include <map>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "common/resilience.h"
 #include "kernels/op_registry.h"
@@ -32,26 +30,14 @@
 
 namespace fusedml::patterns {
 
-// The backend vocabulary is owned by the registry; re-exported here so the
-// library's historical spelling (patterns::Backend, patterns::to_string)
-// keeps working for benches and tests.
+// The backend vocabulary and the per-op outcome are owned by the registry;
+// re-exported here so the library's historical spelling (patterns::Backend,
+// patterns::to_string) keeps working for benches and tests. Every executor
+// op returns the registry's KernelOutcome unchanged.
 using Backend = kernels::Backend;
 using kernels::fallback_backend;
+using kernels::KernelOutcome;
 using kernels::to_string;
-
-/// Everything a caller learns from one pattern evaluation.
-struct PatternResult {
-  std::vector<real> value;
-  double modeled_ms = 0.0;   ///< modeled device (or CPU-model) time,
-                             ///< including retry + modeled backoff overhead
-  double wall_ms = 0.0;      ///< host wall-clock of the functional run
-  std::uint64_t launches = 0;
-  vgpu::MemCounters counters;  ///< zero for the CPU backend
-  PatternKind kind{};
-  std::string kernel;        ///< which implementation ran
-  Backend backend_used{};    ///< after any degradation
-  ResilienceStats resilience;  ///< faults absorbed while producing value
-};
 
 class PatternExecutor {
  public:
@@ -63,41 +49,41 @@ class PatternExecutor {
   Backend backend() const { return backend_; }
 
   /// w = alpha * X^T * y (Algorithm 1 territory; y has m entries).
-  PatternResult transposed_product(const la::CsrMatrix& X,
+  KernelOutcome transposed_product(const la::CsrMatrix& X,
                                    std::span<const real> y, real alpha = 1);
 
   /// Dense counterpart. The paper does not fuse this case ("we do not
   /// consider X^T x y, when X is dense" — cuBLAS is already near-optimal),
   /// so every GPU backend runs the gemv_t kernel here.
-  PatternResult transposed_product(const la::DenseMatrix& X,
+  KernelOutcome transposed_product(const la::DenseMatrix& X,
                                    std::span<const real> y, real alpha = 1);
 
   /// Plain products p = X * y (not a Table-1 pattern; cuSPARSE/cuBLAS are
   /// "already optimized" here per §4, so all GPU backends share one kernel).
-  PatternResult product(const la::CsrMatrix& X, std::span<const real> y);
-  PatternResult product(const la::DenseMatrix& X, std::span<const real> y);
+  KernelOutcome product(const la::CsrMatrix& X, std::span<const real> y);
+  KernelOutcome product(const la::DenseMatrix& X, std::span<const real> y);
 
   // --- BLAS-1 through the same backend (the Listing-1 script needs these
   // between pattern evaluations; on GPU backends each is a kernel launch).
-  PatternResult axpy(real alpha, std::span<const real> x, std::span<real> y);
-  PatternResult dot(std::span<const real> x, std::span<const real> y);
-  PatternResult nrm2(std::span<const real> x);
-  PatternResult scal(real alpha, std::span<real> x);
-  PatternResult ewise_mul(std::span<const real> x, std::span<const real> y);
+  KernelOutcome axpy(real alpha, std::span<const real> x, std::span<real> y);
+  KernelOutcome dot(std::span<const real> x, std::span<const real> y);
+  KernelOutcome nrm2(std::span<const real> x);
+  KernelOutcome scal(real alpha, std::span<real> x);
+  KernelOutcome ewise_mul(std::span<const real> x, std::span<const real> y);
 
   /// w = alpha * X^T * (v ⊙ (X*y)) + beta*z; v/z may be empty.
-  PatternResult pattern(real alpha, const la::CsrMatrix& X,
+  KernelOutcome pattern(real alpha, const la::CsrMatrix& X,
                         std::span<const real> v, std::span<const real> y,
                         real beta, std::span<const real> z);
-  PatternResult pattern(real alpha, const la::DenseMatrix& X,
+  KernelOutcome pattern(real alpha, const la::DenseMatrix& X,
                         std::span<const real> v, std::span<const real> y,
                         real beta, std::span<const real> z);
 
   // Convenience wrappers for the Table-1 instantiations.
-  PatternResult xt_xy(const la::CsrMatrix& X, std::span<const real> y) {
+  KernelOutcome xt_xy(const la::CsrMatrix& X, std::span<const real> y) {
     return pattern(1, X, {}, y, 0, {});
   }
-  PatternResult xt_xy(const la::DenseMatrix& X, std::span<const real> y) {
+  KernelOutcome xt_xy(const la::DenseMatrix& X, std::span<const real> y) {
     return pattern(1, X, {}, y, 0, {});
   }
 
@@ -158,8 +144,9 @@ class PatternExecutor {
 
   void record(PatternKind kind) { ++usage_[kind]; }
 
-  /// Registry resilient dispatch + PatternKind tagging.
-  PatternResult run(const std::function<kernels::KernelOutcome(Backend)>& attempt,
+  /// Registry resilient dispatch under the deadline-clamped policy; `kind`
+  /// names the trace span.
+  KernelOutcome run(const std::function<KernelOutcome(Backend)>& attempt,
                     PatternKind kind, std::span<real> inout = {});
 };
 

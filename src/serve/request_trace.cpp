@@ -117,7 +117,12 @@ void emit_to_recorder(const RequestTraceTree& tree) {
   if (!obs::recorder().enabled()) return;
   for (const RequestSpan& s : tree.spans) {
     obs::TraceEvent ev;
-    ev.name = "r" + std::to_string(tree.seq) + ":" + s.name;
+    // Appended rather than `+`-chained: GCC 12 raises a false -Wrestrict
+    // (GCC bug 105651) on `"r" + std::to_string(...)`.
+    ev.name = "r";
+    ev.name += std::to_string(tree.seq);
+    ev.name += ':';
+    ev.name += s.name;
     ev.cat = "serve";
     ev.track = obs::Track::kServe;
     ev.ts_ms = s.ts_ms;

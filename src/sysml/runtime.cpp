@@ -1,6 +1,7 @@
 #include "sysml/runtime.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "common/cli.h"
@@ -112,8 +113,7 @@ TensorInfo Runtime::tensor_info(TensorId id) {
   return info;
 }
 
-bool Runtime::stage_on_device(TensorId id) {
-  if (!opts_.enable_gpu) return false;
+void Runtime::stage_on_device(TensorId id) {
   if (!native_[id]) {
     // First device contact: pay the JNI representation change + heap copy.
     const Value& v = value(id);
@@ -142,7 +142,6 @@ bool Runtime::stage_on_device(TensorId id) {
     native_[id] = true;
   }
   stats_.transfer_ms += mm_.ensure_on_device(id);
-  return true;
 }
 
 void Runtime::sync_to_host(TensorId id) {
@@ -188,36 +187,23 @@ bool Runtime::choose_gpu_span(usize bytes_touched,
   return gpu < cpu;
 }
 
-bool Runtime::choose_gpu(usize bytes_touched,
-                         std::initializer_list<TensorId> inputs) {
-  return choose_gpu_span(bytes_touched,
-                         {inputs.begin(), inputs.size()});
-}
-
-kernels::KernelOutcome Runtime::run_resilient(
-    kernels::Backend preferred,
+kernels::KernelOutcome Runtime::dispatch(
+    usize bytes_touched, std::span<const TensorId> inputs,
     const std::function<kernels::KernelOutcome(kernels::Backend)>& attempt,
     std::span<real> inout) {
-  if (deadline_ms_ <= 0.0) {
-    return registry_.execute_resilient(preferred, retry_, attempt, inout,
-                                       &resilience_);
+  const bool gpu = choose_gpu_span(bytes_touched, inputs);
+  for (TensorId id : inputs) {
+    if (id == 0) continue;
+    if (gpu) {
+      stage_on_device(id);
+    } else {
+      sync_to_host(id);
+    }
   }
-  const double spent_ms = stats_.total_ms();
-  if (spent_ms >= deadline_ms_) {
-    throw DeadlineError("script modeled deadline exceeded before op dispatch (" +
-                        std::to_string(spent_ms) + " of " +
-                        std::to_string(deadline_ms_) + " ms spent)");
-  }
-  // Clamp the per-dispatch retry budget to the deadline headroom so a fault
-  // storm cannot backoff past the deadline inside one op.
-  RetryPolicy policy = retry_;
-  const double remaining_ms = deadline_ms_ - spent_ms;
-  policy.max_total_overhead_ms =
-      policy.max_total_overhead_ms > 0.0
-          ? std::min(policy.max_total_overhead_ms, remaining_ms)
-          : remaining_ms;
-  return registry_.execute_resilient(preferred, policy, attempt, inout,
-                                     &resilience_);
+  return registry_.execute_resilient(
+      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+      retry_.within_deadline(stats_.total_ms(), deadline_ms_), attempt, inout,
+      &resilience_);
 }
 
 void Runtime::book(const kernels::KernelOutcome& outcome, const char* op,
@@ -273,19 +259,28 @@ void Runtime::note_plan_prepare(double host_ms, bool cache_hit) {
   }
 }
 
-TensorId Runtime::emit(std::vector<real> w, bool on_gpu, std::string name) {
-  const TensorId out = add_vector(std::move(w), std::move(name));
-  if (on_gpu) {
+TensorId Runtime::emit(kernels::KernelOutcome&& outcome, std::string name) {
+  const TensorId out = add_vector(std::move(outcome.value), std::move(name));
+  if (outcome.backend_used != kernels::Backend::kCpu) {
     native_[out] = true;  // born in native/device space
     stats_.transfer_ms += mm_.allocate_on_device(out);
   }
   return out;
 }
 
+void Runtime::mark_written(TensorId id,
+                           const kernels::KernelOutcome& outcome) {
+  if (outcome.backend_used != kernels::Backend::kCpu) {
+    // The host copy was updated functionally; the device is authoritative.
+    mm_.mark_device_dirty(id);
+  } else if (mm_.on_device(id)) {
+    mm_.mark_host_dirty(id);
+  }
+}
+
 TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
                              TensorId yid, real beta, TensorId zid) {
   obs::TraceSpan span("op:pattern", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   std::span<const real> v =
       vid == 0 ? std::span<const real>{} : std::span<const real>(vec(vid));
   std::span<const real> z =
@@ -366,158 +361,90 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     return add_vector(std::move(sr.op.value), "pattern_out");
   }
 
-  const bool gpu = choose_gpu(2 * xbytes, {Xid, vid, yid, zid});
-  if (gpu) {
-    stage_on_device(Xid);
-    if (vid != 0) stage_on_device(vid);
-    stage_on_device(yid);
-    if (zid != 0) stage_on_device(zid);
-  } else {
-    for (TensorId id : {Xid, vid, yid, zid}) {
-      if (id != 0) sync_to_host(id);
-    }
-  }
-
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      2 * tensor_bytes(Xid), std::array{Xid, vid, yid, zid},
       [&](kernels::Backend b) {
-        return Xs != nullptr
-                   ? registry_.pattern(b, alpha, *Xs, v, y, beta, z)
-                   : registry_.pattern(b, alpha, *Xd, v, y, beta, z);
+        return Xs != nullptr ? registry_.pattern(b, alpha, *Xs, v, y, beta, z)
+                             : registry_.pattern(b, alpha, *Xd, v, y, beta, z);
       });
   book(o, "pattern", true);
-  const bool on_gpu = o.backend_used != kernels::Backend::kCpu;
-  if (on_gpu) {
+  if (o.backend_used != kernels::Backend::kCpu) {
     // What the same op would have cost on the CPU (Table 6 row 2).
     stats_.pattern_cpu_equiv_ms +=
         Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
                       : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;
   }
-  return emit(std::move(o.value), on_gpu, "pattern_out");
+  return emit(std::move(o), "pattern_out");
 }
 
 TensorId Runtime::op_transposed_product(TensorId Xid, TensorId yid,
                                         real alpha) {
   obs::TraceSpan span("op:transposed_product", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(xbytes, {Xid, yid});
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr,
                 "transposed product needs a matrix");
-
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr
-                   ? registry_.transposed_product(b, *Xs, y, alpha)
-                   : registry_.transposed_product(b, *Xd, y, alpha);
+  auto o = dispatch(
+      tensor_bytes(Xid), std::array{Xid, yid}, [&](kernels::Backend b) {
+        return Xs != nullptr ? registry_.transposed_product(b, *Xs, y, alpha)
+                             : registry_.transposed_product(b, *Xd, y, alpha);
       });
   book(o, "transposed_product", true);
-  const bool on_gpu = o.backend_used != kernels::Backend::kCpu;
-  if (on_gpu) {
+  if (o.backend_used != kernels::Backend::kCpu) {
     stats_.pattern_cpu_equiv_ms += Xs != nullptr
                                        ? cpu().spmv_t(*Xs, y).modeled_ms
                                        : cpu().gemv_t(*Xd, y).modeled_ms;
   }
-  return emit(std::move(o.value), on_gpu, "xty_out");
+  return emit(std::move(o), "xty_out");
 }
 
 TensorId Runtime::op_product(TensorId Xid, TensorId yid) {
   obs::TraceSpan span("op:product", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(xbytes, {Xid, yid});
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "product needs a matrix");
-
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.product(b, *Xs, y)
-                             : registry_.product(b, *Xd, y);
-      });
+  auto o = dispatch(tensor_bytes(Xid), std::array{Xid, yid},
+                    [&](kernels::Backend b) {
+                      return Xs != nullptr ? registry_.product(b, *Xs, y)
+                                           : registry_.product(b, *Xd, y);
+                    });
   book(o, "product", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "product_out");
+  return emit(std::move(o), "product_out");
 }
 
 void Runtime::op_axpy(real alpha, TensorId xid, TensorId yid) {
   obs::TraceSpan span("op:axpy", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
   std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(3 * x.size() * sizeof(real), {xid, yid});
-  if (gpu) {
-    stage_on_device(xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      3 * x.size() * sizeof(real), std::array{xid, yid},
       [&](kernels::Backend b) { return registry_.axpy(b, alpha, x, y); }, y);
   book(o, "axpy", false);
-  if (o.backend_used != kernels::Backend::kCpu) {
-    mm_.mark_device_dirty(yid);
-    // Host copy already updated functionally; device is authoritative.
-  } else if (mm_.on_device(yid)) {
-    mm_.mark_host_dirty(yid);
-  }
+  mark_written(yid, o);
 }
 
 TensorId Runtime::op_ewise_mul(TensorId xid, TensorId yid) {
   obs::TraceSpan span("op:ewise_mul", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(3 * x.size() * sizeof(real), {xid, yid});
-  if (gpu) {
-    stage_on_device(xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      3 * x.size() * sizeof(real), std::array{xid, yid},
       [&](kernels::Backend b) { return registry_.ewise_mul(b, x, y); });
   book(o, "ewise_mul", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "ewise_out");
+  return emit(std::move(o), "ewise_out");
 }
 
 TensorId Runtime::op_map(TensorId xid, real (*f)(real),
                          const std::string& name) {
   obs::TraceSpan span("op:" + name, "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
-  const bool gpu = choose_gpu(2 * x.size() * sizeof(real), {xid});
-  if (gpu) {
-    stage_on_device(xid);
-  } else {
-    sync_to_host(xid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      2 * x.size() * sizeof(real), std::array{xid},
       [&](kernels::Backend b) { return registry_.map(b, x, f, name); });
   book(o, name.c_str(), false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              name + "_out");
+  return emit(std::move(o), name + "_out");
 }
 
 TensorId Runtime::op_fused_ewise(const kernels::EwiseProgram& program,
@@ -534,23 +461,12 @@ TensorId Runtime::op_fused_ewise(const kernels::EwiseProgram& program,
     n = x.size();
     views.emplace_back(x);
   }
-  const usize bytes = (inputs.size() + 1) * n * sizeof(real);
-  const bool gpu = choose_gpu_span(bytes, inputs);
-  for (TensorId id : inputs) {
-    if (gpu) {
-      stage_on_device(id);
-    } else {
-      sync_to_host(id);
-    }
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return registry_.fused_ewise(b, program, views);
-      });
+  auto o = dispatch((inputs.size() + 1) * n * sizeof(real), inputs,
+                    [&](kernels::Backend b) {
+                      return registry_.fused_ewise(b, program, views);
+                    });
   book(o, name.c_str(), false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              name + "_out");
+  return emit(std::move(o), name + "_out");
 }
 
 TensorId Runtime::op_outer_map(TensorId uid, TensorId vid, real (*f)(real),
@@ -558,78 +474,45 @@ TensorId Runtime::op_outer_map(TensorId uid, TensorId vid, real (*f)(real),
   obs::TraceSpan span("op:outer_map", "op", obs::Track::kOps);
   const std::vector<real>& u = vec(uid);
   const std::vector<real>& v = vec(vid);
-  const usize out_bytes = u.size() * v.size() * sizeof(real);
-  const bool gpu = choose_gpu(2 * out_bytes, {uid, vid});
-  if (gpu) {
-    stage_on_device(uid);
-    stage_on_device(vid);
-  } else {
-    sync_to_host(uid);
-    sync_to_host(vid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      2 * u.size() * v.size() * sizeof(real), std::array{uid, vid},
       [&](kernels::Backend b) { return registry_.outer_map(b, u, v, f, name); });
   book(o, "outer_map", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "outer_map_out");
+  return emit(std::move(o), "outer_map_out");
 }
 
 TensorId Runtime::op_sparse_mask(TensorId Xid, TensorId omid) {
   obs::TraceSpan span("op:sparse_mask", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& om = vec(omid);
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "sparse_mask needs a matrix");
-  const bool gpu = choose_gpu(xbytes + om.size() * sizeof(real), {Xid, omid});
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(omid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(omid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.sparse_mask(b, *Xs, om)
-                             : registry_.sparse_mask(b, *Xd, om);
-      });
+  auto o = dispatch(tensor_bytes(Xid) + om.size() * sizeof(real),
+                    std::array{Xid, omid}, [&](kernels::Backend b) {
+                      return Xs != nullptr ? registry_.sparse_mask(b, *Xs, om)
+                                           : registry_.sparse_mask(b, *Xd, om);
+                    });
   book(o, "sparse_mask", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "sparse_mask_out");
+  return emit(std::move(o), "sparse_mask_out");
 }
 
 TensorId Runtime::op_masked_product(TensorId Xid, TensorId valsid,
                                     TensorId zid) {
   obs::TraceSpan span("op:masked_product", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& vals = vec(valsid);
   const std::vector<real>& z = vec(zid);
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr,
                 "masked product needs a matrix");
-  const bool gpu = choose_gpu(xbytes, {Xid, valsid, zid});
-  if (gpu) {
-    stage_on_device(Xid);
-    stage_on_device(valsid);
-    stage_on_device(zid);
-  } else {
-    sync_to_host(Xid);
-    sync_to_host(valsid);
-    sync_to_host(zid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.masked_product(b, *Xs, vals, z)
-                             : registry_.masked_product(b, *Xd, vals, z);
-      });
+  auto o = dispatch(tensor_bytes(Xid), std::array{Xid, valsid, zid},
+                    [&](kernels::Backend b) {
+                      return Xs != nullptr
+                                 ? registry_.masked_product(b, *Xs, vals, z)
+                                 : registry_.masked_product(b, *Xd, vals, z);
+                    });
   book(o, "masked_product", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "masked_product_out");
+  return emit(std::move(o), "masked_product_out");
 }
 
 TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
@@ -638,7 +521,6 @@ TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
   FUSEDML_CHECK(ext.size() + 1 == static_cast<usize>(program.num_inputs),
                 "op_fused_row: external input count mismatch");
   obs::TraceSpan span("op:fused_row", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& y = vec(yid);
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
@@ -650,71 +532,40 @@ TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
     views.emplace_back(vec(id));
     all_inputs.push_back(id);
   }
-  const bool gpu = choose_gpu_span(xbytes, all_inputs);
-  for (TensorId id : all_inputs) {
-    if (gpu) {
-      stage_on_device(id);
-    } else {
-      sync_to_host(id);
-    }
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.fused_row(b, *Xs, y, program, views)
-                             : registry_.fused_row(b, *Xd, y, program, views);
-      });
+  auto o = dispatch(tensor_bytes(Xid), all_inputs, [&](kernels::Backend b) {
+    return Xs != nullptr ? registry_.fused_row(b, *Xs, y, program, views)
+                         : registry_.fused_row(b, *Xd, y, program, views);
+  });
   book(o, "fused_row", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "fused_row_out");
+  return emit(std::move(o), "fused_row_out");
 }
 
 TensorId Runtime::op_fused_sddmm(TensorId Xid, TensorId uid, TensorId vid,
                                  TensorId zid, real (*f)(real),
                                  const std::string& name) {
   obs::TraceSpan span("op:fused_sddmm", "op", obs::Track::kOps);
-  const usize xbytes = tensor_bytes(Xid);
   const std::vector<real>& u = vec(uid);
   const std::vector<real>& v = vec(vid);
   const std::vector<real>& z = vec(zid);
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "fused sddmm needs a matrix");
-  const bool gpu = choose_gpu(xbytes, {Xid, uid, vid, zid});
-  for (TensorId id : {Xid, uid, vid, zid}) {
-    if (gpu) {
-      stage_on_device(id);
-    } else {
-      sync_to_host(id);
-    }
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      tensor_bytes(Xid), std::array{Xid, uid, vid, zid},
       [&](kernels::Backend b) {
-        return Xs != nullptr
-                   ? registry_.fused_sddmm(b, *Xs, u, v, z, f, name)
-                   : registry_.fused_sddmm(b, *Xd, u, v, z, f, name);
+        return Xs != nullptr ? registry_.fused_sddmm(b, *Xs, u, v, z, f, name)
+                             : registry_.fused_sddmm(b, *Xd, u, v, z, f, name);
       });
   book(o, "fused_sddmm", false);
-  return emit(std::move(o.value), o.backend_used != kernels::Backend::kCpu,
-              "fused_sddmm_out");
+  return emit(std::move(o), "fused_sddmm_out");
 }
 
 real Runtime::op_dot(TensorId xid, TensorId yid) {
   obs::TraceSpan span("op:dot", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
   const std::vector<real>& y = vec(yid);
-  const bool gpu = choose_gpu(2 * x.size() * sizeof(real), {xid, yid});
-  if (gpu) {
-    stage_on_device(xid);
-    stage_on_device(yid);
-  } else {
-    sync_to_host(xid);
-    sync_to_host(yid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.dot(b, x, y); });
+  auto o = dispatch(2 * x.size() * sizeof(real), std::array{xid, yid},
+                    [&](kernels::Backend b) { return registry_.dot(b, x, y); });
   book(o, "dot", false);
   return o.value[0];
 }
@@ -722,15 +573,8 @@ real Runtime::op_dot(TensorId xid, TensorId yid) {
 real Runtime::op_nrm2(TensorId xid) {
   obs::TraceSpan span("op:nrm2", "op", obs::Track::kOps);
   const std::vector<real>& x = vec(xid);
-  const bool gpu = choose_gpu(x.size() * sizeof(real), {xid});
-  if (gpu) {
-    stage_on_device(xid);
-  } else {
-    sync_to_host(xid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
-      [&](kernels::Backend b) { return registry_.nrm2(b, x); });
+  auto o = dispatch(x.size() * sizeof(real), std::array{xid},
+                    [&](kernels::Backend b) { return registry_.nrm2(b, x); });
   book(o, "nrm2", false);
   return o.value[0];
 }
@@ -738,21 +582,11 @@ real Runtime::op_nrm2(TensorId xid) {
 void Runtime::op_scal(real alpha, TensorId xid) {
   obs::TraceSpan span("op:scal", "op", obs::Track::kOps);
   std::vector<real>& x = vec(xid);
-  const bool gpu = choose_gpu(2 * x.size() * sizeof(real), {xid});
-  if (gpu) {
-    stage_on_device(xid);
-  } else {
-    sync_to_host(xid);
-  }
-  auto o = run_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+  auto o = dispatch(
+      2 * x.size() * sizeof(real), std::array{xid},
       [&](kernels::Backend b) { return registry_.scal(b, alpha, x); }, x);
   book(o, "scal", false);
-  if (o.backend_used != kernels::Backend::kCpu) {
-    mm_.mark_device_dirty(xid);
-  } else if (mm_.on_device(xid)) {
-    mm_.mark_host_dirty(xid);
-  }
+  mark_written(xid, o);
 }
 
 std::span<const real> Runtime::read_vector(TensorId id) {

@@ -10,8 +10,10 @@
 // afterwards the memory manager keeps copies consistent. Running the same
 // script with the GPU disabled yields the SystemML-CPU baseline of Table 6.
 //
-// Every op dispatches through the shared OpRegistry under this runtime's
-// RetryPolicy: injected device faults are retried with modeled backoff and
+// Each op_* body looks up its operands and hands the three steps to one
+// private dispatch(): place the op, stage (or sync) its inputs, run the
+// registry under this runtime's RetryPolicy clamped to the modeled
+// deadline. Injected device faults are retried with modeled backoff and
 // degrade fused -> baseline -> CPU exactly like PatternExecutor's ops (the
 // dispatch switch and the resilience loop exist once, in the registry).
 #pragma once
@@ -325,16 +327,21 @@ class Runtime {
   usize tensor_bytes(TensorId id);
 
   /// Moves a tensor to the device, paying JNI on first contact; charges
-  /// into stats_. Returns false if the GPU is disabled.
-  bool stage_on_device(TensorId id);
+  /// into stats_.
+  void stage_on_device(TensorId id);
   void sync_to_host(TensorId id);
 
-  /// Registry dispatch under this runtime's RetryPolicy. `preferred` is the
-  /// scheduler's placement (kFused when the GPU won, kCpu otherwise); a
+  /// The §4.4 sequence every op_* body shares, in this order: the cost
+  /// model places the op (choose_gpu_span over `bytes_touched` and
+  /// `inputs`); each non-zero input is staged on the device — or synced to
+  /// the host — in the listed order (LRU order and transfer cost depend on
+  /// it); and the registry runs `attempt` from kFused or kCpu under this
+  /// runtime's RetryPolicy clamped to the modeled deadline. `inout` names
+  /// memory the op mutates in place (snapshotted before a retry). A
   /// fault-degraded run may come back on a different backend — callers book
-  /// by outcome.backend_used, not by the request.
-  kernels::KernelOutcome run_resilient(
-      kernels::Backend preferred,
+  /// by outcome.backend_used, not by the placement.
+  kernels::KernelOutcome dispatch(
+      usize bytes_touched, std::span<const TensorId> inputs,
       const std::function<kernels::KernelOutcome(kernels::Backend)>& attempt,
       std::span<real> inout = {});
 
@@ -342,14 +349,17 @@ class Runtime {
   void book(const kernels::KernelOutcome& outcome, const char* op,
             bool pattern_class);
 
-  /// Registers `w` as a new tensor, on-device when the producing op ran
-  /// there (born in native/device space).
-  TensorId emit(std::vector<real> w, bool on_gpu, std::string name);
+  /// Registers the outcome's value as a new tensor, on-device when the op
+  /// ran there (born in native/device space).
+  TensorId emit(kernels::KernelOutcome&& outcome, std::string name);
+  /// Residency after an in-place op (axpy, scal) wrote tensor `id`: the
+  /// device copy is authoritative when the op ran there, the host copy
+  /// otherwise.
+  void mark_written(TensorId id, const kernels::KernelOutcome& outcome);
 
   /// Scheduler estimates (GB-scale streaming heuristics).
   double estimate_gpu_ms(usize bytes_touched, TensorId matrix_or_zero);
   double estimate_cpu_ms(usize bytes_touched);
-  bool choose_gpu(usize bytes_touched, std::initializer_list<TensorId> inputs);
   bool choose_gpu_span(usize bytes_touched, std::span<const TensorId> inputs);
 };
 

@@ -179,6 +179,36 @@ TEST(Cli, RejectsUnknownFlag) {
   EXPECT_THROW(cli.finish(), Error);
 }
 
+TEST(Cli, PositiveFlagsRejectBadValuesByName) {
+  const char* argv[] = {"prog",
+                        "--scale", "0",
+                        "--ratio", "inf",
+                        "--requests", "-1",
+                        "--rows", "4294967297",
+                        "--cols", "12x",
+                        "--iterations", "7",
+                        "--shrink", "1e-3"};
+  Cli cli(15, argv);
+  const auto rejects = [&](const std::string& flag, auto def) {
+    try {
+      cli.get_positive(flag, def);
+      ADD_FAILURE() << "--" << flag << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("scale", 100.0);       // not > 0
+  rejects("ratio", 1.0);         // not finite
+  rejects("requests", 96);       // a count below 1
+  rejects("rows", index_t{10});  // does not fit index_t
+  rejects("cols", 60);           // trailing garbage
+  EXPECT_EQ(cli.get_positive("iterations", 20), 7);
+  EXPECT_EQ(cli.get_positive("shrink", 100.0), 1e-3);
+  EXPECT_EQ(cli.get_positive("absent", 4), 4);
+  cli.finish();
+}
+
 TEST(Cli, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   Cli cli(2, argv);

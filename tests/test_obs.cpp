@@ -45,6 +45,14 @@ TraceEvent named_event(const std::string& name) {
   return ev;
 }
 
+/// Event named "t<thread>". Built by appending: GCC 12 raises a false
+/// -Wrestrict on `"t" + std::to_string(t)` inside the thread lambdas.
+TraceEvent thread_event(int thread) {
+  TraceEvent ev = named_event("t");
+  ev.name += std::to_string(thread);
+  return ev;
+}
+
 obs::DevicePeaks peaks_of(const vgpu::DeviceSpec& spec) {
   return {spec.mem_bandwidth_gbs, spec.peak_gflops_dp};
 }
@@ -83,7 +91,7 @@ TEST(TraceRecorder, ConcurrentWritersLoseNothingWithinCapacity) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&rec, t] {
       for (int i = 0; i < kEvents; ++i) {
-        rec.record(named_event("t" + std::to_string(t)));
+        rec.record(thread_event(t));
       }
     });
   }
@@ -268,7 +276,7 @@ TEST(TraceRecorder, ConcurrentOverflowAccountsForEveryEvent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&rec, t] {
       for (int i = 0; i < kEvents; ++i) {
-        rec.record(named_event("t" + std::to_string(t)));
+        rec.record(thread_event(t));
       }
     });
   }

@@ -55,7 +55,7 @@ TEST_P(ExecutorBackends, SparsePatternMatchesReference) {
   const auto got = exec.pattern(1.5, X, v, y, -0.5, z);
   expect_vectors_near(la::reference::pattern(1.5, X, v, y, -0.5, z),
                       got.value);
-  EXPECT_EQ(got.kind, PatternKind::kFull);
+  EXPECT_EQ(exec.usage().at(PatternKind::kFull), 1u);
   EXPECT_FALSE(got.kernel.empty());
 }
 

@@ -85,6 +85,34 @@ TEST(FaultInjector, DisarmedInjectorInjectsNothing) {
   }
 }
 
+TEST(RetryPolicyDeadline, ZeroDeadlineLeavesPolicyUnchanged) {
+  RetryPolicy p;
+  p.max_attempts = 3;
+  p.max_total_overhead_ms = 2.0;
+  const RetryPolicy same = p.within_deadline(1e9, 0.0);
+  EXPECT_EQ(same.max_attempts, 3);
+  EXPECT_EQ(same.max_total_overhead_ms, 2.0);
+  EXPECT_EQ(RetryPolicy{}.within_deadline(5.0, 0.0).max_total_overhead_ms,
+            0.0);
+}
+
+TEST(RetryPolicyDeadline, SpentDeadlineThrows) {
+  const RetryPolicy p;
+  EXPECT_THROW(p.within_deadline(4.0, 4.0), DeadlineError);
+  EXPECT_THROW(p.within_deadline(4.5, 4.0), DeadlineError);
+}
+
+TEST(RetryPolicyDeadline, BudgetClampedToTimeRemaining) {
+  RetryPolicy unbounded;
+  EXPECT_EQ(unbounded.within_deadline(1.0, 4.0).max_total_overhead_ms, 3.0);
+  RetryPolicy tight;
+  tight.max_total_overhead_ms = 2.0;
+  EXPECT_EQ(tight.within_deadline(1.0, 10.0).max_total_overhead_ms, 2.0);
+  EXPECT_EQ(tight.within_deadline(9.5, 10.0).max_total_overhead_ms, 0.5);
+  // Only the budget moves.
+  EXPECT_EQ(tight.within_deadline(9.5, 10.0).max_attempts, tight.max_attempts);
+}
+
 class ResilientExecutorTest : public ::testing::Test {
  protected:
   la::CsrMatrix X_ = la::uniform_sparse(3000, 120, 0.05, 17);
@@ -246,6 +274,39 @@ TEST_F(ResilientExecutorTest, RetryBudgetFailsFastWithDeadlineError) {
   // accumulating max_attempts backoffs per backend tier.
   EXPECT_LT(rs.overhead_ms(),
             exec.retry_policy().backoff_ms(1) * exec.retry_policy().max_attempts);
+}
+
+TEST_F(ResilientExecutorTest, ModeledDeadlineGatesAndClampsDispatch) {
+  // Past the deadline: the next op throws before it runs.
+  vgpu::Device clean_dev;
+  PatternExecutor clean(clean_dev, Backend::kFused);
+  clean.pattern(1, X_, v_, y_, 0, {});
+  const double spent = clean.session_modeled_ms();
+  clean.set_modeled_deadline(spent);
+  EXPECT_THROW(clean.pattern(1, X_, v_, y_, 0, {}), DeadlineError);
+  EXPECT_EQ(clean.session_modeled_ms(), spent);
+
+  // Inside the deadline under a permanent fault storm: the retry budget is
+  // clamped to the headroom, which is smaller than one backoff — so the
+  // dispatch fails fast instead of retrying and degrading to the CPU, as
+  // the same storm does with no deadline.
+  FaultConfig cfg;
+  cfg.seed = 5;
+  cfg.kernel_fault_rate = 1.0;
+  FaultInjector inj(cfg);
+  vgpu::Device dev;
+  dev.set_fault_injector(&inj);
+  PatternExecutor exec(dev, Backend::kFused);
+  ASSERT_EQ(exec.retry_policy().max_total_overhead_ms, 0.0);  // unbounded
+  ASSERT_EQ(exec.pattern(1, X_, v_, y_, 0, {}).backend_used, Backend::kCpu);
+  exec.reset_resilience();
+  exec.reset_session_clock();
+  const double headroom = exec.retry_policy().backoff_ms(1) / 2;
+  exec.set_modeled_deadline(headroom);
+  EXPECT_THROW(exec.pattern(1, X_, v_, y_, 0, {}), DeadlineError);
+  EXPECT_GT(exec.resilience().faults_seen, 0u);
+  EXPECT_EQ(exec.resilience().retries, 0u);
+  EXPECT_EQ(exec.resilience().fallbacks, 0u);
 }
 
 TEST_F(ResilientExecutorTest, UnboundedBudgetDegradesWithSplitFallbackCounts) {
@@ -474,6 +535,47 @@ TEST(RuntimeResilience, RuntimeBlas1FaultsRolledBackBeforeRetry) {
   EXPECT_GT(rt.resilience().faults_seen, 0u);
   EXPECT_EQ(std::vector<real>(want.begin(), want.end()),
             std::vector<real>(got.begin(), got.end()));
+}
+
+TEST(RuntimeResilience, ModeledDeadlineGatesAndClampsDispatch) {
+  const auto x = la::random_vector(5000, 7);
+  const auto y = la::random_vector(5000, 8);
+
+  // Past the deadline: the next op throws before it runs.
+  vgpu::Device clean_dev;
+  sysml::Runtime clean(clean_dev, {.enable_gpu = true, .gpu_cost_bias = 1e-4});
+  const auto cx = clean.add_vector(x, "x");
+  const auto cy = clean.add_vector(y, "y");
+  clean.op_dot(cx, cy);
+  const auto ops = clean.stats().gpu_ops + clean.stats().cpu_ops;
+  clean.set_modeled_deadline(clean.stats().total_ms());
+  EXPECT_THROW(clean.op_dot(cx, cy), DeadlineError);
+  EXPECT_EQ(clean.stats().gpu_ops + clean.stats().cpu_ops, ops);
+
+  // Inside the deadline under a permanent fault storm: the retry budget is
+  // clamped to the headroom (smaller than one backoff), so the op fails
+  // fast instead of retrying and degrading to the CPU as it does with no
+  // deadline. The first op also stages x and y, so the second pays no
+  // transfer before the clamp is computed.
+  FaultConfig cfg;
+  cfg.seed = 5;
+  cfg.kernel_fault_rate = 1.0;
+  FaultInjector inj(cfg);
+  vgpu::Device dev;
+  dev.set_fault_injector(&inj);
+  sysml::Runtime rt(dev, {.enable_gpu = true, .gpu_cost_bias = 1e-4});
+  const auto rx = rt.add_vector(x, "x");
+  const auto ry = rt.add_vector(y, "y");
+  rt.op_dot(rx, ry);
+  ASSERT_EQ(rt.stats().cpu_ops, 1u);  // degraded all the way, unbounded
+  const ResilienceStats before = rt.resilience();
+  rt.set_modeled_deadline(rt.stats().total_ms() +
+                          rt.retry_policy().backoff_ms(1) / 2);
+  EXPECT_THROW(rt.op_dot(rx, ry), DeadlineError);
+  EXPECT_GT(rt.resilience().faults_seen, before.faults_seen);
+  EXPECT_EQ(rt.resilience().retries, before.retries);
+  EXPECT_EQ(rt.resilience().fallbacks, before.fallbacks);
+  EXPECT_EQ(rt.stats().cpu_ops, 1u);
 }
 
 }  // namespace

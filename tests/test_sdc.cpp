@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
@@ -228,6 +229,60 @@ TEST(SdcAbft, VerificationBilledExactlyOnce) {
   EXPECT_EQ(session.verify_launches, verified.verify_launches);
   EXPECT_EQ(session.verify_ms, verified.verify_ms);
   EXPECT_EQ(session.sdc_detected, 0u);
+}
+
+// --- Non-finite values are the math, not a fault ----------------------------
+
+/// Backend health gate that allows everything and counts strikes; installing
+/// one also routes dispatch through the full resilient loop.
+struct StrikeCounter : kernels::BackendHealth {
+  int failures = 0;
+  bool allow(Backend) override { return true; }
+  void on_success(Backend) override {}
+  void on_failure(Backend) override { ++failures; }
+};
+
+TEST(SdcNonFinite, InfInCsrProductThrowsWithoutRetryOrStrike) {
+  auto X = la::uniform_sparse(64, 24, 0.2, 7);
+  X.values_mut()[3] = std::numeric_limits<real>::infinity();
+  const auto y = la::random_vector(24, 8);
+  vgpu::Device dev;
+  OpRegistry reg(dev);
+  reg.set_verify_policy(VerifyPolicy::kFull);
+  StrikeCounter health;
+  reg.set_health(&health);
+
+  ResilienceStats session;
+  try {
+    reg.execute_resilient(
+        Backend::kFused, RetryPolicy{},
+        [&](Backend b) { return reg.product(b, X, y); }, {}, &session);
+    FAIL() << "a non-finite product must not pass verification";
+  } catch (const NonFiniteError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNonFinite);
+  }
+  // Not silent corruption: no recompute, no degradation to the CPU, nothing
+  // a breaker or the quarantine board would count against the device.
+  EXPECT_EQ(session.faults_seen, 0u);
+  EXPECT_EQ(session.sdc_detected, 0u);
+  EXPECT_EQ(session.retries, 0u);
+  EXPECT_EQ(session.fallbacks, 0u);
+  EXPECT_EQ(health.failures, 0);
+  EXPECT_EQ(reg.verifier().mismatches(), 0u);
+}
+
+TEST(SdcNonFinite, OverflowingMapThrowsInsteadOfPassing) {
+  // exp(1000) overflows to +Inf on every backend; the elementwise check
+  // must say so rather than compare Inf with Inf and pass.
+  vgpu::Device dev;
+  sysml::Runtime rt(dev, {.enable_gpu = true, .gpu_cost_bias = 1e-4});
+  rt.set_verify_policy(VerifyPolicy::kFull);
+  const auto x = rt.add_vector(std::vector<real>(256, real{1000}), "x");
+  EXPECT_THROW(rt.op_map(x, [](real v) { return std::exp(v); }, "exp"),
+               NonFiniteError);
+  EXPECT_EQ(rt.resilience().faults_seen, 0u);
+  EXPECT_EQ(rt.resilience().sdc_detected, 0u);
+  EXPECT_EQ(rt.stats().cpu_ops, 0u);
 }
 
 // --- The false-positive oracle ----------------------------------------------
