@@ -68,7 +68,10 @@ TEST(ScriptOracle, LrCgBitMatchesLegacyImperativeCsr) {
   cfg.tolerance = 0;
   const auto script = ml::run_lr_cg_script(rt, X, y, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(legacy.weights, script.weights);
+  const auto frozen = test::frozen_weights("lr_cg_csr");
+  ASSERT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, legacy.weights);
+  EXPECT_EQ(frozen, script.weights);
   EXPECT_EQ(script.iterations, 12);
 }
 
@@ -91,7 +94,10 @@ TEST(ScriptOracle, LrCgBitMatchesLegacyImperativeDense) {
   cfg.tolerance = 0;
   const auto script = ml::run_lr_cg_script(rt, X, y, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(legacy.weights, script.weights);
+  const auto frozen = test::frozen_weights("lr_cg_dense");
+  ASSERT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, legacy.weights);
+  EXPECT_EQ(frozen, script.weights);
 }
 
 TEST(ScriptOracle, GlmPoissonBitMatchesLegacyImperative) {
@@ -109,7 +115,10 @@ TEST(ScriptOracle, GlmPoissonBitMatchesLegacyImperative) {
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_glm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(legacy.weights, script.weights);
+  const auto frozen = test::frozen_weights("glm_poisson");
+  ASSERT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, legacy.weights);
+  EXPECT_EQ(frozen, script.weights);
 }
 
 TEST(ScriptOracle, GlmGaussianBitMatchesLegacyImperative) {
@@ -127,7 +136,10 @@ TEST(ScriptOracle, GlmGaussianBitMatchesLegacyImperative) {
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_glm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(legacy.weights, script.weights);
+  const auto frozen = test::frozen_weights("glm_gaussian");
+  ASSERT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, legacy.weights);
+  EXPECT_EQ(frozen, script.weights);
 }
 
 TEST(ScriptOracle, SvmBitMatchesLegacyImperative) {
@@ -144,7 +156,10 @@ TEST(ScriptOracle, SvmBitMatchesLegacyImperative) {
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_svm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(legacy.weights, script.weights);
+  const auto frozen = test::frozen_weights("svm");
+  ASSERT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, legacy.weights);
+  EXPECT_EQ(frozen, script.weights);
 }
 
 TEST(ScriptOracle, HitsBitMatchesLegacyImperative) {
@@ -161,7 +176,10 @@ TEST(ScriptOracle, HitsBitMatchesLegacyImperative) {
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_hits_script(rt, X, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(legacy.authorities, script.weights);
+  const auto frozen = test::frozen_weights("hits");
+  ASSERT_FALSE(frozen.empty());
+  EXPECT_EQ(frozen, legacy.authorities);
+  EXPECT_EQ(frozen, script.weights);
 }
 
 // The logreg-gd script has no legacy imperative twin (the legacy logreg is

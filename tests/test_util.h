@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -23,6 +27,25 @@ inline void expect_vectors_near(std::span<const real> expected,
     ASSERT_NEAR(expected[i], actual[i], tol * scale)
         << "at index " << i;
   }
+}
+
+/// Weights frozen in tests/golden/legacy_oracles.golden under `name` (one
+/// line: the name, then every weight printed with %a). Empty if absent.
+inline std::vector<real> frozen_weights(const std::string& name) {
+  std::ifstream in(FUSEDML_GOLDEN_DIR "/legacy_oracles.golden");
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string key;
+    fields >> key;
+    if (key != name) continue;
+    std::vector<real> w;
+    for (std::string tok; fields >> tok;) {
+      w.push_back(std::strtod(tok.c_str(), nullptr));
+    }
+    return w;
+  }
+  return {};
 }
 
 }  // namespace fusedml::test
