@@ -81,8 +81,7 @@ bool run_script(Table& table, const std::string& name,
         .add(max_abs_diff(unfused.weights, r.weights), 12);
   }
   if (!planner.plan_explain.empty()) {
-    std::cout << "\n" << name << " planner plan:\n"
-              << planner.plan_explain << "\n";
+    std::cout << "\n" << name << " planner plan:\n" << planner.plan_explain;
   }
 
   bool ok = true;

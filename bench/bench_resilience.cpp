@@ -1,11 +1,12 @@
 // Resilience overhead — modeled cost of the retry/backoff machinery as a
 // function of the injected fault rate.
 //
-// LR-CG (Listing 1) is trained through the fused backend on a device whose
-// fault injector drops kernel launches, corrupts kernel outputs (ECC), and
-// fails PCIe transfers at a swept per-event rate. Every run converges to
-// weights bit-identical to the fault-free run (asserted below); the table
-// shows what that resilience costs in modeled milliseconds.
+// The lr-cg script (Listing 1, planner mode) is trained on a
+// sysml::Runtime whose device has a fault injector that drops kernel
+// launches, corrupts kernel outputs (ECC), and fails PCIe transfers at a
+// swept per-event rate. The table checks each run bit-exact against the
+// fault-free weights and shows what that resilience costs in modeled
+// milliseconds; the silent-corruption level below asserts it.
 #include <iostream>
 #include <vector>
 
@@ -15,8 +16,8 @@
 #include "common/table.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/lr_cg.h"
-#include "patterns/executor.h"
+#include "ml/script_library.h"
+#include "sysml/runtime.h"
 #include "vgpu/device.h"
 #include "vgpu/fault_injector.h"
 
@@ -43,20 +44,31 @@ static int run_bench(int argc, char** argv) {
   const auto labels = la::regression_labels(X, seed, 0.05);
   // Tight tolerance => more CG iterations => enough launches for the
   // injected-fault rates to be visible in the counters.
-  const ml::LrCgConfig cfg{.max_iterations = 200, .eps = 1e-6,
-                           .tolerance = 1e-12};
+  const ml::ScriptConfig cfg{.max_iterations = 200, .eps = 1e-6,
+                             .tolerance = 1e-12};
 
+  struct Run {
+    sysml::ScriptResult result;
+    ResilienceStats resilience;
+  };
   const auto train = [&](vgpu::Device& dev,
                          kernels::VerifyPolicy verify =
                              kernels::VerifyPolicy::kOff) {
-    patterns::PatternExecutor exec(dev, patterns::Backend::kFused);
-    exec.registry().set_verify_policy(verify);
-    return ml::lr_cg(exec, X, labels, cfg);
+    // A tiny GPU cost bias places every op on the device, where the
+    // injector can reach it (the default scheduler keeps this problem's
+    // BLAS-1 on the host).
+    sysml::Runtime rt(dev, {.gpu_cost_bias = 1e-4});
+    rt.set_verify_policy(verify);
+    Run run{ml::run_lr_cg_script(rt, X, labels, sysml::PlanMode::kPlanner,
+                                 cfg),
+            {}};
+    run.resilience = rt.resilience();
+    return run;
   };
 
   vgpu::Device clean_dev;
   const auto clean = train(clean_dev);
-  const double base_ms = clean.stats.total_modeled_ms();
+  const double base_ms = clean.result.end_to_end_ms;
 
   RunReport report("bench_resilience");
   Table table({"fault rate", "total (ms)", "overhead", "faults", "retries",
@@ -71,10 +83,11 @@ static int run_bench(int argc, char** argv) {
     vgpu::Device dev;
     dev.set_fault_injector(&injector);
     const auto r = train(dev);
-    const auto& rs = r.stats.resilience;
-    const double total_ms = r.stats.total_modeled_ms();
-    const bool exact = la::max_abs_diff(clean.weights, r.weights) == 0.0 &&
-                       r.stats.iterations == clean.stats.iterations;
+    const auto& rs = r.resilience;
+    const double total_ms = r.result.end_to_end_ms;
+    const bool exact =
+        la::max_abs_diff(clean.result.weights, r.result.weights) == 0.0 &&
+        r.result.iterations == clean.result.iterations;
     table.row()
         .add(bench::fmt(rate * 100, 1) + "%")
         .add(total_ms, 3)
@@ -108,10 +121,11 @@ static int run_bench(int argc, char** argv) {
     vgpu::Device dev;
     dev.set_fault_injector(&injector);
     const auto r = train(dev, kernels::VerifyPolicy::kFull);
-    const auto& rs = r.stats.resilience;
-    const double total_ms = r.stats.total_modeled_ms();
-    const bool exact = la::max_abs_diff(clean.weights, r.weights) == 0.0 &&
-                       r.stats.iterations == clean.stats.iterations;
+    const auto& rs = r.resilience;
+    const double total_ms = r.result.end_to_end_ms;
+    const bool exact =
+        la::max_abs_diff(clean.result.weights, r.result.weights) == 0.0 &&
+        r.result.iterations == clean.result.iterations;
     all_exact = all_exact && exact;
     sdc_total += rs;
     sdc_table.row()

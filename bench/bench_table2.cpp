@@ -5,20 +5,56 @@
 // operations account for 82.9% (KDD 2010) and 99.4% (HIGGS) of
 // single-thread compute time, with BLAS-1 taking most of the rest — the
 // motivation for targeting the pattern with a fused GPU kernel. Here the
-// same LR-CG script runs single-threaded on this host through the CPU
-// backend, attributing *measured wall time* to pattern vs BLAS-1 buckets.
-// Datasets are the scaled KDD-like / HIGGS-like stand-ins (see DESIGN.md).
+// lr-cg script runs in hardcoded-pass mode (Equation-1 fusion only) on a
+// CPU-only runtime, and the host wall time of each executed op — the
+// single-threaded functional run recorded in Runtime::trace() — is
+// attributed to the pattern bucket (the Equation-1 ops and a*X^T*y) or the
+// BLAS-1 bucket (everything else: dot, axpy, scal). Datasets are the scaled
+// KDD-like / HIGGS-like stand-ins (see DESIGN.md).
 #include <iostream>
 
 #include "bench_common.h"
 #include "common/cli.h"
 #include "common/table.h"
 #include "la/generate.h"
-#include "ml/lr_cg.h"
-#include "patterns/executor.h"
+#include "ml/script_library.h"
+#include "sysml/runtime.h"
 #include "vgpu/device.h"
 
 using namespace fusedml;
+
+namespace {
+
+struct WallSplit {
+  double pattern_ms = 0.0;
+  double blas1_ms = 0.0;
+  double pattern_percent() const {
+    return 100.0 * pattern_ms / (pattern_ms + blas1_ms);
+  }
+  double blas1_percent() const {
+    return 100.0 * blas1_ms / (pattern_ms + blas1_ms);
+  }
+};
+
+template <typename Matrix>
+WallSplit run_split(const Matrix& X, std::span<const real> y,
+                    int iterations) {
+  vgpu::Device dev;
+  sysml::Runtime rt(dev, {.enable_gpu = false});
+  ml::ScriptConfig cfg;
+  cfg.max_iterations = iterations;
+  cfg.tolerance = 0;  // pin the iteration count
+  ml::run_lr_cg_script(rt, X, y, sysml::PlanMode::kHardcodedPass, cfg);
+  WallSplit split;
+  for (const auto& entry : rt.trace()) {
+    const bool pattern = entry.op.rfind("pattern", 0) == 0 ||
+                         entry.op == "transposed_product";
+    (pattern ? split.pattern_ms : split.blas1_ms) += entry.wall_ms;
+  }
+  return split;
+}
+
+}  // namespace
 
 static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
@@ -35,48 +71,35 @@ static int run_bench(int argc, char** argv) {
                       "single-threaded CPU compute-time breakdown, LR-CG "
                       "(measured wall time on this host)");
 
-  vgpu::Device dev;
   Table table({"Data set", "Pattern", "BLAS-1", "Total", "paper Pattern",
                "paper BLAS-1"});
+  const auto add_row = [&](const std::string& name, const WallSplit& split,
+                           const char* paper_pattern,
+                           const char* paper_blas1) {
+    table.row()
+        .add(name)
+        .add(bench::fmt(split.pattern_percent(), 1) + "%")
+        .add(bench::fmt(split.blas1_percent(), 1) + "%")
+        .add(bench::fmt(split.pattern_percent() + split.blas1_percent(), 1) +
+             "%")
+        .add(paper_pattern)
+        .add(paper_blas1);
+  };
 
   {  // KDD-like: ultra-sparse, huge n.
-    const auto m = static_cast<index_t>(15009374 / scale);
-    const auto n = static_cast<index_t>(29890095 / scale);
+    const auto m = scaled_extent(15009374, scale);
+    const auto n = scaled_extent(29890095, scale);
     const auto X = la::kdd_like(m, n, 28.0, 1.5, seed);
     const auto y = la::regression_labels(X, seed, 0.1);
-    patterns::PatternExecutor exec(dev, patterns::Backend::kCpu,
-                                   /*cpu_threads=*/1);
-    ml::LrCgConfig cfg;
-    cfg.max_iterations = iterations;
-    cfg.tolerance = 0;  // pin the iteration count
-    const auto r = ml::lr_cg(exec, X, y, cfg);
-    table.row()
-        .add("KDD-like (1/" + bench::fmt(scale, 0) + " scale)")
-        .add(bench::fmt(r.stats.pattern_wall_percent(), 1) + "%")
-        .add(bench::fmt(r.stats.blas1_wall_percent(), 1) + "%")
-        .add(bench::fmt(r.stats.pattern_wall_percent() +
-                            r.stats.blas1_wall_percent(), 1) + "%")
-        .add("82.9%")
-        .add("16.9%");
+    add_row("KDD-like (1/" + bench::fmt(scale, 0) + " scale)",
+            run_split(X, y, iterations), "82.9%", "16.9%");
   }
   {  // HIGGS-like: dense, 28 columns.
-    const auto m = static_cast<index_t>(11000000 / scale);
+    const auto m = scaled_extent(11000000, scale);
     const auto X = la::higgs_like(m, 28, seed + 1);
     const auto y = la::regression_labels(X, seed + 1, 0.1);
-    patterns::PatternExecutor exec(dev, patterns::Backend::kCpu,
-                                   /*cpu_threads=*/1);
-    ml::LrCgConfig cfg;
-    cfg.max_iterations = iterations;
-    cfg.tolerance = 0;
-    const auto r = ml::lr_cg(exec, X, y, cfg);
-    table.row()
-        .add("HIGGS-like (1/" + bench::fmt(scale, 0) + " scale)")
-        .add(bench::fmt(r.stats.pattern_wall_percent(), 1) + "%")
-        .add(bench::fmt(r.stats.blas1_wall_percent(), 1) + "%")
-        .add(bench::fmt(r.stats.pattern_wall_percent() +
-                            r.stats.blas1_wall_percent(), 1) + "%")
-        .add("99.4%")
-        .add("0.1%");
+    add_row("HIGGS-like (1/" + bench::fmt(scale, 0) + " scale)",
+            run_split(X, y, iterations), "99.4%", "0.1%");
   }
 
   std::cout << table;

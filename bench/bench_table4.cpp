@@ -33,8 +33,8 @@ static int run_bench(int argc, char** argv) {
                       "KDD-2010-like ultra-sparse set: proposed vs "
                       "cuBLAS/cuSPARSE (modeled ms)");
 
-  const auto m = static_cast<index_t>(15009374 / scale);
-  const auto n = static_cast<index_t>(29890095 / scale);
+  const auto m = scaled_extent(15009374, scale);
+  const auto n = scaled_extent(29890095, scale);
   vgpu::Device dev;
   const auto X = la::kdd_like(m, n, 28.0, 1.5, seed);
   bench::print_note("X: " + std::to_string(X.rows()) + " x " +

@@ -7,7 +7,7 @@
 #include "kernels/cuda_codegen.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/logreg.h"
+#include "ml/script_library.h"
 #include "sysml/dag.h"
 #include "sysml/fusion_planner.h"
 #include "sysml/runtime.h"

@@ -1,15 +1,16 @@
 // Fault injection: train LR-CG on a virtual GPU that drops kernel
 // launches, corrupts kernel outputs (ECC), and fails PCIe transfers at a
-// seeded, deterministic rate — and show that the resilient executor still
-// converges to bit-identical weights, paying only modeled retry time.
+// seeded, deterministic rate — and show that the lr-cg script on the
+// resilient runtime still converges to bit-identical weights, paying only
+// modeled retry time.
 #include <iostream>
 
 #include "common/resilience.h"
 #include "common/table.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/lr_cg.h"
-#include "patterns/executor.h"
+#include "ml/script_library.h"
+#include "sysml/runtime.h"
 #include "vgpu/device.h"
 #include "vgpu/fault_injector.h"
 
@@ -19,13 +20,23 @@ using namespace fusedml;
 
 namespace {
 
-ml::LrCgResult train(vgpu::Device& device) {
-  patterns::PatternExecutor exec(device, patterns::Backend::kFused);
+struct Trained {
+  sysml::ScriptResult result;
+  ResilienceStats resilience;
+};
+
+Trained train(vgpu::Device& device) {
+  // Every op on the device (tiny GPU cost bias), where faults can hit it.
+  sysml::Runtime rt(device, {.gpu_cost_bias = 1e-4});
   const auto X = la::uniform_sparse(20000, 400, 0.02, 7);
   const auto labels = la::regression_labels(X, 7, 0.05);
-  ml::LrCgConfig cfg;
+  ml::ScriptConfig cfg;
   cfg.eps = 1e-6;
-  return ml::lr_cg(exec, X, labels, cfg);
+  Trained t{ml::run_lr_cg_script(rt, X, labels, sysml::PlanMode::kPlanner,
+                                 cfg),
+            {}};
+  t.resilience = rt.resilience();
+  return t;
 }
 
 }  // namespace
@@ -51,24 +62,24 @@ static int run_example() {
                "max |w - w_clean|"});
   table.row()
       .add("fault-free")
-      .add(clean.stats.iterations)
-      .add(clean.stats.total_modeled_ms(), 3)
+      .add(clean.result.iterations)
+      .add(clean.result.end_to_end_ms, 3)
       .add(uint64_t{0})
       .add(uint64_t{0})
       .add(0.0, 6);
   table.row()
       .add("5% faults")
-      .add(faulty.stats.iterations)
-      .add(faulty.stats.total_modeled_ms(), 3)
-      .add(faulty.stats.resilience.faults_seen)
-      .add(faulty.stats.resilience.retries)
-      .add(la::max_abs_diff(clean.weights, faulty.weights), 6);
-  std::cout << "LR-CG on 20k x 400 sparse data, fused backend, with and "
-               "without injected device faults\n"
+      .add(faulty.result.iterations)
+      .add(faulty.result.end_to_end_ms, 3)
+      .add(faulty.resilience.faults_seen)
+      .add(faulty.resilience.retries)
+      .add(la::max_abs_diff(clean.result.weights, faulty.result.weights), 6);
+  std::cout << "LR-CG script on 20k x 400 sparse data, fused backend, "
+               "with and without injected device faults\n"
             << table << "\n";
 
   RunReport report("fault_injection example");
-  report.add("lr_cg (pattern + BLAS-1)", faulty.stats.resilience);
+  report.add("lr_cg script", faulty.resilience);
   report.print(std::cout);
 
   std::cout << "\nInjector saw " << injector.log().launches_seen

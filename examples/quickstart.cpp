@@ -11,7 +11,7 @@
 #include "common/table.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "patterns/executor.h"
+#include "kernels/op_registry.h"
 #include "vgpu/device.h"
 
 #include "example_common.h"
@@ -31,17 +31,25 @@ static int run_example() {
   std::cout << "X: " << X.rows() << " x " << X.cols() << ", " << X.nnz()
             << " non-zeros\n\n";
 
+  // One registry per device; each op is a single backend-switch body run
+  // under the retry/fallback policy (a clean device never retries).
+  kernels::OpRegistry registry(device);
+  const auto eval = [&](kernels::Backend backend) {
+    return registry.execute_resilient(
+        backend, RetryPolicy{}, [&](kernels::Backend b) {
+          return registry.pattern(b, 0.5, X, v, y, 2.0, z);
+        });
+  };
+
   // The fused kernel: ONE launch for the whole pattern.
-  patterns::PatternExecutor fused(device, patterns::Backend::kFused);
-  auto r1 = fused.pattern(0.5, X, v, y, 2.0, z);
+  auto r1 = eval(kernels::Backend::kFused);
   std::cout << "fused    : " << r1.kernel << "\n"
             << "  launches " << r1.launches << ", modeled "
             << format_ms(r1.modeled_ms) << ", load transactions "
             << r1.counters.total_load_transactions() << "\n";
 
   // The baseline: csrmv + ewise + csr2csc + csrmv + scal + axpy.
-  patterns::PatternExecutor baseline(device, patterns::Backend::kCusparse);
-  auto r2 = baseline.pattern(0.5, X, v, y, 2.0, z);
+  auto r2 = eval(kernels::Backend::kCusparse);
   std::cout << "baseline : " << r2.kernel << "\n"
             << "  launches " << r2.launches << ", modeled "
             << format_ms(r2.modeled_ms) << ", load transactions "

@@ -1,4 +1,5 @@
-// Silent-data-corruption recovery: train LR-CG on a virtual GPU whose
+// Silent-data-corruption recovery: train the lr-cg script on a virtual GPU
+// whose
 // kernels LIE — at a seeded rate a launch returns success while one element
 // of its output has been flipped. No error is raised, so the retry/backoff
 // machinery never engages on its own; only ABFT checksum verification
@@ -7,8 +8,8 @@
 // Three runs of the same workload:
 //   1. fault-free          — the oracle;
 //   2. 5% silent, no ABFT  — reports ZERO faults while the corruption
-//                            silently derails the solve (many times the
-//                            iterations, no correctness guarantee);
+//                            silently derails the solve (a different
+//                            iteration count, no correctness guarantee);
 //   3. 5% silent, full ABFT — every detection is recomputed; the result is
 //                            bit-exact with the oracle, and the table shows
 //                            what the verification + recompute bill costs
@@ -20,8 +21,8 @@
 #include "kernels/op_registry.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/lr_cg.h"
-#include "patterns/executor.h"
+#include "ml/script_library.h"
+#include "sysml/runtime.h"
 #include "vgpu/device.h"
 #include "vgpu/fault_injector.h"
 
@@ -31,18 +32,28 @@ using namespace fusedml;
 
 namespace {
 
-ml::LrCgResult train(vgpu::Device& device, kernels::VerifyPolicy verify) {
-  patterns::PatternExecutor exec(device, patterns::Backend::kFused);
-  exec.registry().set_verify_policy(verify);
+struct Trained {
+  sysml::ScriptResult result;
+  ResilienceStats resilience;
+};
+
+Trained train(vgpu::Device& device, kernels::VerifyPolicy verify) {
+  // Every op on the device (tiny GPU cost bias), where corruption can hit.
+  sysml::Runtime rt(device, {.gpu_cost_bias = 1e-4});
+  rt.set_verify_policy(verify);
   const auto X = la::uniform_sparse(20000, 400, 0.02, 7);
   const auto labels = la::regression_labels(X, 7, 0.05);
-  ml::LrCgConfig cfg;
+  ml::ScriptConfig cfg;
   cfg.eps = 1e-6;
   // Tight tolerance => enough CG iterations (and launches) for the silent
   // rate to be visible in a deterministic, seeded way.
   cfg.tolerance = 1e-12;
   cfg.max_iterations = 200;
-  return ml::lr_cg(exec, X, labels, cfg);
+  Trained t{ml::run_lr_cg_script(rt, X, labels, sysml::PlanMode::kPlanner,
+                                 cfg),
+            {}};
+  t.resilience = rt.resilience();
+  return t;
 }
 
 vgpu::FaultConfig silent_storm() {
@@ -76,45 +87,47 @@ static int run_example() {
 
   Table table({"run", "iterations", "total (ms)", "faults reported",
                "sdc detected", "verify (ms)", "max |w - w_clean|"});
-  const auto row = [&](const char* name, const ml::LrCgResult& r) {
+  const auto row = [&](const char* name, const Trained& t) {
     table.row()
         .add(name)
-        .add(r.stats.iterations)
-        .add(r.stats.total_modeled_ms(), 3)
-        .add(r.stats.resilience.faults_seen)
-        .add(r.stats.resilience.sdc_detected)
-        .add(r.stats.resilience.verify_ms, 3)
-        .add(la::max_abs_diff(clean.weights, r.weights), 6);
+        .add(t.result.iterations)
+        .add(t.result.end_to_end_ms, 3)
+        .add(t.resilience.faults_seen)
+        .add(t.resilience.sdc_detected)
+        .add(t.resilience.verify_ms, 3)
+        .add(la::max_abs_diff(clean.result.weights, t.result.weights), 6);
   };
   row("fault-free", clean);
   row("5% silent, no ABFT", undefended);
   row("5% silent, full ABFT", defended);
-  std::cout << "LR-CG on 20k x 400 sparse data under a silent-corruption "
+  std::cout << "LR-CG script on 20k x 400 sparse data under a "
+               "silent-corruption "
                "storm, without and with ABFT verification\n"
             << table << "\n";
 
   RunReport report("sdc_recovery example");
-  report.add("undefended", undefended.stats.resilience);
-  report.add("full ABFT", defended.stats.resilience);
+  report.add("undefended", undefended.resilience);
+  report.add("full ABFT", defended.resilience);
   report.print(std::cout);
 
-  const double diff = la::max_abs_diff(clean.weights, defended.weights);
+  const double diff =
+      la::max_abs_diff(clean.result.weights, defended.result.weights);
   std::cout << "\nThe undefended run reported "
-            << undefended.stats.resilience.faults_seen
+            << undefended.resilience.faults_seen
             << " faults while silent corruption derailed its solve ("
-            << undefended.stats.iterations << " iterations vs "
-            << clean.stats.iterations
+            << undefended.result.iterations << " iterations vs "
+            << clean.result.iterations
             << " fault-free, with no correctness guarantee) — that is what "
                "\"silent\" means. The defended run detected "
-            << defended.stats.resilience.sdc_detected
+            << defended.resilience.sdc_detected
             << " corruptions, recomputed each, and matches the fault-free "
-               "run exactly: same " << defended.stats.iterations
+               "run exactly: same " << defended.result.iterations
             << " iterations, bit-identical weights (max diff " << diff
             << ").\n";
   // The example doubles as a smoke test: the defense must actually close
   // the gap the undefended run opened.
   FUSEDML_CHECK(diff == 0.0 &&
-                    defended.stats.iterations == clean.stats.iterations,
+                    defended.result.iterations == clean.result.iterations,
                 "ABFT-defended run is not bit-exact with the oracle");
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <type_traits>
 
 #include "common/error.h"
@@ -98,6 +99,19 @@ template index_t Cli::get_positive(const std::string&, index_t,
                                    const std::string&);
 template double Cli::get_positive(const std::string&, double,
                                   const std::string&);
+
+index_t scaled_extent(double full_extent, double scale) {
+  const double extent = full_extent / scale;
+  constexpr double kMax = std::numeric_limits<index_t>::max();
+  if (!(extent >= 1.0 && extent <= kMax)) {
+    std::ostringstream os;
+    os << "--scale " << scale << " makes a dataset extent of " << extent
+       << " (from " << full_extent << "); it must lie in [1, "
+       << std::numeric_limits<index_t>::max() << "]";
+    throw Error(os.str());
+  }
+  return static_cast<index_t>(extent);
+}
 
 void Cli::finish() const {
   for (const auto& [name, _] : args_) {

@@ -56,4 +56,10 @@ class Cli {
                const std::string& help);
 };
 
+/// One extent of a paper dataset shrunk by a bench's --scale factor:
+/// `full_extent / scale`, truncated. The quotient is formed and checked in
+/// double first, so a tiny scale cannot overflow the narrowing cast; a
+/// result outside [1, INT32_MAX] raises an Error that names --scale.
+index_t scaled_extent(double full_extent, double scale);
+
 }  // namespace fusedml

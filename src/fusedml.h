@@ -2,22 +2,31 @@
 //
 //   #include "fusedml.h"
 //   fusedml::vgpu::Device device;
-//   fusedml::patterns::PatternExecutor exec(device,
-//       fusedml::patterns::Backend::kFused);
-//   auto w = exec.pattern(alpha, X, v, y, beta, z);
+//   fusedml::sysml::Runtime rt(device);
+//   auto r = fusedml::ml::find_script("lr_cg/csr/planner")
+//                ->run_sparse(rt, X, y, /*iterations=*/0);
+//
+// or, for one Equation-1 evaluation without a scheduler:
+//
+//   fusedml::kernels::OpRegistry registry(device);
+//   auto w = registry.execute_resilient(
+//       fusedml::kernels::Backend::kFused, fusedml::RetryPolicy{},
+//       [&](fusedml::kernels::Backend b) {
+//         return registry.pattern(b, alpha, X, v, y, beta, z);
+//       });
 //
 // Layered from bottom to top:
 //   common   — RNG, timing, stats, tables
 //   vgpu     — the virtual GPU (device model, occupancy, cost model)
 //   la       — matrix formats, conversions, generators, reference oracles
-//   kernels  — fused kernels + every baseline + streaming/hybrid extensions
+//   kernels  — fused kernels + every baseline + streaming/hybrid extensions,
+//              dispatched through the operator registry
 //   tuner    — §3.3 launch-parameter model + exhaustive autotuner
-//   patterns — the PatternExecutor back-end (internal to the registry path)
 //   sysml    — declarative runtime: ExprBuilder/Program IR, DAG, fusion
 //              planner, GPU memory manager
-//   ml       — the algorithm ScriptLibrary (LR-CG, GLM, LogReg, SVM, HITS)
-//              lowered through the expression frontend, plus the legacy
-//              imperative solvers kept as oracles
+//   ml       — the algorithm ScriptLibrary (LR-CG, logreg, GLM, SVM, HITS,
+//              ALS, k-means, PageRank, mini-batch logreg) lowered through
+//              the expression frontend
 //   obs      — tracing, metrics, profiler reports, plan audit
 //   serve    — the concurrent serving layer on top of everything
 #pragma once
@@ -49,6 +58,7 @@
 #include "kernels/fused_sparse.h"
 #include "kernels/gemv.h"
 #include "kernels/hybrid.h"
+#include "kernels/op_registry.h"
 #include "kernels/spmv.h"
 #include "kernels/spmv_transpose.h"
 #include "kernels/streaming.h"
@@ -56,21 +66,13 @@
 #include "tuner/autotune.h"
 #include "tuner/launch_params.h"
 
-#include "patterns/executor.h"
-#include "patterns/pattern.h"
-
 #include "sysml/dag.h"
 #include "sysml/expr.h"
 #include "sysml/fusion_planner.h"
 #include "sysml/memory_manager.h"
 #include "sysml/runtime.h"
 
-#include "ml/glm.h"
-#include "ml/hits.h"
-#include "ml/logreg.h"
-#include "ml/lr_cg.h"
 #include "ml/script_library.h"
-#include "ml/svm.h"
 
 #include "obs/metrics.h"
 #include "obs/plan_audit.h"

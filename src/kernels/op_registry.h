@@ -2,11 +2,12 @@
 // operation, which kernel implements it on which backend and what that
 // implementation costs.
 //
-// Every caller — patterns::PatternExecutor (the library entry point benches
-// drive) and sysml::Runtime's op_* bodies (the declarative-ML scheduler) —
-// routes through this registry: the backend-switch body for each op exists
-// exactly once, and so does the retry/backoff/degradation loop
-// (execute_resilient). Every GPU body runs the same device frame — arm
+// Every caller routes through this registry: sysml::Runtime's op_* bodies
+// (the one executor whole solvers run on), and the single-op callers that
+// need no scheduler — serve's pattern requests, kernel-level benches and
+// tests — which call a body under execute_resilient directly. The
+// backend-switch body for each op exists exactly once, and so does the
+// retry/backoff/degradation loop (execute_resilient). Every GPU body runs the same device frame — arm
 // ABFT, launch, apply injected corruption, verify — through on_device(),
 // except in-place axpy/scal, which spell it out around their input sums.
 //
@@ -103,7 +104,7 @@ class DispatchObserver {
 };
 
 /// The logical operations the registry dispatches. Mirrors the vocabulary
-/// of both PatternExecutor's methods and sysml's expression-DAG OpKinds.
+/// of sysml's expression-DAG OpKinds and Runtime's op_* bodies.
 enum class RegistryOp {
   kPattern,            ///< w = alpha*X^T(v ⊙ (X*y)) + beta*z  (Equation 1)
   kTransposedProduct,  ///< w = alpha * X^T * y

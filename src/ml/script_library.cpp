@@ -10,13 +10,14 @@
 #include "la/vector_ops.h"
 #include "sysml/checkpoint.h"
 
-// Every script here mirrors its legacy imperative solver op for op: the
-// same registry kernels fire in the same order, reductions run on the same
-// backend the legacy path used (host la::dot/nrm2 where the solver reduced
-// on the host, runtime op_dot/op_nrm2 where it reduced through the
-// executor), and elementwise work moves onto the device only where that is
-// bit-exact by construction. tests/test_script_library.cpp holds the
-// oracles; see each port's comments for the venue decisions.
+// The lr-cg, glm, svm and hits scripts issue the op stream of the
+// imperative solvers they replaced, op for op: the same registry kernels
+// fire in the same order, reductions run where those solvers ran them (host
+// la::dot/nrm2 where they reduced on the host, runtime op_dot/op_nrm2 where
+// they reduced through the registry), and elementwise work moves onto the
+// device only where that is bit-exact by construction. That is what keeps
+// them equal to the frozen weights in tests/golden/legacy_oracles.golden;
+// see each port's comments for the venue decisions.
 
 namespace fusedml::ml {
 
@@ -25,6 +26,40 @@ using sysml::ExprBuilder;
 using sysml::Program;
 using sysml::Runtime;
 using sysml::TensorId;
+
+namespace {
+
+real inv_link_gaussian(real eta) { return eta; }
+real inv_link_poisson(real eta) { return std::exp(std::min<real>(eta, 30.0)); }
+real inv_link_binomial(real eta) {
+  return real{1} / (real{1} + std::exp(-eta));
+}
+
+real var_weight_gaussian(real) { return real{1}; }
+real var_weight_poisson(real mu) { return std::max<real>(mu, 1e-10); }
+real var_weight_binomial(real mu) {
+  return std::max<real>(mu * (1 - mu), 1e-10);
+}
+
+}  // namespace
+
+real (*glm_inverse_link(GlmFamily family))(real) {
+  switch (family) {
+    case GlmFamily::kGaussian: return inv_link_gaussian;
+    case GlmFamily::kPoisson: return inv_link_poisson;
+    case GlmFamily::kBinomial: return inv_link_binomial;
+  }
+  return inv_link_gaussian;
+}
+
+real (*glm_variance_weight(GlmFamily family))(real) {
+  switch (family) {
+    case GlmFamily::kGaussian: return var_weight_gaussian;
+    case GlmFamily::kPoisson: return var_weight_poisson;
+    case GlmFamily::kBinomial: return var_weight_binomial;
+  }
+  return var_weight_gaussian;
+}
 
 const char* to_string(Algorithm algorithm) {
   switch (algorithm) {
@@ -242,9 +277,9 @@ ScriptResult logreg_gd_impl(Runtime& rt, const Matrix& X,
 //
 // Four programs: the per-row prep chains (W and the score residual), the
 // gradient, the Fisher product (the Table-1 pattern), and the line-search
-// eta. The CG recurrences stay on host la:: reductions exactly like the
-// legacy solver, so planner-mode results are bit-identical to glm_irls on
-// a device-placed executor.
+// eta. The CG recurrences stay on host la:: reductions, which keeps
+// planner-mode results on a device-placed runtime bit-identical to the
+// frozen IRLS oracle weights.
 
 template <typename Matrix>
 ScriptResult glm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
@@ -436,7 +471,7 @@ ScriptResult svm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
   const TensorId wtid = rt.new_vector(n, "w_trial");
 
   // g = 2C * X_I^T resid + w, the 2C applied per-term inside the kernel
-  // exactly like the legacy transposed_product(alpha) call.
+  // exactly like a transposed_product(alpha) call.
   ExprBuilder gb;
   const Expr Xig = gb.matrix("Xi");
   const Expr r_e = gb.vector("resid");
@@ -630,8 +665,9 @@ ScriptResult hits_impl(Runtime& rt, const Matrix& X, PlanMode mode,
     }
   }
 
-  // Hub scores h = X a for the final authorities (kept for op-stream parity
-  // with the legacy solver; the script returns the authorities).
+  // Hub scores h = X a for the final authorities (kept so the op stream —
+  // and with it every modeled number — stays put; the script returns the
+  // authorities).
   hubs.bind("a", aid);
   hubs.prepare(rt, mode);
   const TensorId hid = rt.run(hubs, "h");

@@ -1,25 +1,27 @@
 // The generated ScriptLibrary: every ML algorithm as a declarative script
 // on the sysml runtime — algorithm × {CSR, dense} × PlanMode.
 //
-// This is the single public execution surface the refactor converges on:
-// each solver builds its inner-loop expressions once through the
+// This is the library's one execution surface for whole solvers: each
+// algorithm builds its inner-loop expressions once through the
 // ExprBuilder/Program frontend (sysml/expr.h), the fusion planner (in the
 // hardcoded mode restricted to the §4.4 Equation-1 family) rewrites them,
-// and Runtime::run interprets the planned DAGs — PatternExecutor is now an
-// internal backend reached only through the operator registry. The serving
-// layer routes every ScriptKind here, benches iterate script_library()
-// instead of hand-wiring call sites, and the legacy imperative solvers in
-// ml/ remain only as the pre-refactor oracles the bit-exactness tests
-// compare against.
+// and Runtime::run interprets the planned DAGs, dispatching every op
+// through the operator registry. The serving layer routes every ScriptKind
+// here, and benches and examples iterate script_library() / find_script()
+// instead of hand-wiring call sites. The GPU backend the runtime places ops
+// on is RuntimeOptions::gpu_backend (fused kernels by default; the
+// cuSPARSE/BIDMat baselines for the paper's comparison columns).
 //
-// Bit-exactness contract (asserted in tests/test_script_library.cpp): on a
-// runtime whose scheduler places ops on the device, the planner path of
-// every script reproduces the legacy imperative path to the last bit —
-// the scripts issue the same registry kernels in the same order, reductions
-// run on the same backend, and fused elementwise chains are bit-equal to
-// op-at-a-time evaluation by construction.
+// Bit-exactness contracts (asserted in tests/test_script_library.cpp and
+// tests/test_golden.cpp): on a runtime whose scheduler places ops on the
+// device, the lr-cg, glm, svm and hits scripts reproduce the weights of
+// the pre-script imperative solvers to the last bit (frozen in
+// tests/golden/legacy_oracles.golden), and every planner-mode script is
+// bit-equal to its unfused twin wherever fused elementwise chains replace
+// op-at-a-time evaluation.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <span>
 #include <string>
@@ -27,11 +29,6 @@
 
 #include "la/csr_matrix.h"
 #include "la/dense_matrix.h"
-#include "ml/glm.h"
-#include "ml/hits.h"
-#include "ml/lr_cg.h"
-#include "ml/logreg.h"
-#include "ml/svm.h"
 #include "sysml/expr.h"
 #include "sysml/runtime.h"
 
@@ -52,6 +49,48 @@ enum class Algorithm {
   kMinibatchLogreg, ///< logreg SGD over rotating row batches
 };
 const char* to_string(Algorithm algorithm);
+
+/// Numerically stable sigmoid — never exponentiates a large positive t.
+/// Header-inline (plain function) so DAG kMap nodes can take its address.
+inline real stable_sigmoid(real t) {
+  return t >= 0 ? real{1} / (real{1} + std::exp(-t))
+                : std::exp(t) / (real{1} + std::exp(t));
+}
+
+/// GLM families (McCullagh [28]) fitted by Fisher scoring / IRLS.
+enum class GlmFamily {
+  kGaussian,  ///< identity link; IRLS degenerates to least squares
+  kPoisson,   ///< log link
+  kBinomial,  ///< logit link; labels in {0, 1}
+};
+
+struct GlmConfig {
+  GlmFamily family = GlmFamily::kPoisson;
+  int max_irls_iterations = 25;
+  int max_cg_iterations = 30;
+  real ridge = 1e-6;           ///< tiny ridge for numerical stability
+  real gradient_tolerance = 1e-5;
+};
+
+/// The family's scalar mean function mu = g^{-1}(eta) and variance weight
+/// W(mu), as plain function pointers so DAG kMap nodes can take them.
+real (*glm_inverse_link(GlmFamily family))(real);
+real (*glm_variance_weight(GlmFamily family))(real);
+
+/// Primal linear SVM (squared hinge, Newton with a CG inner solve —
+/// Chapelle [9]); labels in {-1, +1}.
+struct SvmConfig {
+  int max_newton_iterations = 30;
+  int max_cg_iterations = 40;
+  real C = 1.0;                ///< hinge weight
+  real gradient_tolerance = 1e-4;
+};
+
+/// HITS (Kleinberg [23]) power-iteration knobs.
+struct HitsConfig {
+  int max_iterations = 50;
+  real tolerance = 1e-9;  ///< L2 change in authority scores
+};
 
 /// lr-cg script knobs (Listing 1's eps / tolerance).
 struct ScriptConfig {

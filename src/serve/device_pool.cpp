@@ -6,10 +6,7 @@ namespace fusedml::serve {
 
 WorkerSession::WorkerSession(int id, const ServeOptions& opts,
                              usize memory_bytes)
-    : id_(id),
-      memory_bytes_(memory_bytes),
-      executor_(device_, opts.preferred_backend, opts.cpu_threads) {
-  executor_.retry_policy() = opts.retry;
+    : id_(id), memory_bytes_(memory_bytes) {
   apply_faults(opts.faults);
 }
 

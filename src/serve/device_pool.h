@@ -2,12 +2,13 @@
 //
 // Nothing below the serve layer is thread-safe by design — vgpu::Device
 // keeps plain session counters, FaultInjector is a seeded RNG stream, and
-// PatternExecutor/sysml::Runtime mutate their owner's state freely. The
+// kernels::OpRegistry/sysml::Runtime mutate their owner's state freely. The
 // pool therefore gives each worker thread a WorkerSession that OWNS a
-// private Device, fault injector, and PatternExecutor; nothing below the
-// serve layer is ever shared across threads. What IS shared — the breaker
-// board, the admission queue, the metrics registry — is explicitly
-// thread-safe.
+// private Device, fault injector, and OpRegistry (single-op requests
+// dispatch through it; script requests build a Runtime on the same
+// Device); nothing below the serve layer is ever shared across threads.
+// What IS shared — the breaker board, the admission queue, the metrics
+// registry — is explicitly thread-safe.
 //
 // The pool models a bounded aggregate device memory: options name the total
 // modeled bytes across all virtual devices, and each session is budgeted an
@@ -21,7 +22,6 @@
 #include "common/resilience.h"
 #include "common/types.h"
 #include "kernels/op_registry.h"
-#include "patterns/executor.h"
 #include "serve/circuit_breaker.h"
 #include "serve/device_health.h"
 #include "vgpu/device.h"
@@ -36,12 +36,10 @@ struct ServeOptions {
   /// Aggregate modeled device memory across the pool; each worker session
   /// is budgeted pool_memory_bytes / workers.
   usize pool_memory_bytes = usize{4} << 30;
-  kernels::Backend preferred_backend = kernels::Backend::kFused;
   /// Per-dispatch fault handling (attempts, backoff, retry budget) applied
   /// to every request; a request deadline further clamps the budget.
   RetryPolicy retry;
   BreakerConfig breaker;
-  int cpu_threads = 8;
   /// Fault schedule armed on every worker at start (worker w reseeds with
   /// seed + w so streams differ); all-zero rates = clean devices.
   vgpu::FaultConfig faults;
@@ -82,7 +80,7 @@ class WorkerSession {
   int id() const { return id_; }
   usize memory_bytes() const { return memory_bytes_; }
   vgpu::Device& device() { return device_; }
-  patterns::PatternExecutor& executor() { return executor_; }
+  kernels::OpRegistry& registry() { return registry_; }
 
   /// Swaps this session's fault schedule (worker thread only, between
   /// requests). The seed is offset by the worker id so the pool's injector
@@ -98,7 +96,7 @@ class WorkerSession {
   usize memory_bytes_;
   vgpu::Device device_;
   std::unique_ptr<vgpu::FaultInjector> injector_;
-  patterns::PatternExecutor executor_;
+  kernels::OpRegistry registry_{device_};
 };
 
 /// Fixed-size collection of worker sessions with an aggregate memory bound.

@@ -26,6 +26,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/error.h"
 #include "common/resilience.h"
 #include "common/types.h"
 #include "kernels/op_registry.h"
@@ -65,7 +66,7 @@ const char* to_string(RejectReason reason);
 using DatasetId = std::uint32_t;
 
 /// Pattern-evaluation workload: w = alpha * X^T (v ⊙ (X y)) + beta*z on a
-/// registered dataset (v / z optional, as in PatternExecutor::pattern).
+/// registered dataset (v / z optional, as in OpRegistry::pattern).
 struct PatternEval {
   DatasetId dataset = 0;
   real alpha = 1;
@@ -126,6 +127,9 @@ struct ServeOutcome {
   kernels::Backend backend_used = kernels::Backend::kCpu;
   ResilienceStats resilience;   ///< faults absorbed producing this outcome
   std::string error;            ///< kFailed / kDeadlineExceeded detail
+  /// The typed cause behind `error` (kGeneric when none was thrown). The
+  /// server re-admits a kFailed outcome only when this is not kNonFinite.
+  ErrorCode error_code = ErrorCode::kGeneric;
   int worker = -1;              ///< executing worker (-1: never executed)
   Priority priority = Priority::kNormal;  ///< stamped from the request
   double deadline_ms = 0.0;     ///< the request's effective deadline

@@ -53,7 +53,7 @@ Server::Server(ServeOptions opts)
       flight_(opts_.flight_recorder_capacity,
               opts_.flight_recorder_max_incidents) {
   for (int w = 0; w < pool_.workers(); ++w) {
-    pool_.session(w).executor().registry().set_health(&breakers_);
+    pool_.session(w).registry().set_health(&breakers_);
   }
   std::lock_guard lock(faults_mutex_);
   pending_faults_ = opts_.faults;
@@ -275,8 +275,11 @@ void Server::worker_loop(int worker_id) {
       device_health_.report_sdc(worker_id, o.resilience.sdc_detected);
       // Deadline-aware re-admission: a tier-exhausted failure with enough
       // headroom left goes back to the queue for another device instead of
-      // surfacing — bounded so a doomed request cannot cycle forever.
+      // surfacing — bounded so a doomed request cannot cycle forever. A
+      // non-finite failure is the math diverging, not the device: it would
+      // diverge again anywhere, so it is delivered as is.
       if (o.kind == OutcomeKind::kFailed &&
+          o.error_code != ErrorCode::kNonFinite &&
           p->attempts < opts_.max_readmissions &&
           (p->request.deadline_ms <= 0.0 ||
            now_ms() - p->submit_ms < p->request.deadline_ms)) {
@@ -342,17 +345,21 @@ ServeOutcome Server::run_pattern(WorkerSession& session,
                                  kernels::VerifyPolicy verify,
                                  RequestTracer* tracer) {
   ServeOutcome o;
-  auto& ex = session.executor();
-  ex.retry_policy() = opts_.retry;
-  ex.reset_resilience();
-  ex.reset_session_clock();
-  ex.set_modeled_deadline(budget_ms);
-  ex.registry().set_verify_policy(verify);
+  kernels::OpRegistry& registry = session.registry();
+  registry.set_verify_policy(verify);
   // The session's registry outlives this request — observe for the run only.
-  ex.registry().set_dispatch_observer(tracer);
+  registry.set_dispatch_observer(tracer);
   const la::CsrMatrix& X = dataset(eval.dataset);
+  // One dispatch from a fresh clock: the whole budget is its headroom, and
+  // an op that throws bills nothing (modeled_ms stays 0).
   try {
-    auto r = ex.pattern(eval.alpha, X, eval.v, eval.y, eval.beta, eval.z);
+    auto r = registry.execute_resilient(
+        kernels::Backend::kFused, opts_.retry.within_deadline(0.0, budget_ms),
+        [&](kernels::Backend b) {
+          return registry.pattern(b, eval.alpha, X, eval.v, eval.y, eval.beta,
+                                  eval.z);
+        },
+        {}, &o.resilience);
     o.kind = OutcomeKind::kCompleted;
     o.value = std::move(r.value);
     o.modeled_ms = r.modeled_ms;
@@ -360,15 +367,13 @@ ServeOutcome Server::run_pattern(WorkerSession& session,
   } catch (const DeadlineError& e) {
     o.kind = OutcomeKind::kDeadlineExceeded;
     o.error = e.what();
-    o.modeled_ms = ex.session_modeled_ms();
+    o.error_code = e.code();
   } catch (const Error& e) {
     o.kind = OutcomeKind::kFailed;
     o.error = e.what();
-    o.modeled_ms = ex.session_modeled_ms();
+    o.error_code = e.code();
   }
-  o.resilience = ex.resilience();
-  ex.set_modeled_deadline(0.0);
-  ex.registry().set_dispatch_observer(nullptr);
+  registry.set_dispatch_observer(nullptr);
   return o;
 }
 
@@ -398,15 +403,17 @@ ServeOutcome Server::run_script(WorkerSession& session, const ScriptEval& eval,
     o.kind = OutcomeKind::kCompleted;
     o.value = std::move(r.weights);
     o.modeled_ms = r.runtime_stats.total_ms();
-    o.backend_used = r.runtime_stats.gpu_ops > 0 ? opts_.preferred_backend
+    o.backend_used = r.runtime_stats.gpu_ops > 0 ? ro.gpu_backend
                                                  : kernels::Backend::kCpu;
   } catch (const DeadlineError& e) {
     o.kind = OutcomeKind::kDeadlineExceeded;
     o.error = e.what();
+    o.error_code = e.code();
     o.modeled_ms = rt.stats().total_ms();
   } catch (const Error& e) {
     o.kind = OutcomeKind::kFailed;
     o.error = e.what();
+    o.error_code = e.code();
     o.modeled_ms = rt.stats().total_ms();
   }
   o.resilience = rt.resilience();

@@ -1,8 +1,8 @@
 // The concurrent serving layer: a thread-pool request scheduler over the
 // resilient fused-kernel stack.
 //
-// A Server owns a DevicePool (one private Device + PatternExecutor per
-// worker — see device_pool.h for why sharing is forbidden), a bounded
+// A Server owns a DevicePool (one private Device + OpRegistry per worker —
+// see device_pool.h for why sharing is forbidden), a bounded
 // multi-priority AdmissionQueue, and one pool-wide BreakerBoard installed
 // on every worker's OpRegistry. Clients submit() ServeRequests (a pattern
 // evaluation or a declarative script over a registered dataset) and get a
@@ -19,7 +19,7 @@
 // DEADLINES are enforced at four points: at dequeue (already expired →
 // kDeadlineExceeded without executing), inside each dispatch (remaining
 // headroom clamps the retry budget; see RetryPolicy.max_total_overhead_ms),
-// between ops (executor/runtime session deadline), and post-execution
+// between ops (the script runtime's modeled deadline), and post-execution
 // (finished but past the deadline → the value is discarded and the request
 // reports kDeadlineExceeded — a serving system cannot use a late answer).
 #pragma once

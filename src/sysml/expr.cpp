@@ -157,7 +157,7 @@ void Program::prepare(Runtime& rt, PlanMode mode) {
         rp.launches = plan.launches_planned;
         rp.ms = plan.modeled_planned_ms;
         prep.fused_groups += static_cast<int>(plan.groups.size());
-        explain << "output " << name << ":\n" << plan.explain();
+        explain << "output " << name << ":\n" << plan.explain() << "\n";
       }
       prep.roots.push_back(std::move(rp));
     }

@@ -7,9 +7,9 @@
 // every solver in ml/: an algorithm declares symbolic matrices/vectors,
 // combines them with spmv / spmv_t / elementwise chains / Equation-1
 // patterns, and names the outputs it wants. The resulting Program is the
-// single IR every algorithm lowers to — lr-cg, logreg, glm, svm and hits
-// all reach the cost-based fusion planner through it, instead of driving
-// PatternExecutor imperatively from hand-picked call sites.
+// single IR every algorithm lowers to — all nine script-library algorithms
+// reach the cost-based fusion planner through it, and there is no other
+// way to run a whole solver.
 //
 // Iteration loops with loop-carried state work by BINDING: leaves are bound
 // to runtime tensors by name, and may be re-bound every iteration (hits

@@ -36,7 +36,10 @@ Runtime::Runtime(vgpu::Device& dev, RuntimeOptions opts)
     : dev_(dev),
       opts_(opts),
       mm_(dev, opts.device_capacity),
-      registry_(dev, 8) {}
+      registry_(dev, 8) {
+  FUSEDML_CHECK(opts.gpu_backend != kernels::Backend::kCpu,
+                "gpu_backend must name a device backend");
+}
 
 TensorId Runtime::store(Value v, usize bytes, std::string name) {
   const TensorId id = next_id_++;
@@ -201,7 +204,7 @@ kernels::KernelOutcome Runtime::dispatch(
     }
   }
   return registry_.execute_resilient(
-      gpu ? kernels::Backend::kFused : kernels::Backend::kCpu,
+      gpu ? opts_.gpu_backend : kernels::Backend::kCpu,
       retry_.within_deadline(stats_.total_ms(), deadline_ms_), attempt, inout,
       &resilience_);
 }
@@ -235,7 +238,7 @@ void Runtime::book(const kernels::KernelOutcome& outcome, const char* op,
       m.gauge("runtime.resilience_overhead_ms").add(overhead);
     }
   }
-  record_trace(op, on_gpu, outcome.modeled_ms);
+  record_trace(op, on_gpu, outcome.modeled_ms, outcome.wall_ms);
 }
 
 void Runtime::note_plan_prepare(double host_ms, bool cache_hit) {
@@ -344,7 +347,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
         stats_.cpu_op_ms += op.modeled_ms;
         ++stats_.cpu_ops;
         record_trace("pattern (streamed, sdc recompute)", false,
-                     op.modeled_ms);
+                     op.modeled_ms, op.wall_ms);
         return add_vector(std::move(op.value), "pattern_out");
       }
     }
@@ -353,7 +356,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     stats_.transfer_ms += sr.transfer_ms;
     stats_.kernel_launches += sr.op.launches;
     ++stats_.gpu_ops;
-    record_trace("pattern (streamed)", true, sr.pipeline_ms);
+    record_trace("pattern (streamed)", true, sr.pipeline_ms, sr.op.wall_ms);
     stats_.pattern_cpu_equiv_ms +=
         Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
                       : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;
@@ -367,7 +370,12 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
         return Xs != nullptr ? registry_.pattern(b, alpha, *Xs, v, y, beta, z)
                              : registry_.pattern(b, alpha, *Xd, v, y, beta, z);
       });
-  book(o, "pattern", true);
+  const bool has_v = !v.empty();
+  const bool has_bz = !z.empty() && beta != real{0};
+  book(o,
+       has_v ? (has_bz ? "pattern[v,bz]" : "pattern[v]")
+             : (has_bz ? "pattern[bz]" : "pattern"),
+       true);
   if (o.backend_used != kernels::Backend::kCpu) {
     // What the same op would have cost on the CPU (Table 6 row 2).
     stats_.pattern_cpu_equiv_ms +=

@@ -13,9 +13,12 @@
 // Each op_* body looks up its operands and hands the three steps to one
 // private dispatch(): place the op, stage (or sync) its inputs, run the
 // registry under this runtime's RetryPolicy clamped to the modeled
-// deadline. Injected device faults are retried with modeled backoff and
-// degrade fused -> baseline -> CPU exactly like PatternExecutor's ops (the
-// dispatch switch and the resilience loop exist once, in the registry).
+// deadline. Device placements start on RuntimeOptions::gpu_backend (the
+// fused kernels unless a bench selects a baseline); injected device faults
+// are retried with modeled backoff and degrade down the registry's
+// fallback chain to the CPU (the dispatch switch and the resilience loop
+// exist once, in the registry). Whole solvers reach this runtime through
+// the script library (ml/script_library.h); there is no second stack.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +58,11 @@ struct RuntimeOptions {
   /// algorithm". 1 = fully pessimistic (charge the whole upload to the
   /// current op).
   double transfer_amortization = 16.0;
+  /// Backend for every op the scheduler places on the device: the paper's
+  /// fused kernels, or an operator-at-a-time baseline (kCusparse,
+  /// kBidmatGpu) for the comparison columns of Tables 5/6. kCpu is not a
+  /// device backend; disable the GPU with enable_gpu instead.
+  kernels::Backend gpu_backend = kernels::Backend::kFused;
 };
 
 /// Knobs for the explore/select/rewrite fusion planner
@@ -247,10 +255,14 @@ class Runtime {
 
   /// One entry per executed op: what ran, where, and what it cost — the
   /// explain-plan a declarative system surfaces for debugging placement.
+  /// Equation-1 ops name their Table-1 instantiation: "pattern" is
+  /// X^T*(X*y), and a "[v]" / "[bz]" / "[v,bz]" suffix marks the v-weighted,
+  /// +beta*z and full forms; alpha*X^T*y is "transposed_product".
   struct TraceEntry {
     std::string op;
     bool on_gpu = false;
     double modeled_ms = 0;
+    double wall_ms = 0;  ///< host wall-clock of the op's functional run
   };
   const std::vector<TraceEntry>& trace() const { return trace_; }
 
@@ -313,8 +325,8 @@ class Runtime {
   std::string plan_explain_;
   obs::PlanAudit plan_audit_;
 
-  void record_trace(const char* op, bool on_gpu, double ms) {
-    trace_.push_back({op, on_gpu, ms});
+  void record_trace(const char* op, bool on_gpu, double ms, double wall_ms) {
+    trace_.push_back({op, on_gpu, ms, wall_ms});
   }
 
   const kernels::CpuBackend& cpu() const { return registry_.cpu(); }

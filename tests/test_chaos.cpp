@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "la/generate.h"
-#include "patterns/executor.h"
+#include "kernels/op_registry.h"
 #include "serve/request_trace.h"
 #include "serve/server.h"
 #include "ml/script_library.h"
@@ -113,9 +113,9 @@ void verify_completed_against_oracle(const Issued& issued, usize session_bytes,
     // produced the value, so a clean executor on that backend is an oracle
     // even for requests that absorbed faults or degraded mid-flight.
     vgpu::Device ref_dev;
-    patterns::PatternExecutor ref(ref_dev, o.backend_used);
-    auto expect = ref.pattern(pattern->alpha, X, pattern->v, pattern->y,
-                              pattern->beta, pattern->z);
+    kernels::OpRegistry ref(ref_dev);
+    auto expect = ref.pattern(o.backend_used, pattern->alpha, X, pattern->v,
+                              pattern->y, pattern->beta, pattern->z);
     ASSERT_EQ(o.value.size(), expect.value.size());
     for (usize j = 0; j < o.value.size(); ++j) {
       ASSERT_EQ(o.value[j], expect.value[j])
@@ -176,11 +176,18 @@ TEST(Chaos, SoakWithFaultStormsCancellationsAndDrain) {
     vgpu::Device probe_dev;
     vgpu::FaultInjector probe_inj(always);
     probe_dev.set_fault_injector(&probe_inj);
-    patterns::PatternExecutor probe(probe_dev, Backend::kFused);
-    probe.retry_policy().max_attempts = 3;
+    kernels::OpRegistry probe(probe_dev);
+    RetryPolicy retry;
+    retry.max_attempts = 3;
     auto y = la::random_vector(static_cast<usize>(X.cols()), 1);
-    storm_dispatch_ms =
-        std::max(1e-4, probe.pattern(1, X, {}, y, 0, {}).modeled_ms);
+    storm_dispatch_ms = std::max(
+        1e-4, probe
+                  .execute_resilient(Backend::kFused, retry,
+                                     [&](Backend b) {
+                                       return probe.pattern(b, 1, X, {}, y, 0,
+                                                            {});
+                                     })
+                  .modeled_ms);
   }
 
   ServeOptions opts;
@@ -300,6 +307,99 @@ TEST(Chaos, SoakWithFaultStormsCancellationsAndDrain) {
   // (5) Drain resolved everything; a second drain is a no-op snapshot.
   ServeStats again = server.drain();
   EXPECT_EQ(again.submitted, stats.submitted);
+}
+
+// Diverging request: one script request in a fault storm overflows to Inf
+// mid-solve. The policy (docs/RESILIENCE.md) is that a NonFiniteError ends
+// the request kFailed — the math diverged, not the device, so the server
+// does not re-admit it for another worker — while every other request in
+// the storm completes bit-exact.
+TEST(Chaos, DivergingRequestFailsOnceWhileTheStormCompletes) {
+  la::CsrMatrix X = la::uniform_sparse(96, 40, 0.12, 2027);
+  const auto labels = la::regression_labels(X, 7, 0.05);
+  // Large enough that the scheduler places its products on the device,
+  // where ABFT verification sees the overflow.
+  la::CsrMatrix X_diverging = la::uniform_sparse(2000, 200, 0.05, 2028);
+  const auto diverging_labels = la::regression_labels(X_diverging, 8, 0.05);
+  for (real& v : X_diverging.values_mut()) v *= 1e110;
+
+  ServeOptions opts;
+  opts.workers = 2;
+  opts.queue_capacity = 64;
+  opts.retry.max_attempts = 6;
+  opts.verify_interactive = kernels::VerifyPolicy::kFull;
+  opts.verify_normal = kernels::VerifyPolicy::kFull;
+  opts.verify_batch = kernels::VerifyPolicy::kFull;
+  opts.faults.seed = 0xd1e5;
+  opts.faults.kernel_fault_rate = 0.2;
+  opts.faults.transfer_fault_rate = 0.05;
+  ASSERT_GT(opts.max_readmissions, 0);
+  Server server(opts);
+  const DatasetId dataset = server.add_dataset(X);
+  const DatasetId diverging = server.add_dataset(X_diverging);
+  server.start();
+
+  std::vector<Issued> issued;
+  for (int i = 0; i < 24; ++i) {
+    ServeRequest req;
+    if (i % 6 == 5) {
+      ScriptEval eval;
+      eval.dataset = dataset;
+      eval.kind = ScriptKind::kLrCg;
+      eval.iterations = 4;
+      eval.labels = labels;
+      req.work = std::move(eval);
+    } else {
+      PatternEval eval;
+      eval.dataset = dataset;
+      eval.y = la::random_vector(static_cast<usize>(X.cols()), 500u + i);
+      req.work = std::move(eval);
+    }
+    req.priority = static_cast<Priority>(i % kNumPriorities);
+    req.tag = static_cast<std::uint64_t>(i);
+    Issued entry;
+    entry.request = req;
+    entry.handle = server.submit(std::move(req));
+    issued.push_back(std::move(entry));
+    if (i == 11) {
+      ScriptEval bad;
+      bad.dataset = diverging;
+      bad.kind = ScriptKind::kLrCg;
+      bad.iterations = 4;
+      bad.labels = diverging_labels;
+      ServeRequest bad_req;
+      bad_req.work = std::move(bad);
+      bad_req.tag = 999;
+      Issued entry_bad;
+      entry_bad.request = bad_req;
+      entry_bad.handle = server.submit(std::move(bad_req));
+      issued.push_back(std::move(entry_bad));
+    }
+  }
+  // Await every outcome before draining: a draining queue refuses
+  // re-admissions, which would hide one.
+  for (const Issued& entry : issued) entry.handle.wait();
+  ServeStats stats = server.drain();
+
+  int diverged = 0;
+  for (const Issued& entry : issued) {
+    const ServeOutcome& o = entry.handle.wait();
+    ASSERT_EQ(entry.handle.state()->resolutions(), 1);
+    if (o.tag == 999) {
+      ++diverged;
+      EXPECT_EQ(o.kind, OutcomeKind::kFailed) << o.error;
+      EXPECT_EQ(o.error_code, ErrorCode::kNonFinite) << o.error;
+      continue;
+    }
+    ASSERT_EQ(o.kind, OutcomeKind::kCompleted) << "tag " << o.tag << ": "
+                                               << o.error;
+    verify_completed_against_oracle(entry, server.pool().session_memory_bytes(),
+                                    X);
+  }
+  EXPECT_EQ(diverged, 1);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.readmissions, 0u) << "a divergence is never re-admitted";
+  EXPECT_GT(stats.resilience.faults_seen, 0u) << "the storm was real";
 }
 
 // SDC soak: kernels LIE — a seeded injector perturbs one output element per

@@ -10,7 +10,7 @@
 #include "kernels/cuda_codegen.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "patterns/executor.h"
+#include "kernels/op_registry.h"
 #include "sysml/dag.h"
 #include "sysml/fusion_planner.h"
 #include "sysml/runtime.h"
@@ -190,13 +190,15 @@ TEST(KernelCache, DistinguishesSpecializations) {
 
 TEST(KernelCache, ExecutorCachesAcrossIterations) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, patterns::Backend::kFused);
+  kernels::OpRegistry reg(dev);
   const auto X = la::dense_random(500, 96, 905);
   const auto y = la::random_vector(96, 1);
-  for (int it = 0; it < 5; ++it) exec.xt_xy(X, y);
-  EXPECT_EQ(exec.kernel_cache().stats().misses, 1u)
+  for (int it = 0; it < 5; ++it) {
+    reg.pattern(kernels::Backend::kFused, 1, X, {}, y, 0, {});
+  }
+  EXPECT_EQ(reg.kernel_cache().stats().misses, 1u)
       << "one generation for the shape";
-  EXPECT_EQ(exec.kernel_cache().stats().hits, 4u)
+  EXPECT_EQ(reg.kernel_cache().stats().hits, 4u)
       << "iterations 2..5 reuse the generated kernel";
 }
 

@@ -209,6 +209,23 @@ TEST(Cli, PositiveFlagsRejectBadValuesByName) {
   cli.finish();
 }
 
+TEST(Cli, ScaledExtentIsCheckedBeforeTheNarrowingCast) {
+  EXPECT_EQ(scaled_extent(15009374, 100.0), 150093);  // truncates
+  EXPECT_EQ(scaled_extent(28, 28.0), 1);
+  const auto rejects = [](double full, double scale) {
+    try {
+      scaled_extent(full, scale);
+      ADD_FAILURE() << full << " / " << scale << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--scale"), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(15009374, 0.001);  // 1.5e10 overflows index_t
+  rejects(29890095, 1e9);    // truncates to 0 rows
+  rejects(11000000, 11000001);
+}
+
 TEST(Cli, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   Cli cli(2, argv);

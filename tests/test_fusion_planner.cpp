@@ -4,15 +4,16 @@
 // chain kernels and the DAG-building script entry points.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/logreg.h"
-#include "sysml/dag.h"
-#include "sysml/fusion_planner.h"
 #include "ml/script_library.h"
+#include "sysml/dag.h"
+#include "sysml/expr.h"
+#include "sysml/fusion_planner.h"
 #include "sysml/runtime.h"
 #include "test_util.h"
 #include "vgpu/device.h"
@@ -195,6 +196,37 @@ TEST_F(PlannerFixture, ExplainDescribesGroupsAndTotals) {
   EXPECT_NE(full.find("fusion plan"), std::string::npos) << full;
   EXPECT_NE(full.find("execution:"), std::string::npos) << full;
   EXPECT_NE(full.find("pattern"), std::string::npos);
+
+  // Multi-output programs and multi-program scripts concatenate plans: each
+  // one must end its own line, so no plan's totals run into the next
+  // "output" header.
+  sysml::ExprBuilder b;
+  const auto Xe = b.matrix("X");
+  const auto ye = b.vector("y");
+  b.output("p", sysml::ExprBuilder::spmv(Xe, ye));
+  b.output("q", sysml::ExprBuilder::add(
+                    sysml::ExprBuilder::spmv_t(Xe, sysml::ExprBuilder::spmv(
+                                                       Xe, ye)),
+                    sysml::ExprBuilder::scale(0.5, ye)));
+  sysml::Program prog = b.build();
+  prog.bind("X", rt.add_sparse(X, "X2"));
+  prog.bind("y", rt.add_vector(y, "y2"));
+  prog.prepare(rt, sysml::PlanMode::kPlanner);
+  vgpu::Device glm_dev;
+  sysml::Runtime glm_rt(glm_dev);
+  const auto glm = ml::run_glm_script(
+      glm_rt, X, la::classification_labels(X, 902, 0.1),
+      sysml::PlanMode::kPlanner, {.max_irls_iterations = 2});
+  for (const std::string& joined : {prog.plan_explain(), glm.plan_explain}) {
+    ASSERT_NE(joined.find("output"), std::string::npos) << joined;
+    EXPECT_EQ(joined.back(), '\n');
+    std::istringstream lines(joined);
+    for (std::string line; std::getline(lines, line);) {
+      EXPECT_EQ(line.find("msoutput"), std::string::npos) << line;
+      const auto header = line.find("output ");
+      if (header != std::string::npos) EXPECT_EQ(header, 0u) << line;
+    }
+  }
 }
 
 // --- DAG-building scripts through every plan mode ---------------------------

@@ -1,250 +1,167 @@
-// Tests for the ML algorithms: convergence on recoverable synthetic
-// problems, backend-independence of results, and Table-1 pattern usage.
+// Tests for the ML algorithms as script-library scripts: convergence on
+// recoverable synthetic problems, independence of the result from the
+// runtime's device backend and placement, and the Table-1 instantiations
+// each algorithm's hardcoded-pass run dispatches.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "la/convert.h"
+#include "la/coo_matrix.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/glm.h"
-#include "ml/hits.h"
-#include "ml/logreg.h"
-#include "ml/lr_cg.h"
-#include "ml/svm.h"
-#include "patterns/executor.h"
+#include "ml/script_library.h"
+#include "sysml/runtime.h"
 #include "test_util.h"
 
 namespace fusedml::ml {
 namespace {
 
+using kernels::Backend;
 using la::random_vector;
 using la::uniform_sparse;
-using patterns::Backend;
-using patterns::PatternKind;
+
+/// Every op on the device, starting on `backend`.
+sysml::RuntimeOptions on_device(Backend backend = Backend::kFused) {
+  return {.gpu_cost_bias = 1e-4, .gpu_backend = backend};
+}
+
+/// The distinct op names a runtime traced.
+std::set<std::string> traced_ops(const sysml::Runtime& rt) {
+  std::set<std::string> ops;
+  for (const auto& entry : rt.trace()) ops.insert(entry.op);
+  return ops;
+}
 
 // --- Linear Regression CG ------------------------------------------------------
 
 TEST(LrCg, RecoversTrueWeightsNoiseless) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(2000, 50, 0.2, 501);
   const auto y = la::regression_labels(X, 501, 0.0);
   const auto w_true = la::regression_true_weights(50, 501);
 
-  LrCgConfig cfg;
+  ScriptConfig cfg;
   cfg.eps = 1e-9;  // nearly exact normal equations
-  const auto result = lr_cg(exec, X, y, cfg);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LT(result.final_norm2, result.initial_norm2 * 1e-9);
+  const auto result = run_lr_cg_script(rt, X, y, PlanMode::kPlanner, cfg);
+  EXPECT_LT(result.iterations, cfg.max_iterations) << "converged";
   test::expect_vectors_near(w_true, result.weights, 1e-4);
 }
 
 TEST(LrCg, AllBackendsAgree) {
-  vgpu::Device dev;
   const auto X = uniform_sparse(500, 40, 0.15, 502);
   const auto y = la::regression_labels(X, 502, 0.05);
-  LrCgConfig cfg;
+  ScriptConfig cfg;
   cfg.max_iterations = 20;
 
-  patterns::PatternExecutor fused(dev, Backend::kFused);
-  const auto base = lr_cg(fused, X, y, cfg);
-  for (Backend b : {Backend::kCusparse, Backend::kBidmatGpu, Backend::kCpu}) {
-    patterns::PatternExecutor exec(dev, b);
-    const auto other = lr_cg(exec, X, y, cfg);
-    EXPECT_EQ(other.stats.iterations, base.stats.iterations);
+  vgpu::Device base_dev;
+  sysml::Runtime base_rt(base_dev, on_device());
+  const auto base = run_lr_cg_script(base_rt, X, y, PlanMode::kPlanner, cfg);
+  const sysml::RuntimeOptions others[] = {on_device(Backend::kCusparse),
+                                          on_device(Backend::kBidmatGpu),
+                                          {.enable_gpu = false}};
+  for (const auto& opts : others) {
+    vgpu::Device dev;
+    sysml::Runtime rt(dev, opts);
+    const auto other = run_lr_cg_script(rt, X, y, PlanMode::kPlanner, cfg);
+    EXPECT_EQ(other.iterations, base.iterations);
     test::expect_vectors_near(base.weights, other.weights, 1e-6);
   }
 }
 
 TEST(LrCg, DenseMatchesSparse) {
-  vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
   const auto Xs = uniform_sparse(400, 30, 0.3, 503);
   const auto Xd = la::csr_to_dense(Xs);
   const auto y = la::regression_labels(Xs, 503, 0.01);
-  LrCgConfig cfg;
+  ScriptConfig cfg;
   cfg.max_iterations = 25;
-  const auto rs = lr_cg(exec, Xs, y, cfg);
-  const auto rd = lr_cg(exec, Xd, y, cfg);
+  vgpu::Device dev_s, dev_d;
+  sysml::Runtime rt_s(dev_s), rt_d(dev_d);
+  const auto rs = run_lr_cg_script(rt_s, Xs, y, PlanMode::kPlanner, cfg);
+  const auto rd = run_lr_cg_script(rt_d, Xd, y, PlanMode::kPlanner, cfg);
   test::expect_vectors_near(rs.weights, rd.weights, 1e-6);
 }
 
 TEST(LrCg, UsesTheTable1Patterns) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(300, 30, 0.2, 504);
   const auto y = la::regression_labels(X, 504, 0.1);
-  lr_cg(exec, X, y);
-  const auto& usage = exec.usage();
+  run_lr_cg_script(rt, X, y, PlanMode::kHardcodedPass);
+  const auto ops = traced_ops(rt);
   // Table 1, LR row: a*X^T*y and X^T*(X*y)+b*z.
-  EXPECT_GT(usage.at(PatternKind::kXty), 0u);
-  EXPECT_GT(usage.at(PatternKind::kXtXyBz), 0u);
-  EXPECT_EQ(usage.count(PatternKind::kXtVXy), 0u);
-  EXPECT_EQ(usage.count(PatternKind::kFull), 0u);
+  EXPECT_EQ(ops.count("transposed_product"), 1u);
+  EXPECT_EQ(ops.count("pattern[bz]"), 1u);
+  EXPECT_EQ(ops.count("pattern[v]"), 0u);
+  EXPECT_EQ(ops.count("pattern[v,bz]"), 0u);
 }
 
 TEST(LrCg, StatsSplitPatternVsBlas1) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev, on_device());
   // Large enough that kernel work dwarfs per-launch overhead — the regime
   // Table 2 measures (82.9-99.4% of time in the pattern).
   const auto X = uniform_sparse(50000, 300, 0.05, 505);
   const auto y = la::regression_labels(X, 505, 0.1);
-  LrCgConfig cfg;
+  ScriptConfig cfg;
   cfg.max_iterations = 10;
-  const auto r = lr_cg(exec, X, y, cfg);
-  EXPECT_GT(r.stats.pattern_modeled_ms, 0.0);
-  EXPECT_GT(r.stats.blas1_modeled_ms, 0.0);
-  EXPECT_GT(r.stats.pattern_modeled_ms, r.stats.blas1_modeled_ms)
-      << "the pattern dominates (Table 2's point)";
-  EXPECT_GT(r.stats.launches, 0u);
-}
-
-// --- Logistic Regression ----------------------------------------------------------
-
-TEST(LogReg, SeparatesLinearlySeparableData) {
-  vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
-  const auto X = uniform_sparse(800, 30, 0.3, 511);
-  const auto y = la::classification_labels(X, 511, 0.0);
-  LogRegConfig cfg;
-  cfg.lambda = 0.1;
-  const auto result = logreg_trust_region(exec, X, y, cfg);
-
-  const auto probs = logreg_predict(exec, X, result.weights);
-  int correct = 0;
-  for (usize i = 0; i < probs.size(); ++i) {
-    const real pred = probs[i] >= 0.5 ? 1.0 : -1.0;
-    if (pred == y[i]) ++correct;
+  const auto r = run_lr_cg_script(rt, X, y, PlanMode::kHardcodedPass, cfg);
+  double pattern_ms = 0.0, blas1_ms = 0.0;
+  for (const auto& entry : rt.trace()) {
+    const bool pattern = entry.op.rfind("pattern", 0) == 0 ||
+                         entry.op == "transposed_product";
+    (pattern ? pattern_ms : blas1_ms) += entry.modeled_ms;
   }
-  EXPECT_GT(static_cast<double>(correct) / probs.size(), 0.9);
-  EXPECT_GT(result.cg_iterations_total, 0);
-}
-
-TEST(LogReg, UsesTheFullPattern) {
-  vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
-  const auto X = uniform_sparse(300, 20, 0.3, 512);
-  const auto y = la::classification_labels(X, 512, 0.1);
-  logreg_trust_region(exec, X, y);
-  // Table 1, LogReg row: the v-weighted forms.
-  EXPECT_GT(exec.usage().at(PatternKind::kFull), 0u);
-  EXPECT_GT(exec.usage().at(PatternKind::kXty), 0u);
-}
-
-TEST(LogReg, ObjectiveDecreasesWithIterations) {
-  vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
-  const auto X = uniform_sparse(400, 25, 0.3, 513);
-  const auto y = la::classification_labels(X, 513, 0.2);
-  LogRegConfig one, many;
-  one.max_newton_iterations = 1;
-  many.max_newton_iterations = 15;
-  const auto r1 = logreg_trust_region(exec, X, y, one);
-  const auto r2 = logreg_trust_region(exec, X, y, many);
-  EXPECT_LE(r2.final_objective, r1.final_objective + 1e-9);
-}
-
-TEST(LogRegMultinomial, SeparatesThreeClasses) {
-  vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
-  // Three clusters in feature space: class = argmax of three planted
-  // weight vectors.
-  const auto X = uniform_sparse(900, 30, 0.3, 514);
-  std::vector<std::vector<real>> w_true;
-  for (int k = 0; k < 3; ++k) {
-    w_true.push_back(la::regression_true_weights(30, 514 + k));
-  }
-  std::vector<real> labels(900);
-  for (index_t i = 0; i < 900; ++i) {
-    real best = -1e300;
-    int arg = 0;
-    for (int k = 0; k < 3; ++k) {
-      const auto m = la::reference::spmv(X, w_true[static_cast<usize>(k)]);
-      if (m[static_cast<usize>(i)] > best) {
-        best = m[static_cast<usize>(i)];
-        arg = k;
-      }
-    }
-    labels[static_cast<usize>(i)] = static_cast<real>(arg);
-  }
-  LogRegConfig cfg;
-  cfg.lambda = 0.1;
-  const auto model = logreg_multinomial(exec, X, labels, 3, cfg);
-  ASSERT_EQ(model.class_weights.size(), 3u);
-  const auto probs = logreg_multinomial_predict(exec, X, model);
-  const auto pred = argmax_rows(probs, 3);
-  int correct = 0;
-  for (usize i = 0; i < pred.size(); ++i) {
-    if (pred[i] == static_cast<int>(labels[i])) ++correct;
-  }
-  EXPECT_GT(static_cast<double>(correct) / pred.size(), 0.75);
-  // Probabilities are normalized.
-  for (usize i = 0; i < 900; ++i) {
-    real sum = 0;
-    for (int k = 0; k < 3; ++k) sum += probs[i * 3 + k];
-    ASSERT_NEAR(sum, 1.0, 1e-9);
-  }
-}
-
-TEST(LogRegMultinomial, RejectsBadLabels) {
-  vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
-  const auto X = uniform_sparse(10, 5, 0.5, 515);
-  std::vector<real> labels(10, 7.0);  // out of range for 3 classes
-  EXPECT_THROW(logreg_multinomial(exec, X, labels, 3), Error);
-  EXPECT_THROW(logreg_multinomial(exec, X, labels, 1), Error);
-}
-
-TEST(LogRegMultinomial, ArgmaxRows) {
-  const std::vector<real> probs = {0.1, 0.7, 0.2, 0.5, 0.3, 0.2};
-  const auto arg = argmax_rows(probs, 3);
-  ASSERT_EQ(arg.size(), 2u);
-  EXPECT_EQ(arg[0], 1);
-  EXPECT_EQ(arg[1], 0);
-  EXPECT_THROW(argmax_rows(probs, 4), Error);
+  EXPECT_GT(pattern_ms, 0.0);
+  EXPECT_GT(blas1_ms, 0.0);
+  EXPECT_GT(pattern_ms, blas1_ms) << "the pattern dominates (Table 2's point)";
+  EXPECT_GT(r.runtime_stats.kernel_launches, 0u);
 }
 
 // --- SVM ----------------------------------------------------------------------------
 
 TEST(Svm, SeparatesAndShrinksSupportSet) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(600, 25, 0.3, 521);
   const auto y = la::classification_labels(X, 521, 0.0);
   SvmConfig cfg;
   cfg.C = 10.0;
-  const auto result = svm_primal(exec, X, y, cfg);
+  const auto result = run_svm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
-  const auto decision = svm_decision(exec, X, result.weights);
-  int correct = 0;
+  const auto decision = la::reference::spmv(X, result.weights);
+  int correct = 0, support = 0;
   for (usize i = 0; i < decision.size(); ++i) {
     if ((decision[i] >= 0 ? 1.0 : -1.0) == y[i]) ++correct;
+    if (y[i] * decision[i] < 1) ++support;
   }
   EXPECT_GT(static_cast<double>(correct) / decision.size(), 0.9);
-  EXPECT_LT(result.support_vectors, 600);
+  EXPECT_LT(support, 600);
 }
 
 TEST(Svm, UsesOnlyNoVPatterns) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(300, 20, 0.3, 522);
   const auto y = la::classification_labels(X, 522, 0.1);
-  svm_primal(exec, X, y);
-  // Table 1, SVM row: kXty, kXtXy(+bz) — never the v forms.
-  EXPECT_GT(exec.usage().at(PatternKind::kXty), 0u);
-  EXPECT_GT(exec.usage().at(PatternKind::kXtXyBz), 0u);
-  EXPECT_EQ(exec.usage().count(PatternKind::kXtVXy), 0u);
-  EXPECT_EQ(exec.usage().count(PatternKind::kFull), 0u);
+  run_svm_script(rt, X, y, PlanMode::kHardcodedPass);
+  const auto ops = traced_ops(rt);
+  // Table 1, SVM row: a*X^T*y, X^T*(X*y)(+b*z) — never the v forms.
+  EXPECT_EQ(ops.count("transposed_product"), 1u);
+  EXPECT_EQ(ops.count("pattern[bz]"), 1u);
+  EXPECT_EQ(ops.count("pattern[v]"), 0u);
+  EXPECT_EQ(ops.count("pattern[v,bz]"), 0u);
 }
 
 // --- GLM ------------------------------------------------------------------------------
 
 TEST(Glm, PoissonRecoversRates) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   // Small weights keep exp(eta) tame.
   const auto X = uniform_sparse(1500, 15, 0.4, 531);
   auto w_true = la::regression_true_weights(15, 531);
@@ -257,7 +174,7 @@ TEST(Glm, PoissonRecoversRates) {
   }
   GlmConfig cfg;
   cfg.family = GlmFamily::kPoisson;
-  const auto result = glm_irls(exec, X, y, cfg);
+  const auto result = run_glm_script(rt, X, y, PlanMode::kPlanner, cfg);
   // Fitted linear predictor correlates strongly with the truth.
   const auto eta_fit = la::reference::spmv(X, result.weights);
   real num = 0, da = 0, db = 0;
@@ -271,70 +188,75 @@ TEST(Glm, PoissonRecoversRates) {
 
 TEST(Glm, GaussianReducesToLeastSquares) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(800, 20, 0.3, 532);
   const auto y = la::regression_labels(X, 532, 0.0);
   GlmConfig cfg;
   cfg.family = GlmFamily::kGaussian;
-  const auto result = glm_irls(exec, X, y, cfg);
+  const auto result = run_glm_script(rt, X, y, PlanMode::kPlanner, cfg);
   const auto w_true = la::regression_true_weights(20, 532);
   test::expect_vectors_near(w_true, result.weights, 1e-3);
 }
 
 TEST(Glm, UsesVWeightedPattern) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(300, 15, 0.3, 533);
   const auto y = la::classification_labels(X, 533, 0.1);
   std::vector<real> y01(y.size());
   for (usize i = 0; i < y.size(); ++i) y01[i] = y[i] > 0 ? 1.0 : 0.0;
   GlmConfig cfg;
   cfg.family = GlmFamily::kBinomial;
-  glm_irls(exec, X, y01, cfg);
-  // Table 1, GLM row: includes X^T(v⊙(Xy)) — here with +ridge z as kFull.
-  EXPECT_GT(exec.usage().at(PatternKind::kXty), 0u);
-  EXPECT_GT(exec.usage().at(PatternKind::kFull), 0u);
+  run_glm_script(rt, X, y01, PlanMode::kHardcodedPass, cfg);
+  // Table 1, GLM row: includes X^T(v⊙(Xy)) — here with +ridge z, the full
+  // form.
+  const auto ops = traced_ops(rt);
+  EXPECT_EQ(ops.count("transposed_product"), 1u);
+  EXPECT_EQ(ops.count("pattern[v,bz]"), 1u);
 }
 
 // --- HITS ------------------------------------------------------------------------------
 
 TEST(Hits, FindsTheDominantAuthority) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   // Star graph: every page links to page 0, page 0 links to page 1.
   la::CooMatrix coo(20, 20);
   for (index_t i = 1; i < 20; ++i) coo.add(i, 0, 1.0);
   coo.add(0, 1, 1.0);
   const auto X = la::coo_to_csr(coo);
-  const auto result = hits(exec, X);
-  EXPECT_TRUE(result.converged);
+  const HitsConfig cfg;
+  const auto result = run_hits_script(rt, X, PlanMode::kPlanner, cfg);
+  EXPECT_LT(result.iterations, cfg.max_iterations) << "converged";
   // Page 0 is the clear authority.
+  const auto& authorities = result.weights;
   usize argmax = 0;
-  for (usize j = 1; j < result.authorities.size(); ++j) {
-    if (result.authorities[j] > result.authorities[argmax]) argmax = j;
+  for (usize j = 1; j < authorities.size(); ++j) {
+    if (authorities[j] > authorities[argmax]) argmax = j;
   }
   EXPECT_EQ(argmax, 0u);
   // Scores are unit-normalized.
-  EXPECT_NEAR(la::nrm2(result.authorities), 1.0, 1e-9);
-  EXPECT_NEAR(la::nrm2(result.hubs), 1.0, 1e-9);
+  EXPECT_NEAR(la::nrm2(authorities), 1.0, 1e-9);
 }
 
 TEST(Hits, UsesXtXyPattern) {
   vgpu::Device dev;
-  patterns::PatternExecutor exec(dev, Backend::kFused);
+  sysml::Runtime rt(dev);
   const auto X = uniform_sparse(50, 50, 0.1, 541);
-  hits(exec, X, {.max_iterations = 5});
-  EXPECT_GT(exec.usage().at(PatternKind::kXtXy), 0u);
+  run_hits_script(rt, X, PlanMode::kHardcodedPass, {.max_iterations = 5});
+  EXPECT_EQ(traced_ops(rt).count("pattern"), 1u);
 }
 
 TEST(Hits, AgreesAcrossBackends) {
-  vgpu::Device dev;
   const auto X = uniform_sparse(60, 40, 0.15, 542);
-  patterns::PatternExecutor a(dev, Backend::kFused);
-  patterns::PatternExecutor b(dev, Backend::kCpu);
-  const auto ra = hits(a, X, {.max_iterations = 20});
-  const auto rb = hits(b, X, {.max_iterations = 20});
-  test::expect_vectors_near(ra.authorities, rb.authorities, 1e-7);
+  vgpu::Device dev_a, dev_b;
+  sysml::Runtime a(dev_a, on_device());
+  sysml::Runtime b(dev_b, {.enable_gpu = false});
+  const auto ra = run_hits_script(a, X, PlanMode::kPlanner,
+                                  {.max_iterations = 20});
+  const auto rb = run_hits_script(b, X, PlanMode::kPlanner,
+                                  {.max_iterations = 20});
+  test::expect_vectors_near(ra.weights, rb.weights, 1e-7);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include "kernels/fused_sparse.h"
 #include "la/generate.h"
 #include "obs/metrics.h"
-#include "patterns/executor.h"
+#include "kernels/op_registry.h"
 #include "obs/plan_audit.h"
 #include "obs/profiler_report.h"
 #include "obs/trace.h"
@@ -439,25 +439,26 @@ TEST(Obs, TraceCoversDispatchRetriesUnderFaults) {
   vgpu::FaultInjector injector(fc);
   vgpu::Device dev;
   dev.set_fault_injector(&injector);
-  patterns::PatternExecutor exec(dev, patterns::Backend::kFused);
-  const auto r = exec.transposed_product(X, y);
+  kernels::OpRegistry reg(dev);
+  const auto r = reg.execute_resilient(
+      kernels::Backend::kFused, RetryPolicy{}, [&](kernels::Backend b) {
+        return reg.transposed_product(b, X, y, 1);
+      });
   ASSERT_GT(r.resilience.faults_seen, 0u);
 
   bool saw_fault = false, saw_backoff = false, saw_kernel = false,
-       saw_dispatch = false, saw_pattern = false;
+       saw_dispatch = false;
   for (const auto& ev : obs::recorder().snapshot()) {
     const std::string cat = ev.cat;
     if (cat == "fault") saw_fault = true;
     if (ev.name == "retry_backoff") saw_backoff = true;
     if (cat == "kernel") saw_kernel = true;
     if (cat == "dispatch") saw_dispatch = true;
-    if (cat == "pattern") saw_pattern = true;
   }
   EXPECT_TRUE(saw_fault);
   EXPECT_TRUE(saw_backoff);
   EXPECT_TRUE(saw_kernel);
   EXPECT_TRUE(saw_dispatch);
-  EXPECT_TRUE(saw_pattern);
 }
 
 }  // namespace

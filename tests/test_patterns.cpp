@@ -1,91 +1,129 @@
-// Tests for the PatternExecutor facade: every backend produces identical
-// values, pattern classification and usage recording work, and the fused
-// backend wins on modeled time (the paper's core claim).
+// Tests for single-op dispatch of the paper's patterns through the operator
+// registry: every backend produces identical values under
+// execute_resilient, the runtime's trace names each Table-1 instantiation
+// it dispatched, and the fused backend wins on modeled time (the paper's
+// core claim).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/error.h"
+#include "kernels/op_registry.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "patterns/executor.h"
-#include "patterns/pattern.h"
+#include "sysml/runtime.h"
 #include "test_util.h"
 
-namespace fusedml::patterns {
+namespace fusedml::kernels {
 namespace {
 
 using la::random_vector;
 using la::uniform_sparse;
 using test::expect_vectors_near;
 
-TEST(Pattern, Classification) {
-  EXPECT_EQ(classify(true, false, false), PatternKind::kXty);
-  EXPECT_EQ(classify(false, false, false), PatternKind::kXtXy);
-  EXPECT_EQ(classify(false, true, false), PatternKind::kXtVXy);
-  EXPECT_EQ(classify(false, false, true), PatternKind::kXtXyBz);
-  EXPECT_EQ(classify(false, true, true), PatternKind::kFull);
+/// One resilient dispatch of `attempt`, starting on `backend`.
+template <typename Attempt>
+KernelOutcome run(OpRegistry& reg, Backend backend, Attempt&& attempt) {
+  return reg.execute_resilient(backend, RetryPolicy{}, attempt);
 }
 
-TEST(Pattern, Table1MatchesPaper) {
-  const auto rows = table1();
-  ASSERT_EQ(rows.size(), 5u);
-  // Spot-check the paper's marks: every algorithm uses a*X^T*y.
-  EXPECT_TRUE(rows[0].lr && rows[0].glm && rows[0].logreg && rows[0].svm &&
-              rows[0].hits);
-  // The full pattern is LogReg-only.
-  EXPECT_TRUE(rows[4].logreg);
-  EXPECT_FALSE(rows[4].lr || rows[4].glm || rows[4].svm || rows[4].hits);
+/// The trace name the runtime gives one op_pattern call with optional v/z.
+std::string traced_form(bool with_v, bool with_z) {
+  vgpu::Device dev;
+  sysml::Runtime rt(dev, {.enable_gpu = false});
+  const auto X = rt.add_sparse(uniform_sparse(60, 20, 0.2, 70), "X");
+  const auto y = rt.add_vector(random_vector(20, 1), "y");
+  const auto v = with_v ? rt.add_vector(random_vector(60, 2), "v") : 0;
+  const auto z = with_z ? rt.add_vector(random_vector(20, 3), "z") : 0;
+  rt.op_pattern(1, X, v, y, with_z ? 0.5 : 0.0, z);
+  return rt.trace().back().op;
+}
+
+TEST(Pattern, Classification) {
+  EXPECT_EQ(traced_form(false, false), "pattern");        // X^T*(X*y)
+  EXPECT_EQ(traced_form(true, false), "pattern[v]");      // X^T*(v.(X*y))
+  EXPECT_EQ(traced_form(false, true), "pattern[bz]");     // X^T*(X*y)+b*z
+  EXPECT_EQ(traced_form(true, true), "pattern[v,bz]");    // the full form
+  // a*X^T*y is its own op.
+  vgpu::Device dev;
+  sysml::Runtime rt(dev, {.enable_gpu = false});
+  const auto X = rt.add_sparse(uniform_sparse(60, 20, 0.2, 70), "X");
+  rt.op_transposed_product(X, rt.add_vector(random_vector(60, 4), "y"), 2);
+  EXPECT_EQ(rt.trace().back().op, "transposed_product");
 }
 
 TEST(Pattern, ToStringDistinct) {
-  EXPECT_NE(to_string(PatternKind::kXty), to_string(PatternKind::kFull));
-  EXPECT_FALSE(to_string(Backend::kFused).empty());
+  const std::set<std::string> forms = {
+      traced_form(false, false), traced_form(true, false),
+      traced_form(false, true), traced_form(true, true)};
+  EXPECT_EQ(forms.size(), 4u);
+  std::set<std::string> backends;
+  for (const Backend b : {Backend::kFused, Backend::kCusparse,
+                          Backend::kBidmatGpu, Backend::kCpu}) {
+    EXPECT_FALSE(to_string(b).empty());
+    backends.insert(to_string(b));
+  }
+  EXPECT_EQ(backends.size(), 4u);
 }
 
 class ExecutorBackends : public ::testing::TestWithParam<Backend> {
  protected:
   vgpu::Device dev;
+  OpRegistry reg{dev};
 };
 
 TEST_P(ExecutorBackends, SparsePatternMatchesReference) {
-  PatternExecutor exec(dev, GetParam());
   const auto X = uniform_sparse(400, 150, 0.05, 71);
   const auto y = random_vector(150, 1);
   const auto v = random_vector(400, 2);
   const auto z = random_vector(150, 3);
-  const auto got = exec.pattern(1.5, X, v, y, -0.5, z);
+  const auto got = run(reg, GetParam(), [&](Backend b) {
+    return reg.pattern(b, 1.5, X, v, y, -0.5, z);
+  });
   expect_vectors_near(la::reference::pattern(1.5, X, v, y, -0.5, z),
                       got.value);
-  EXPECT_EQ(exec.usage().at(PatternKind::kFull), 1u);
+  EXPECT_EQ(got.backend_used, GetParam());
   EXPECT_FALSE(got.kernel.empty());
 }
 
 TEST_P(ExecutorBackends, SparseTransposedProductMatches) {
-  PatternExecutor exec(dev, GetParam());
   const auto X = uniform_sparse(300, 100, 0.05, 72);
   const auto y = random_vector(300, 4);
   auto expect = la::reference::spmv_transposed(X, y);
   la::scal(-2.0, expect);
-  expect_vectors_near(expect, exec.transposed_product(X, y, -2.0).value);
+  expect_vectors_near(expect, run(reg, GetParam(), [&](Backend b) {
+                                return reg.transposed_product(b, X, y, -2.0);
+                              }).value);
 }
 
 TEST_P(ExecutorBackends, DensePatternMatches) {
-  PatternExecutor exec(dev, GetParam());
   const auto X = la::dense_random(200, 96, 73);
   const auto y = random_vector(96, 5);
   expect_vectors_near(la::reference::pattern(1, X, {}, y, 0, {}),
-                      exec.xt_xy(X, y).value);
+                      run(reg, GetParam(), [&](Backend b) {
+                        return reg.pattern(b, 1, X, {}, y, 0, {});
+                      }).value);
 }
 
 TEST_P(ExecutorBackends, ProductAndBlas1Match) {
-  PatternExecutor exec(dev, GetParam());
   const auto X = uniform_sparse(120, 80, 0.1, 74);
   const auto y = random_vector(80, 6);
-  expect_vectors_near(la::reference::spmv(X, y), exec.product(X, y).value);
+  expect_vectors_near(la::reference::spmv(X, y),
+                      run(reg, GetParam(), [&](Backend b) {
+                        return reg.product(b, X, y);
+                      }).value);
 
   auto a = random_vector(500, 7);
-  auto b = random_vector(500, 8);
-  EXPECT_NEAR(exec.dot(a, b).value[0], la::dot(a, b), 1e-9);
-  EXPECT_NEAR(exec.nrm2(a).value[0], la::nrm2(a), 1e-9);
+  auto c = random_vector(500, 8);
+  EXPECT_NEAR(run(reg, GetParam(),
+                  [&](Backend b) { return reg.dot(b, a, c); })
+                  .value[0],
+              la::dot(a, c), 1e-9);
+  EXPECT_NEAR(
+      run(reg, GetParam(), [&](Backend b) { return reg.nrm2(b, a); })
+          .value[0],
+      la::nrm2(a), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ExecutorBackends,
@@ -103,35 +141,19 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ExecutorBackends,
                            return "Unknown";
                          });
 
-TEST(Executor, UsageHistogramRecordsKinds) {
-  vgpu::Device dev;
-  PatternExecutor exec(dev, Backend::kFused);
-  const auto X = uniform_sparse(100, 50, 0.1, 75);
-  const auto y = random_vector(50, 9);
-  const auto ym = random_vector(100, 10);
-  const auto v = random_vector(100, 11);
-  exec.xt_xy(X, y);
-  exec.xt_xy(X, y);
-  exec.pattern(1, X, v, y, 0, {});
-  exec.transposed_product(X, ym);
-  const auto& usage = exec.usage();
-  EXPECT_EQ(usage.at(PatternKind::kXtXy), 2u);
-  EXPECT_EQ(usage.at(PatternKind::kXtVXy), 1u);
-  EXPECT_EQ(usage.at(PatternKind::kXty), 1u);
-  exec.reset_usage();
-  EXPECT_TRUE(exec.usage().empty());
-}
-
 TEST(Executor, FusedBeatsBaselinesOnModeledTime) {
   vgpu::Device dev;
+  OpRegistry reg(dev);
   const auto X = uniform_sparse(20000, 1000, 0.01, 76);
   const auto y = random_vector(1000, 12);
-  PatternExecutor fused(dev, Backend::kFused);
-  PatternExecutor cusparse(dev, Backend::kCusparse);
-  PatternExecutor bidmat(dev, Backend::kBidmatGpu);
-  const double t_fused = fused.xt_xy(X, y).modeled_ms;
-  const double t_cusparse = cusparse.xt_xy(X, y).modeled_ms;
-  const double t_bidmat = bidmat.xt_xy(X, y).modeled_ms;
+  const auto xt_xy = [&](Backend backend) {
+    return run(reg, backend, [&](Backend b) {
+             return reg.pattern(b, 1, X, {}, y, 0, {});
+           }).modeled_ms;
+  };
+  const double t_fused = xt_xy(Backend::kFused);
+  const double t_cusparse = xt_xy(Backend::kCusparse);
+  const double t_bidmat = xt_xy(Backend::kBidmatGpu);
   // The paper's ordering: fused < BIDMat-GPU < cuSPARSE (Fig. 3).
   EXPECT_LT(t_fused, t_bidmat);
   EXPECT_LT(t_bidmat, t_cusparse);
@@ -139,29 +161,32 @@ TEST(Executor, FusedBeatsBaselinesOnModeledTime) {
 
 TEST(Executor, WideDenseFallsBackToTwoKernels) {
   vgpu::Device dev;
-  PatternExecutor exec(dev, Backend::kFused);
+  OpRegistry reg(dev);
   // n = 6000 exceeds 128 lanes x TL=40 = 5120: the §3.2 register limit.
   const auto X = la::dense_random(50, 6000, 78);
   const auto y = random_vector(6000, 14);
-  const auto r = exec.xt_xy(X, y);
+  const auto r = run(reg, Backend::kFused, [&](Backend b) {
+    return reg.pattern(b, 1, X, {}, y, 0, {});
+  });
   EXPECT_NE(r.kernel.find("infeasible"), std::string::npos);
   EXPECT_GE(r.launches, 2u) << "falls back to two Level-2 kernels";
   expect_vectors_near(la::reference::pattern(1, X, {}, y, 0, {}), r.value);
   // Feasibility boundary itself.
-  EXPECT_TRUE(kernels::dense_fused_feasible(dev.spec(), 5120));
-  EXPECT_FALSE(kernels::dense_fused_feasible(dev.spec(), 5121));
+  EXPECT_TRUE(dense_fused_feasible(dev.spec(), 5120));
+  EXPECT_FALSE(dense_fused_feasible(dev.spec(), 5121));
 }
 
 TEST(Executor, SingleThreadCpuSlowerThanEightInModel) {
   vgpu::Device dev;
-  PatternExecutor cpu8(dev, Backend::kCpu, 8);
-  PatternExecutor cpu1(dev, Backend::kCpu, 1);
+  OpRegistry cpu8(dev, 8);
+  OpRegistry cpu1(dev, 1);
   const auto X = uniform_sparse(5000, 200, 0.05, 77);
   const auto y = random_vector(200, 13);
   // Bandwidth-bound sparse ops share memory bandwidth, but the flop-bound
   // component scales; at minimum 1-thread must not be faster.
-  EXPECT_GE(cpu1.xt_xy(X, y).modeled_ms, cpu8.xt_xy(X, y).modeled_ms);
+  EXPECT_GE(cpu1.pattern(Backend::kCpu, 1, X, {}, y, 0, {}).modeled_ms,
+            cpu8.pattern(Backend::kCpu, 1, X, {}, y, 0, {}).modeled_ms);
 }
 
 }  // namespace
-}  // namespace fusedml::patterns
+}  // namespace fusedml::kernels

@@ -13,7 +13,7 @@
 #include "la/convert.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/logreg.h"
+#include "ml/script_library.h"
 #include "sysml/dag.h"
 #include "sysml/fusion_planner.h"
 #include "sysml/runtime.h"

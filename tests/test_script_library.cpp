@@ -1,8 +1,9 @@
-// The single-IR migration contract: every algorithm in the generated
-// ScriptLibrary (ml/script_library.h) reproduces its pre-refactor legacy
-// imperative solver TO THE LAST BIT when both run on the device path, the
-// planner strictly reduces kernel launches where the old hand-wired code
-// left fusion opportunities on the table (glm / svm / hits), plan-vs-actual
+// The single-IR contract: the lr-cg, glm, svm and hits scripts of the
+// generated ScriptLibrary (ml/script_library.h) reproduce the weights of
+// the imperative solvers they replaced TO THE LAST BIT on the device path
+// (those solvers' weights are frozen in tests/golden/legacy_oracles.golden),
+// the planner strictly reduces kernel launches where hand-wired code left
+// fusion opportunities on the table (glm / svm / hits), plan-vs-actual
 // audits show zero drift, and the per-shape plan cache amortizes planning
 // across solver iterations.
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include "la/generate.h"
 #include "la/vector_ops.h"
 #include "ml/script_library.h"
-#include "patterns/executor.h"
 #include "sysml/runtime.h"
 #include "test_util.h"
 #include "vgpu/device.h"
@@ -28,10 +28,10 @@ namespace {
 using ml::Algorithm;
 using sysml::PlanMode;
 
-// The legacy solvers drive PatternExecutor(kFused) directly, i.e. device
-// kernels for everything they offload. gpu_cost_bias forces the runtime's
+// The imperative solvers whose weights are frozen ran every op they
+// offloaded on the fused device kernels. gpu_cost_bias forces the runtime's
 // scheduler onto the same venue at test scale, which is what makes EXPECT_EQ
-// (not NEAR) the right assertion between the two stacks.
+// (not NEAR) the right assertion against the frozen weights.
 sysml::RuntimeOptions forced_gpu() {
   return {.enable_gpu = true, .gpu_cost_bias = 1e-4};
 }
@@ -48,18 +48,11 @@ std::vector<real> poisson_labels(const la::CsrMatrix& X, std::uint64_t seed) {
   return y;
 }
 
-// --- Bit-exactness oracles: script (planner) vs legacy imperative -----------
+// --- Bit-exactness oracles: script (planner) vs frozen legacy weights -------
 
 TEST(ScriptOracle, LrCgBitMatchesLegacyImperativeCsr) {
   const auto X = la::uniform_sparse(1200, 80, 0.05, 601);
   const auto y = la::regression_labels(X, 601, 0.1);
-
-  vgpu::Device legacy_dev;
-  patterns::PatternExecutor exec(legacy_dev, patterns::Backend::kFused);
-  ml::LrCgConfig lcfg;
-  lcfg.max_iterations = 12;
-  lcfg.tolerance = 0;
-  const auto legacy = ml::lr_cg(exec, X, y, lcfg);
 
   vgpu::Device dev;
   sysml::Runtime rt(dev, forced_gpu());
@@ -70,7 +63,6 @@ TEST(ScriptOracle, LrCgBitMatchesLegacyImperativeCsr) {
 
   const auto frozen = test::frozen_weights("lr_cg_csr");
   ASSERT_FALSE(frozen.empty());
-  EXPECT_EQ(frozen, legacy.weights);
   EXPECT_EQ(frozen, script.weights);
   EXPECT_EQ(script.iterations, 12);
 }
@@ -79,13 +71,6 @@ TEST(ScriptOracle, LrCgBitMatchesLegacyImperativeDense) {
   const auto Xs = la::uniform_sparse(600, 40, 0.2, 602);
   const auto X = la::csr_to_dense(Xs);
   const auto y = la::regression_labels(Xs, 602, 0.1);
-
-  vgpu::Device legacy_dev;
-  patterns::PatternExecutor exec(legacy_dev, patterns::Backend::kFused);
-  ml::LrCgConfig lcfg;
-  lcfg.max_iterations = 8;
-  lcfg.tolerance = 0;
-  const auto legacy = ml::lr_cg(exec, X, y, lcfg);
 
   vgpu::Device dev;
   sysml::Runtime rt(dev, forced_gpu());
@@ -96,7 +81,6 @@ TEST(ScriptOracle, LrCgBitMatchesLegacyImperativeDense) {
 
   const auto frozen = test::frozen_weights("lr_cg_dense");
   ASSERT_FALSE(frozen.empty());
-  EXPECT_EQ(frozen, legacy.weights);
   EXPECT_EQ(frozen, script.weights);
 }
 
@@ -107,17 +91,12 @@ TEST(ScriptOracle, GlmPoissonBitMatchesLegacyImperative) {
   cfg.family = ml::GlmFamily::kPoisson;
   cfg.max_irls_iterations = 6;
 
-  vgpu::Device legacy_dev;
-  patterns::PatternExecutor exec(legacy_dev, patterns::Backend::kFused);
-  const auto legacy = ml::glm_irls(exec, X, y, cfg);
-
   vgpu::Device dev;
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_glm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
   const auto frozen = test::frozen_weights("glm_poisson");
   ASSERT_FALSE(frozen.empty());
-  EXPECT_EQ(frozen, legacy.weights);
   EXPECT_EQ(frozen, script.weights);
 }
 
@@ -128,17 +107,12 @@ TEST(ScriptOracle, GlmGaussianBitMatchesLegacyImperative) {
   cfg.family = ml::GlmFamily::kGaussian;
   cfg.max_irls_iterations = 4;
 
-  vgpu::Device legacy_dev;
-  patterns::PatternExecutor exec(legacy_dev, patterns::Backend::kFused);
-  const auto legacy = ml::glm_irls(exec, X, y, cfg);
-
   vgpu::Device dev;
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_glm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
   const auto frozen = test::frozen_weights("glm_gaussian");
   ASSERT_FALSE(frozen.empty());
-  EXPECT_EQ(frozen, legacy.weights);
   EXPECT_EQ(frozen, script.weights);
 }
 
@@ -148,17 +122,12 @@ TEST(ScriptOracle, SvmBitMatchesLegacyImperative) {
   ml::SvmConfig cfg;
   cfg.max_newton_iterations = 5;
 
-  vgpu::Device legacy_dev;
-  patterns::PatternExecutor exec(legacy_dev, patterns::Backend::kFused);
-  const auto legacy = ml::svm_primal(exec, X, y, cfg);
-
   vgpu::Device dev;
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_svm_script(rt, X, y, PlanMode::kPlanner, cfg);
 
   const auto frozen = test::frozen_weights("svm");
   ASSERT_FALSE(frozen.empty());
-  EXPECT_EQ(frozen, legacy.weights);
   EXPECT_EQ(frozen, script.weights);
 }
 
@@ -168,22 +137,17 @@ TEST(ScriptOracle, HitsBitMatchesLegacyImperative) {
   cfg.max_iterations = 10;
   cfg.tolerance = 0;
 
-  vgpu::Device legacy_dev;
-  patterns::PatternExecutor exec(legacy_dev, patterns::Backend::kFused);
-  const auto legacy = ml::hits(exec, X, cfg);
-
   vgpu::Device dev;
   sysml::Runtime rt(dev, forced_gpu());
   const auto script = ml::run_hits_script(rt, X, PlanMode::kPlanner, cfg);
 
   const auto frozen = test::frozen_weights("hits");
   ASSERT_FALSE(frozen.empty());
-  EXPECT_EQ(frozen, legacy.authorities);
   EXPECT_EQ(frozen, script.weights);
 }
 
-// The logreg-gd script has no legacy imperative twin (the legacy logreg is
-// the trust-region solver), so its oracle is the mode cross-check: the
+// The logreg-gd script has no frozen imperative twin (the imperative logreg
+// was a trust-region solver), so its oracle is the mode cross-check: the
 // planner only fuses elementwise chains here, which are bit-equal to
 // op-at-a-time evaluation by construction.
 TEST(ScriptOracle, LogregGdAllModesBitEqual) {

@@ -285,6 +285,29 @@ TEST(SdcNonFinite, OverflowingMapThrowsInsteadOfPassing) {
   EXPECT_EQ(rt.stats().cpu_ops, 0u);
 }
 
+TEST(SdcNonFinite, DivergingScriptFailsWithoutRetryOrRollback) {
+  // lr-cg on data scaled by 1e80: the first CG iteration's p^T q overflows,
+  // so the solve diverges to NaN. The script-level policy is to fail: the
+  // NonFiniteError is neither retried by the registry nor absorbed by a
+  // checkpoint rollback (recomputing would only diverge again).
+  auto X = la::uniform_sparse(200, 20, 0.2, 11);
+  const auto y = la::regression_labels(X, 11, 0.0);
+  for (real& v : X.values_mut()) v *= 1e80;
+  vgpu::Device dev;
+  sysml::Runtime rt(dev, {.enable_gpu = true, .gpu_cost_bias = 1e-4});
+  rt.set_verify_policy(VerifyPolicy::kFull);
+  ml::ScriptConfig cfg;
+  cfg.max_iterations = 20;
+  EXPECT_THROW(
+      ml::run_lr_cg_script(rt, X, y, sysml::PlanMode::kPlanner, cfg),
+      NonFiniteError);
+  EXPECT_GT(rt.trace().size(), 3u) << "diverged inside the CG loop";
+  EXPECT_EQ(rt.resilience().retries, 0u);
+  EXPECT_EQ(rt.resilience().rollbacks, 0u);
+  EXPECT_EQ(rt.resilience().fallbacks, 0u);
+  EXPECT_EQ(rt.resilience().sdc_detected, 0u);
+}
+
 // --- The false-positive oracle ----------------------------------------------
 
 // Full verification over the ENTIRE script library — every algorithm,

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "la/generate.h"
-#include "patterns/executor.h"
+#include "kernels/op_registry.h"
 #include "serve/admission_queue.h"
 #include "serve/circuit_breaker.h"
 #include "serve/flight_recorder.h"
@@ -226,9 +226,9 @@ TEST(Server, CompletedPatternIsBitExactAgainstAReferenceExecutor) {
     const ServeOutcome& o = handles[(usize)i].wait();
     ASSERT_EQ(o.kind, OutcomeKind::kCompleted);
     vgpu::Device ref_dev;
-    patterns::PatternExecutor ref(ref_dev, o.backend_used);
+    kernels::OpRegistry ref(ref_dev);
     auto y = la::random_vector(static_cast<usize>(X.cols()), 100u + i);
-    auto expect = ref.pattern(1, X, {}, y, 0, {});
+    auto expect = ref.pattern(o.backend_used, 1, X, {}, y, 0, {});
     ASSERT_EQ(o.value.size(), expect.value.size());
     for (usize j = 0; j < o.value.size(); ++j) {
       EXPECT_EQ(o.value[j], expect.value[j]) << "element " << j;

@@ -9,8 +9,6 @@
 #include "la/convert.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
-#include "ml/lr_cg.h"
-#include "patterns/executor.h"
 #include "sysml/jni_bridge.h"
 #include "ml/script_library.h"
 #include "sysml/memory_manager.h"
@@ -269,12 +267,14 @@ TEST(Script, WeightsMatchDirectSolver) {
   Runtime rt(dev, {});
   const auto script = run_lr_cg_script(rt, X, y, PlanMode::kHardcodedPass, cfg);
 
-  patterns::PatternExecutor exec(dev, patterns::Backend::kFused);
-  ml::LrCgConfig direct_cfg;
-  direct_cfg.max_iterations = 30;
-  const auto direct = ml::lr_cg(exec, X, y, direct_cfg);
+  // Every op on the fused device backend: the op stream the imperative
+  // solver issued.
+  vgpu::Device direct_dev;
+  Runtime direct_rt(direct_dev, {.gpu_cost_bias = 1e-4});
+  const auto direct =
+      run_lr_cg_script(direct_rt, X, y, PlanMode::kPlanner, cfg);
 
-  EXPECT_EQ(script.iterations, direct.stats.iterations);
+  EXPECT_EQ(script.iterations, direct.iterations);
   test::expect_vectors_near(direct.weights, script.weights, 1e-6);
 }
 
