@@ -47,9 +47,7 @@ WallSplit run_split(const Matrix& X, std::span<const real> y,
   ml::run_lr_cg_script(rt, X, y, sysml::PlanMode::kHardcodedPass, cfg);
   WallSplit split;
   for (const auto& entry : rt.trace()) {
-    const bool pattern = entry.op.rfind("pattern", 0) == 0 ||
-                         entry.op == "transposed_product";
-    (pattern ? split.pattern_ms : split.blas1_ms) += entry.wall_ms;
+    (entry.pattern ? split.pattern_ms : split.blas1_ms) += entry.wall_ms;
   }
   return split;
 }

@@ -95,8 +95,6 @@ static int run_bench(int argc, char** argv) {
     const auto y = la::regression_labels(X, seed + 1, 0.1);
     const auto ours = run(kernels::Backend::kFused, sysml::PlanMode::kPlanner,
                           X, y, kdd_iters);
-    // The cuSPARSE baseline rebuilds its explicit transpose per call inside
-    // each X^T launch, so no extra one-time transfer is charged for it.
     const auto cu = run(kernels::Backend::kCusparse,
                         sysml::PlanMode::kUnfused, X, y, kdd_iters);
     table.row()

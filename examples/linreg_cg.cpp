@@ -48,9 +48,7 @@ static int run_example() {
         ml::run_lr_cg_script(rt, X, labels, sysml::PlanMode::kPlanner, cfg);
     double pattern_ms = 0.0, blas1_ms = 0.0;
     for (const auto& entry : rt.trace()) {
-      const bool pattern = entry.op.rfind("pattern", 0) == 0 ||
-                           entry.op == "transposed_product";
-      (pattern ? pattern_ms : blas1_ms) += entry.modeled_ms;
+      (entry.pattern ? pattern_ms : blas1_ms) += entry.modeled_ms;
     }
     table.row()
         .add(column.name)

@@ -238,7 +238,8 @@ void Runtime::book(const kernels::KernelOutcome& outcome, const char* op,
       m.gauge("runtime.resilience_overhead_ms").add(overhead);
     }
   }
-  record_trace(op, on_gpu, outcome.modeled_ms, outcome.wall_ms);
+  record_trace(op, on_gpu, pattern_class, outcome.modeled_ms,
+               outcome.wall_ms);
 }
 
 void Runtime::note_plan_prepare(double host_ms, bool cache_hit) {
@@ -346,7 +347,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
                                 : cpu().pattern(alpha, *Xd, v, y, beta, z);
         stats_.cpu_op_ms += op.modeled_ms;
         ++stats_.cpu_ops;
-        record_trace("pattern (streamed, sdc recompute)", false,
+        record_trace("pattern (streamed, sdc recompute)", false, true,
                      op.modeled_ms, op.wall_ms);
         return add_vector(std::move(op.value), "pattern_out");
       }
@@ -356,7 +357,8 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     stats_.transfer_ms += sr.transfer_ms;
     stats_.kernel_launches += sr.op.launches;
     ++stats_.gpu_ops;
-    record_trace("pattern (streamed)", true, sr.pipeline_ms, sr.op.wall_ms);
+    record_trace("pattern (streamed)", true, true, sr.pipeline_ms,
+                 sr.op.wall_ms);
     stats_.pattern_cpu_equiv_ms +=
         Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
                       : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;

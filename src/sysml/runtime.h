@@ -261,6 +261,7 @@ class Runtime {
   struct TraceEntry {
     std::string op;
     bool on_gpu = false;
+    bool pattern = false;  ///< an Equation-1 op or a*X^T*y (Table 2's bucket)
     double modeled_ms = 0;
     double wall_ms = 0;  ///< host wall-clock of the op's functional run
   };
@@ -325,8 +326,9 @@ class Runtime {
   std::string plan_explain_;
   obs::PlanAudit plan_audit_;
 
-  void record_trace(const char* op, bool on_gpu, double ms, double wall_ms) {
-    trace_.push_back({op, on_gpu, ms, wall_ms});
+  void record_trace(const char* op, bool on_gpu, bool pattern, double ms,
+                    double wall_ms) {
+    trace_.push_back({op, on_gpu, pattern, ms, wall_ms});
   }
 
   const kernels::CpuBackend& cpu() const { return registry_.cpu(); }

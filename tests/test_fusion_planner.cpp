@@ -224,7 +224,9 @@ TEST_F(PlannerFixture, ExplainDescribesGroupsAndTotals) {
     for (std::string line; std::getline(lines, line);) {
       EXPECT_EQ(line.find("msoutput"), std::string::npos) << line;
       const auto header = line.find("output ");
-      if (header != std::string::npos) EXPECT_EQ(header, 0u) << line;
+      if (header != std::string::npos) {
+        EXPECT_EQ(header, 0u) << line;
+      }
     }
   }
 }

@@ -94,10 +94,7 @@ TEST(Integration, Table2PatternDominatesOnBothDataShapes) {
     double pattern_ms = 0.0, total_ms = 0.0;
     for (const auto& entry : rt.trace()) {
       total_ms += entry.wall_ms;
-      if (entry.op.rfind("pattern", 0) == 0 ||
-          entry.op == "transposed_product") {
-        pattern_ms += entry.wall_ms;
-      }
+      if (entry.pattern) pattern_ms += entry.wall_ms;
     }
     EXPECT_GT(100.0 * pattern_ms / total_ms, 50.0)
         << (dense ? "HIGGS-like" : "KDD-like");

@@ -5,6 +5,7 @@
 // core claim).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include "kernels/op_registry.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
+#include "ml/script_library.h"
 #include "sysml/runtime.h"
 #include "test_util.h"
 
@@ -51,6 +53,43 @@ TEST(Pattern, Classification) {
   const auto X = rt.add_sparse(uniform_sparse(60, 20, 0.2, 70), "X");
   rt.op_transposed_product(X, rt.add_vector(random_vector(60, 4), "y"), 2);
   EXPECT_EQ(rt.trace().back().op, "transposed_product");
+}
+
+TEST(Pattern, Table1MatchesPaper) {
+  // The paper's Table 1 marks for LR, LogReg, SVM and HITS (GLM's differ:
+  // its script folds the ridge into the v-weighted product, so it issues
+  // the full form instead of X^T*(v.(X*y))).
+  const auto X = uniform_sparse(400, 30, 0.2, 79);
+  const auto y_reg = la::regression_labels(X, 79, 0.05);
+  const auto y_cls = la::classification_labels(X, 79, 0.1);
+  struct Row {
+    ml::Algorithm algorithm;
+    std::span<const real> labels;
+    std::set<std::string> paper;
+  };
+  const Row rows[] = {
+      {ml::Algorithm::kLrCg, y_reg,
+       {"transposed_product", "pattern", "pattern[bz]"}},
+      {ml::Algorithm::kLogregGd, y_cls,
+       {"transposed_product", "pattern[v]", "pattern[v,bz]"}},
+      {ml::Algorithm::kSvm, y_cls,
+       {"transposed_product", "pattern", "pattern[bz]"}},
+      {ml::Algorithm::kHits, {}, {"transposed_product", "pattern"}},
+  };
+  for (const Row& row : rows) {
+    vgpu::Device dev;
+    sysml::Runtime rt(dev);
+    ml::find_script(row.algorithm, false, sysml::PlanMode::kHardcodedPass)
+        ->run_sparse(rt, X, row.labels, 4);
+    int equation1_ops = 0;
+    for (const auto& entry : rt.trace()) {
+      if (!entry.pattern) continue;
+      ++equation1_ops;
+      EXPECT_EQ(row.paper.count(entry.op), 1u)
+          << ml::to_string(row.algorithm) << " dispatched " << entry.op;
+    }
+    EXPECT_GT(equation1_ops, 0) << ml::to_string(row.algorithm);
+  }
 }
 
 TEST(Pattern, ToStringDistinct) {
@@ -140,6 +179,27 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ExecutorBackends,
                            }
                            return "Unknown";
                          });
+
+TEST(Executor, UsageHistogramRecordsKinds) {
+  // The runtime's trace is the usage record: one entry per dispatched op,
+  // named by its Table-1 instantiation.
+  vgpu::Device dev;
+  sysml::Runtime rt(dev);
+  const auto X = rt.add_sparse(uniform_sparse(100, 50, 0.1, 75), "X");
+  const auto y = rt.add_vector(random_vector(50, 9), "y");
+  const auto ym = rt.add_vector(random_vector(100, 10), "ym");
+  const auto v = rt.add_vector(random_vector(100, 11), "v");
+  rt.op_pattern(1, X, 0, y, 0, 0);
+  rt.op_pattern(1, X, 0, y, 0, 0);
+  rt.op_pattern(1, X, v, y, 0, 0);
+  rt.op_transposed_product(X, ym);
+  std::map<std::string, int> usage;
+  for (const auto& entry : rt.trace()) ++usage[entry.op];
+  EXPECT_EQ(usage["pattern"], 2);
+  EXPECT_EQ(usage["pattern[v]"], 1);
+  EXPECT_EQ(usage["transposed_product"], 1);
+  EXPECT_EQ(usage.size(), 3u);
+}
 
 TEST(Executor, FusedBeatsBaselinesOnModeledTime) {
   vgpu::Device dev;
