@@ -97,6 +97,15 @@ static int run_bench(int argc, char** argv) {
         .add(format_count(base_loads))
         .add(base_loads / fused_loads, 2)
         .add(amortize);
+    std::string key = "n";  // appended: GCC 12 -Wrestrict false positive
+    key += std::to_string(n);
+    key += ".";
+    json.add(key + "fused_ms", fused.modeled_ms);
+    json.add(key + "baseline_ms", baseline.modeled_ms);
+    json.add(key + "transpose_ms", t);
+    json.add(key + "multiply_ms", mv);
+    json.add(key + "fused_loads", fused_loads);
+    json.add(key + "baseline_loads", base_loads);
   }
 
   std::cout << table;

@@ -83,6 +83,15 @@ static int run_bench(int argc, char** argv) {
         .add(format_speedup(s_cusparse.back()))
         .add(format_speedup(s_bidmat_gpu.back()))
         .add(format_speedup(s_bidmat_cpu.back()));
+    std::string key = "n";  // appended: GCC 12 -Wrestrict false positive
+    key += std::to_string(n);
+    key += ".";
+    json.add(key + "fused_ms", fused.modeled_ms);
+    json.add(key + "cusparse_ms", cus.modeled_ms);
+    json.add(key + "bidmat_gpu_ms", bid.modeled_ms);
+    json.add(key + "bidmat_cpu_ms", cpu_res.modeled_ms);
+    json.add(key + "fused_launches", static_cast<double>(fused.launches));
+    json.add(key + "cusparse_launches", static_cast<double>(cus.launches));
   }
 
   std::cout << table;

@@ -79,6 +79,15 @@ static int run_bench(int argc, char** argv) {
         .add(format_speedup(s_cublas.back()))
         .add(format_speedup(s_bidmat_gpu.back()))
         .add(format_speedup(s_bidmat_cpu.back()));
+    std::string key = "n";  // appended: GCC 12 -Wrestrict false positive
+    key += std::to_string(n);
+    key += ".";
+    json.add(key + "fused_ms", fused.modeled_ms);
+    json.add(key + "cublas_ms", cub.modeled_ms);
+    json.add(key + "bidmat_gpu_ms", bid.modeled_ms);
+    json.add(key + "bidmat_cpu_ms", cpu_res.modeled_ms);
+    json.add(key + "thread_load", params.config.thread_load);
+    json.add(key + "vector_size", params.config.vector_size);
   }
 
   std::cout << table;

@@ -129,6 +129,17 @@ static int run_bench(int argc, char** argv) {
   json.add("settings_explored", static_cast<double>(result.points.size()));
   json.add("model_gap_fraction", result.model_gap_fraction());
   json.add("model_rank_fraction", result.model_rank_fraction());
+  json.add("feasible_settings", static_cast<double>(feasible));
+  json.add("model_vector_size", model_params.config.vector_size);
+  json.add("model_block_size", model_params.config.block_size);
+  json.add("model_coarsening", model_params.config.coarsening);
+  json.add("best_ms", result.best_ms);
+  json.add("model_ms", result.model_ms);
+  json.add("worst_ms", result.worst_ms);
+  json.add("best_block_size", best.block_size);
+  json.add("best_coarsening", best.coarsening);
+  json.add("best_grid_size", best.grid_size);
+  json.add("reference_run_ms", reference_run.modeled_ms);
   json.add_table("fig6", table);
   json.write();
   return 0;

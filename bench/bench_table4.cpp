@@ -56,6 +56,8 @@ static int run_bench(int argc, char** argv) {
     const auto base = kernels::baseline_xty_sparse(
         dev, X, ym, kernels::SparseTransposeStrategy::kExplicitTranspose);
     const auto params = kernels::fused_sparse_params(dev, X, {});
+    json.add("xty.fused_ms", fused.modeled_ms);
+    json.add("xty.baseline_ms", base.modeled_ms);
     table.row()
         .add("X^T*y")
         .add(fused.modeled_ms, 2)
@@ -72,6 +74,8 @@ static int run_bench(int argc, char** argv) {
       std::cerr << "RESULT MISMATCH on X^T*(X*y)\n";
       return 1;
     }
+    json.add("xtxy.fused_ms", fused.modeled_ms);
+    json.add("xtxy.baseline_ms", base.modeled_ms);
     table.row()
         .add("X^T*(X*y)")
         .add(fused.modeled_ms, 2)
@@ -90,6 +94,8 @@ static int run_bench(int argc, char** argv) {
       std::cerr << "RESULT MISMATCH on the full pattern\n";
       return 1;
     }
+    json.add("pattern.fused_ms", fused.modeled_ms);
+    json.add("pattern.baseline_ms", base.modeled_ms);
     table.row()
         .add("a*X^T*(v.(X*y))+b*z")
         .add(fused.modeled_ms, 2)

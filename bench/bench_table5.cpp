@@ -87,6 +87,10 @@ static int run_bench(int argc, char** argv) {
         .add(ours.transfer_ms, 1)
         .add(format_speedup(cu.total() / ours.total()))
         .add("4.8x");
+    json.add("higgs.ours_compute_ms", ours.compute_ms);
+    json.add("higgs.ours_transfer_ms", ours.transfer_ms);
+    json.add("higgs.cu_compute_ms", cu.compute_ms);
+    json.add("higgs.cu_transfer_ms", cu.transfer_ms);
   }
   {  // KDD-like (ultra-sparse).
     const auto m = scaled_extent(15009374, scale);
@@ -105,6 +109,10 @@ static int run_bench(int argc, char** argv) {
         .add(ours.transfer_ms, 1)
         .add(format_speedup(cu.total() / ours.total()))
         .add("9x");
+    json.add("kdd.ours_compute_ms", ours.compute_ms);
+    json.add("kdd.ours_transfer_ms", ours.transfer_ms);
+    json.add("kdd.cu_compute_ms", cu.compute_ms);
+    json.add("kdd.cu_transfer_ms", cu.transfer_ms);
   }
 
   std::cout << table;

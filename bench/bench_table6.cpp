@@ -21,7 +21,8 @@ using namespace fusedml;
 namespace {
 
 template <typename Matrix>
-void run_row(Table& table, Table& detail, const std::string& name,
+void run_row(Table& table, Table& detail, bench::JsonReport& json,
+             const std::string& key, const std::string& name,
              const Matrix& X, std::span<const real> y, int iterations,
              const std::string& paper_total, const std::string& paper_fused) {
   ml::ScriptConfig cfg;
@@ -63,6 +64,20 @@ void run_row(Table& table, Table& detail, const std::string& name,
       .add(static_cast<long long>(gpu.memory_stats.h2d_transfers))
       .add(static_cast<long long>(gpu.memory_stats.evictions))
       .add(cpu.end_to_end_ms, 1);
+
+  const auto& st = gpu.runtime_stats;
+  json.add(key + ".gpu_end_to_end_ms", gpu.end_to_end_ms);
+  json.add(key + ".cpu_end_to_end_ms", cpu.end_to_end_ms);
+  json.add(key + ".gpu_kernel_ms", st.gpu_kernel_ms);
+  json.add(key + ".cpu_op_ms", st.cpu_op_ms);
+  json.add(key + ".jni_ms", st.jni_ms);
+  json.add(key + ".transfer_ms", st.transfer_ms);
+  json.add(key + ".pattern_gpu_ms", st.pattern_gpu_ms);
+  json.add(key + ".pattern_cpu_equiv_ms", st.pattern_cpu_equiv_ms);
+  json.add(key + ".h2d_transfers",
+           static_cast<double>(gpu.memory_stats.h2d_transfers));
+  json.add(key + ".evictions",
+           static_cast<double>(gpu.memory_stats.evictions));
 }
 
 }  // namespace
@@ -93,7 +108,7 @@ static int run_bench(int argc, char** argv) {
     const auto m = scaled_extent(11000000, scale);
     const auto X = la::higgs_like(m, 28, seed);
     const auto y = la::regression_labels(X, seed, 0.1);
-    run_row(table, detail, "HIGGS-like (1/" + bench::fmt(scale, 0) + ")", X,
+    run_row(table, detail, json, "higgs", "HIGGS-like (1/" + bench::fmt(scale, 0) + ")", X,
             y, higgs_iters, "1.2x", "11.2x");
   }
   {
@@ -101,7 +116,7 @@ static int run_bench(int argc, char** argv) {
     const auto n = scaled_extent(29890095, scale);
     const auto X = la::kdd_like(m, n, 28.0, 1.5, seed + 1);
     const auto y = la::regression_labels(X, seed + 1, 0.1);
-    run_row(table, detail, "KDD-like (1/" + bench::fmt(scale, 0) + ")", X, y,
+    run_row(table, detail, json, "kdd", "KDD-like (1/" + bench::fmt(scale, 0) + ")", X, y,
             kdd_iters, "1.9x", "4.1x");
   }
 
