@@ -50,6 +50,13 @@ class CpuBackend {
                       std::span<const real> v, std::span<const real> y,
                       real beta, std::span<const real> z) const;
 
+  // Cost-only twins: the modeled_ms the op above would return, priced from
+  // shapes alone without running it (the op itself calls these).
+  double spmv_t_ms(const la::CsrMatrix& X) const;
+  double gemv_t_ms(const la::DenseMatrix& X) const;
+  double pattern_ms(const la::CsrMatrix& X, bool has_v, bool has_z) const;
+  double pattern_ms(const la::DenseMatrix& X, bool has_v, bool has_z) const;
+
   // BLAS-1.
   CpuOpResult axpy(real alpha, std::span<const real> x,
                    std::span<real> y) const;

@@ -236,6 +236,7 @@ OpResult dev_masked_spmv(vgpu::Device& dev, const la::CsrMatrix& X,
   const int rows_per_warp = std::max(1, 32 / vs);
   const long long total_vectors =
       static_cast<long long>(cfg.grid_size) * nv;
+  const detail::WarpTraffic traffic(X, vs);
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && z_resident) {
@@ -252,9 +253,8 @@ OpResult dev_masked_spmv(vgpu::Device& dev, const la::CsrMatrix& X,
             rows_per_warp, X.rows() - warp_first_row));
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
                                   rows_here + 1, sizeof(offset_t));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!z_resident,
-                                 z_path);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/!z_resident, z_path);
         for (int v = 0; v < rows_here; ++v) {
           const auto r = static_cast<index_t>(warp_first_row + v);
           out.value[static_cast<usize>(r)] =
@@ -340,6 +340,7 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
   const long long total_vectors =
       static_cast<long long>(cfg.grid_size) * nv;
   const std::uint64_t epilogue_flops = program.flops_per_element();
+  const detail::WarpTraffic traffic(X, vs);
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
@@ -358,9 +359,8 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
             rows_per_warp, X.rows() - warp_first_row));
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
                                   rows_here + 1, sizeof(offset_t));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!y_resident,
-                                 y_path);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/!y_resident, y_path);
         // External epilogue inputs: one coalesced load per stream.
         for (usize e = 0; e < ext.size(); ++e) {
           ctx.mem().load_contiguous(
@@ -475,6 +475,7 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
   const int rows_per_warp = std::max(1, 32 / vs);
   const long long total_vectors =
       static_cast<long long>(cfg.grid_size) * nv;
+  const detail::WarpTraffic traffic(X, vs);
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && vz_resident) {
@@ -495,14 +496,12 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
         // u for the warp's rows: one coalesced load.
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
                                   rows_here, sizeof(real));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!vz_resident,
-                                 gather_path);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/!vz_resident, gather_path);
         if (!vz_resident) {
           // Second gather stream (v AND z are fetched per nonzero).
-          const auto t = detail::warp_rows_y_gather(X, warp_first_row,
-                                                    rows_here, vs);
-          ctx.mem().load_precomputed(t.transactions, t.bytes, gather_path);
+          traffic.charge_gather(ctx.mem(), warp_first_row, rows_here,
+                                gather_path);
         }
         for (int vrow = 0; vrow < rows_here; ++vrow) {
           const auto r = static_cast<index_t>(warp_first_row + vrow);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "common/error.h"
 #include "kernels/resource_profile.h"
@@ -40,6 +41,14 @@ tuner::SparseParams resolve_params(const vgpu::Device& dev, index_t m,
     const int vs = params.config.vector_size;
     const int bs = params.config.block_size;
     FUSEDML_CHECK(bs % vs == 0, "block size must be a multiple of VS");
+    // A warp holds 32/VS vectors; a block whose vector count is not a
+    // multiple of that would end in a warp that also sweeps the next
+    // block's first rows, adding them twice.
+    FUSEDML_CHECK((bs / vs) % std::max(1, 32 / vs) == 0,
+                  "block size override " + std::to_string(bs) +
+                      " at VS " + std::to_string(vs) +
+                      " splits a warp across blocks: vectors per block "
+                      "must be a multiple of 32/VS");
     params.shared_aggregation =
         params.shared_aggregation &&
         tuner::shared_aggregation_feasible(dev.spec(), n, vs);
@@ -119,6 +128,7 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
 
   LaunchConfig launch_cfg = params.config;
   launch_cfg.label = "fused_spmv_t";
+  const detail::WarpTraffic traffic(X, g.vs);
   out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
     const usize sd_base = static_cast<usize>(g.nv);  // staging | partial w
     for (int c = 0; c < g.coarsening; ++c) {
@@ -134,9 +144,8 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
                                   rows_here + 1, sizeof(offset_t));
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
                                   rows_here, sizeof(real));  // p[row]
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here,
-                                 g.vs, MemPath::kDram, /*with_y=*/false,
-                                 MemPath::kDram);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/false, MemPath::kDram);
         for (int v = 0; v < rows_here; ++v) {
           const auto r = static_cast<index_t>(warp_first_row + v);
           const real pr = p[static_cast<usize>(r)];
@@ -220,6 +229,7 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
 
   LaunchConfig launch_cfg = params.config;
   launch_cfg.label = "fused_pattern_sparse";
+  const detail::WarpTraffic traffic(X, g.vs);
   out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
     const usize sd_base = static_cast<usize>(g.nv);
     const usize bs = static_cast<usize>(ctx.block_size());
@@ -266,12 +276,11 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
         }
         // First pass over the warp's rows: cold loads + y gathers (skipped
         // when y is texture-resident — only the fill was charged).
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here,
-                                 g.vs, MemPath::kDram,
-                                 /*with_y=*/!y_resident, y_path);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/!y_resident, y_path);
         // Second pass: same data while still cache-resident.
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here,
-                                 g.vs, pass2, /*with_y=*/false, y_path);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, pass2,
+                       /*with_y=*/false, y_path);
         for (int vv = 0; vv < rows_here; ++vv) {
           const auto r = static_cast<index_t>(warp_first_row + vv);
           const offset_t start = X.row_begin(r);

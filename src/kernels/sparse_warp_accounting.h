@@ -6,10 +6,15 @@
 // contiguously, short rows coalesce across vectors — the property that
 // makes CSR-vector efficient at small row lengths. Charging per vector
 // would overcount transactions by up to 32/VS for short rows, so the
-// sparse kernels charge through these warp-step helpers instead.
+// sparse kernels charge through these warp-step counts instead.
+//
+// The counts depend only on X's structure and VS, so they are computed once
+// per (structure, VS) into a la::WarpTable that the matrix owns, and every
+// launch charges each warp in O(1) from it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.h"
 #include "la/csr_matrix.h"
@@ -17,27 +22,34 @@
 
 namespace fusedml::kernels::detail {
 
-struct PassTraffic {
-  std::uint64_t transactions = 0;
-  std::uint64_t bytes = 0;
+/// Sweeps every warp of X at vector size `vs` access by access — the
+/// table builder, exposed for tests.
+la::WarpTable build_warp_table(const la::CsrMatrix& X, int vs);
+
+/// X's warp-pass traffic at one VS, looked up (or built) once per launch,
+/// before dev.launch. Warps must start at multiples of 32/VS, which every
+/// sparse kernel's geometry guarantees.
+class WarpTraffic {
+ public:
+  WarpTraffic(const la::CsrMatrix& X, int vs);
+
+  /// Charges one full pass over the warp's CSR data (values + col indices)
+  /// to `data_path`, optionally with the y gathers to `y_path`.
+  void charge(vgpu::MemTracker& mem, long long first_row, int rows_here,
+              vgpu::MemPath data_path, bool with_y,
+              vgpu::MemPath y_path) const;
+
+  /// Charges the warp's y[col_idx] gathers alone (8-byte elements).
+  void charge_gather(vgpu::MemTracker& mem, long long first_row,
+                     int rows_here, vgpu::MemPath path) const;
+
+ private:
+  const la::WarpSweep& sweep(long long first_row, int rows_here) const;
+  std::uint64_t nnz(long long first_row, int rows_here) const;
+
+  const la::WarpTable& table_;
+  std::span<const offset_t> row_off_;
+  int rows_per_warp_;
 };
-
-/// Traffic of one warp-synchronous pass over the CSR element array
-/// (values or col_idx, selected by elem_bytes) of `rows_here` consecutive
-/// rows starting at `first_row`, with VS lanes per row.
-PassTraffic warp_rows_pass(const la::CsrMatrix& X, long long first_row,
-                           int rows_here, int vs, usize elem_bytes);
-
-/// Traffic of the warp's gather loads of y[col_idx[i]] over the same sweep
-/// (8-byte elements).
-PassTraffic warp_rows_y_gather(const la::CsrMatrix& X, long long first_row,
-                               int rows_here, int vs);
-
-/// Charges one full pass over the warp's CSR data (values + col indices)
-/// to `data_path`, optionally with the y gathers to `y_path`.
-void charge_warp_pass(vgpu::MemTracker& mem, const la::CsrMatrix& X,
-                      long long first_row, int rows_here, int vs,
-                      vgpu::MemPath data_path, bool with_y,
-                      vgpu::MemPath y_path);
 
 }  // namespace fusedml::kernels::detail

@@ -96,6 +96,7 @@ OpResult spmv_csr_vector(vgpu::Device& dev, const la::CsrMatrix& X,
   const int rows_per_warp = std::max(1, 32 / vs);
   const long long total_vectors =
       static_cast<long long>(cfg.grid_size) * nv;
+  const detail::WarpTraffic traffic(X, vs);
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
@@ -115,9 +116,8 @@ OpResult spmv_csr_vector(vgpu::Device& dev, const la::CsrMatrix& X,
         // row_off for the warp's rows: one coalesced load.
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
                                   rows_here + 1, sizeof(offset_t));
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 MemPath::kDram, /*with_y=*/!y_resident,
-                                 y_path);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/!y_resident, y_path);
         for (int v = 0; v < rows_here; ++v) {
           const auto r = static_cast<index_t>(warp_first_row + v);
           out.value[static_cast<usize>(r)] =

@@ -51,6 +51,7 @@ OpResult spmv_t_atomic_scatter(vgpu::Device& dev, const la::CsrMatrix& X,
   cfg.coarsening = static_cast<int>(
       (X.rows() + total_vectors - 1) / total_vectors);
   const int rows_per_warp = std::max(1, 32 / vs);
+  const detail::WarpTraffic traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.cols()), real{0});
@@ -68,9 +69,8 @@ OpResult spmv_t_atomic_scatter(vgpu::Device& dev, const la::CsrMatrix& X,
                                   rows_here + 1, sizeof(offset_t));
         ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
                                   rows_here, sizeof(real));  // y[row]
-        detail::charge_warp_pass(ctx.mem(), X, warp_first_row, rows_here, vs,
-                                 vgpu::MemPath::kDram, /*with_y=*/false,
-                                 vgpu::MemPath::kDram);
+        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
+                       /*with_y=*/false, MemPath::kDram);
         for (int v = 0; v < rows_here; ++v) {
           const auto r = static_cast<index_t>(warp_first_row + v);
           const real yr = y[static_cast<usize>(r)];

@@ -2,12 +2,31 @@
 // (and cuSPARSE) operate on: (values, col_idx, row_off).
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/types.h"
 
 namespace fusedml::la {
+
+/// Load transactions of one warp's sweep over its consecutive rows under
+/// the CSR-vector mapping: the values pass, the col_idx pass and the
+/// y[col_idx] gather. They depend only on the structure and VS.
+struct WarpSweep {
+  std::uint64_t values = 0;
+  std::uint64_t cols = 0;
+  std::uint64_t gather = 0;
+};
+
+/// One WarpSweep per warp, warp w covering rows [w*32/VS, (w+1)*32/VS).
+using WarpTable = std::vector<WarpSweep>;
 
 class CsrMatrix {
  public:
@@ -49,14 +68,44 @@ class CsrMatrix {
            row_off_.size() * sizeof(offset_t);
   }
 
-  bool operator==(const CsrMatrix&) const = default;
+  /// Equal shape, structure and values; the warp tables are not compared.
+  bool operator==(const CsrMatrix& o) const {
+    return rows_ == o.rows_ && cols_ == o.cols_ && row_off_ == o.row_off_ &&
+           col_idx_ == o.col_idx_ && values_ == o.values_;
+  }
+
+  /// The warp table for vector size `vs` (a power of two, 1..32), made by
+  /// `build()` on first use; `*built` says whether this call made it. The
+  /// table describes row_off and col_idx, which never change after
+  /// construction, so every copy of this matrix shares it (values_mut()
+  /// keeps it) and it is freed with the last copy. One lock per call.
+  template <typename Build>
+  const WarpTable& warp_table(int vs, Build&& build, bool* built) const {
+    FUSEDML_CHECK(vs >= 1 && vs <= 32 && std::has_single_bit(
+                                              static_cast<unsigned>(vs)),
+                  "sparse vector size must be a power of two in [1, 32], "
+                  "got " + std::to_string(vs));
+    std::unique_ptr<const WarpTable>& slot =
+        tables_->by_vs[static_cast<usize>(std::countr_zero(
+            static_cast<unsigned>(vs)))];
+    const std::lock_guard<std::mutex> lock(tables_->mutex);
+    *built = slot == nullptr;
+    if (*built) slot = std::make_unique<const WarpTable>(build());
+    return *slot;
+  }
 
  private:
+  struct WarpTables {
+    std::mutex mutex;
+    std::array<std::unique_ptr<const WarpTable>, 6> by_vs;  ///< log2(VS)
+  };
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<offset_t> row_off_;
   std::vector<index_t> col_idx_;
   std::vector<real> values_;
+  std::shared_ptr<WarpTables> tables_ = std::make_shared<WarpTables>();
 };
 
 }  // namespace fusedml::la

@@ -294,6 +294,11 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "pattern needs a matrix");
+  // What the same op would cost on the CPU, priced without running it.
+  const auto cpu_pattern_ms = [&] {
+    return Xs != nullptr ? cpu().pattern_ms(*Xs, !v.empty(), !z.empty())
+                         : cpu().pattern_ms(*Xd, !v.empty(), !z.empty());
+  };
 
   if (opts_.enable_gpu && mm_.needs_streaming(Xid)) {
     // X does not fit on the device even alone: instead of failing (or
@@ -359,9 +364,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     ++stats_.gpu_ops;
     record_trace("pattern (streamed)", true, true, sr.pipeline_ms,
                  sr.op.wall_ms);
-    stats_.pattern_cpu_equiv_ms +=
-        Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
-                      : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;
+    stats_.pattern_cpu_equiv_ms += cpu_pattern_ms();
     // The streamed result lives on the host (partials were merged there).
     return add_vector(std::move(sr.op.value), "pattern_out");
   }
@@ -380,9 +383,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
        true);
   if (o.backend_used != kernels::Backend::kCpu) {
     // What the same op would have cost on the CPU (Table 6 row 2).
-    stats_.pattern_cpu_equiv_ms +=
-        Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z).modeled_ms
-                      : cpu().pattern(alpha, *Xd, v, y, beta, z).modeled_ms;
+    stats_.pattern_cpu_equiv_ms += cpu_pattern_ms();
   }
   return emit(std::move(o), "pattern_out");
 }
@@ -402,9 +403,8 @@ TensorId Runtime::op_transposed_product(TensorId Xid, TensorId yid,
       });
   book(o, "transposed_product", true);
   if (o.backend_used != kernels::Backend::kCpu) {
-    stats_.pattern_cpu_equiv_ms += Xs != nullptr
-                                       ? cpu().spmv_t(*Xs, y).modeled_ms
-                                       : cpu().gemv_t(*Xd, y).modeled_ms;
+    stats_.pattern_cpu_equiv_ms +=
+        Xs != nullptr ? cpu().spmv_t_ms(*Xs) : cpu().gemv_t_ms(*Xd);
   }
   return emit(std::move(o), "xty_out");
 }

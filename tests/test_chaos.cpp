@@ -24,7 +24,9 @@
 #include <vector>
 
 #include "la/generate.h"
+#include "kernels/fused_sparse.h"
 #include "kernels/op_registry.h"
+#include "obs/metrics.h"
 #include "serve/request_trace.h"
 #include "serve/server.h"
 #include "ml/script_library.h"
@@ -608,6 +610,40 @@ TEST(Chaos, CancellationRacesNeverLoseOrDoubleResolve) {
   EXPECT_EQ(stats.resolved(), stats.submitted);
   EXPECT_GT(stats.cancelled, 0u);
   EXPECT_GT(stats.completed, 0u);
+}
+
+// Serve workers share datasets: concurrent first launches on one matrix must
+// build its warp table exactly once and all charge the same traffic.
+TEST(Chaos, ConcurrentColdLaunchesBuildOneWarpTable) {
+  obs::metrics().enable();
+  obs::metrics().reset();
+  const auto X = la::kdd_like(3000, 400, 20.0, 1.5, 77);
+  const auto y = la::random_vector(static_cast<usize>(X.cols()), 78);
+  constexpr int kThreads = 4;
+  std::vector<kernels::OpResult> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      vgpu::Device dev;
+      results[static_cast<usize>(t)] =
+          kernels::fused_pattern_sparse(dev, 1, X, {}, y, 0, {});
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(obs::metrics().counter("kernels.warp_table_builds").value(), 1u);
+  EXPECT_EQ(obs::metrics().counter("kernels.warp_table_hits").value(),
+            static_cast<std::uint64_t>(kThreads - 1));
+  for (const auto& r : results) {
+    EXPECT_EQ(r.value, results[0].value);
+    EXPECT_EQ(r.counters.gld_transactions,
+              results[0].counters.gld_transactions);
+    EXPECT_EQ(r.counters.l2_hit_transactions,
+              results[0].counters.l2_hit_transactions);
+    EXPECT_EQ(r.counters.tex_transactions,
+              results[0].counters.tex_transactions);
+  }
+  obs::metrics().reset();
+  obs::metrics().disable();
 }
 
 }  // namespace

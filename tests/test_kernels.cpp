@@ -3,6 +3,7 @@
 // counter sanity checks (the quantities the figures are built from).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "kernels/baselines.h"
@@ -16,6 +17,7 @@
 #include "la/convert.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace fusedml::kernels {
@@ -358,6 +360,154 @@ TEST(CpuBackend, ModeledTimeScalesWithSize) {
   const auto large = uniform_sparse(4000, 100, 0.05, 404);
   const auto y = random_vector(100, 46);
   EXPECT_LT(cpu.spmv(small, y).modeled_ms, cpu.spmv(large, y).modeled_ms);
+}
+
+TEST(CpuBackend, CostOnlyMembersEqualTheOpsModeledMs) {
+  CpuBackend cpu;
+  const auto Xs = uniform_sparse(300, 150, 0.05, 405);
+  const auto Xd = la::dense_random(120, 40, 406);
+  const auto ys = random_vector(150, 47);
+  const auto yd = random_vector(40, 48);
+  EXPECT_EQ(cpu.spmv_t_ms(Xs),
+            cpu.spmv_t(Xs, random_vector(300, 49)).modeled_ms);
+  EXPECT_EQ(cpu.gemv_t_ms(Xd),
+            cpu.gemv_t(Xd, random_vector(120, 50)).modeled_ms);
+  for (bool has_v : {false, true}) {
+    for (bool has_z : {false, true}) {
+      const auto vs = has_v ? random_vector(300, 51) : std::vector<real>{};
+      const auto zs = has_z ? random_vector(150, 52) : std::vector<real>{};
+      EXPECT_EQ(cpu.pattern_ms(Xs, has_v, has_z),
+                cpu.pattern(0.5, Xs, vs, ys, 2.0, zs).modeled_ms);
+      const auto vd = has_v ? random_vector(120, 53) : std::vector<real>{};
+      const auto zd = has_z ? random_vector(40, 54) : std::vector<real>{};
+      EXPECT_EQ(cpu.pattern_ms(Xd, has_v, has_z),
+                cpu.pattern(0.5, Xd, vd, yd, 2.0, zd).modeled_ms);
+    }
+  }
+}
+
+// --- Sparse launch geometry ------------------------------------------------------
+
+// A block whose vector count is not a multiple of 32/VS ends in a warp that
+// also sweeps the next block's first rows; the fused kernels would add those
+// rows twice. Such overrides are rejected by name.
+TEST(FusedSparseGeometry, RejectsBlockOverridesThatSplitAWarp) {
+  vgpu::Device dev;
+  const auto X = la::kdd_like(165, 40, 6.0, 1.5, 407);
+  const auto p = random_vector(165, 55);
+  const auto y = random_vector(40, 56);
+  FusedSparseOptions opts;
+  opts.vector_size = 4;
+  opts.block_size = 48;
+  try {
+    fused_spmv_t(dev, X, p, 1.0, opts);
+    ADD_FAILURE() << "block size 48 at VS 4 must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("block size override 48"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(fused_pattern_sparse(dev, 1, X, {}, y, 0, {}, opts), Error);
+  for (int bs : {32, 64, 96}) {
+    opts.block_size = bs;
+    expect_vectors_near(la::reference::spmv_transposed(X, p),
+                        fused_spmv_t(dev, X, p, 1.0, opts).value, 1e-12);
+    expect_vectors_near(la::reference::pattern(1, X, {}, y, 0, {}),
+                        fused_pattern_sparse(dev, 1, X, {}, y, 0, {}, opts)
+                            .value,
+                        1e-12);
+  }
+}
+
+// --- Warp tables: one per (structure, VS), owned by the matrix -------------------
+
+class WarpTableTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::metrics().enable();
+    obs::metrics().reset();
+  }
+  void TearDown() override {
+    obs::metrics().reset();
+    obs::metrics().disable();
+  }
+  static std::uint64_t builds() {
+    return obs::metrics().counter("kernels.warp_table_builds").value();
+  }
+  static std::uint64_t hits() {
+    return obs::metrics().counter("kernels.warp_table_hits").value();
+  }
+  static void expect_same_traffic(const vgpu::MemCounters& a,
+                                  const vgpu::MemCounters& b) {
+    EXPECT_EQ(a.gld_transactions, b.gld_transactions);
+    EXPECT_EQ(a.gld_bytes, b.gld_bytes);
+    EXPECT_EQ(a.l2_hit_transactions, b.l2_hit_transactions);
+    EXPECT_EQ(a.tex_transactions, b.tex_transactions);
+  }
+  /// A matrix equal to X that never shared X's tables.
+  static la::CsrMatrix rebuilt(const la::CsrMatrix& X) {
+    return la::CsrMatrix(
+        X.rows(), X.cols(), {X.row_off().begin(), X.row_off().end()},
+        {X.col_idx().begin(), X.col_idx().end()},
+        {X.values().begin(), X.values().end()});
+  }
+  vgpu::Device dev;
+};
+
+TEST_F(WarpTableTest, CopiesShareOneTable) {
+  const auto X = uniform_sparse(500, 300, 0.05, 408);
+  const la::CsrMatrix copy = X;
+  const auto y = random_vector(300, 57);
+  const auto a = spmv_csr_vector(dev, X, y);
+  const auto b = spmv_csr_vector(dev, copy, y);
+  EXPECT_EQ(builds(), 1u);
+  EXPECT_EQ(hits(), 1u);
+  expect_same_traffic(a.counters, b.counters);
+  const int vs = vector_size_for(X.mean_nnz_per_row());
+  bool built = true;
+  const auto never = [] {
+    ADD_FAILURE() << "a shared table must not be rebuilt";
+    return la::WarpTable{};
+  };
+  const la::WarpTable& mine = X.warp_table(vs, never, &built);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(&mine, &copy.warp_table(vs, never, &built));
+  EXPECT_TRUE(X == copy);
+}
+
+TEST_F(WarpTableTest, ValuesMutChangesResultsButNotCounters) {
+  const auto X = uniform_sparse(400, 200, 0.05, 409);
+  auto scaled = X;
+  for (real& v : scaled.values_mut()) v *= 3.0;
+  EXPECT_FALSE(X == scaled);
+  const auto y = random_vector(200, 58);
+  const auto a = fused_pattern_sparse(dev, 1, X, {}, y, 0, {});
+  const auto b = fused_pattern_sparse(dev, 1, scaled, {}, y, 0, {});
+  EXPECT_EQ(builds(), 1u) << "values_mut keeps the structure's table";
+  expect_vectors_near(la::reference::pattern(1, scaled, {}, y, 0, {}),
+                      b.value);
+  EXPECT_NE(a.value, b.value);
+  expect_same_traffic(a.counters, b.counters);
+  // A rebuilt twin of the mutated copy builds its own table and agrees.
+  const auto c = fused_pattern_sparse(dev, 1, rebuilt(scaled), {}, y, 0, {});
+  EXPECT_EQ(builds(), 2u);
+  expect_same_traffic(b.counters, c.counters);
+}
+
+TEST_F(WarpTableTest, MatrixBuiltAfterAnotherIsDestroyedGetsItsOwnTable) {
+  const auto y = random_vector(200, 59);
+  {
+    const auto gone = uniform_sparse(400, 200, 0.05, 410);
+    spmv_csr_vector(dev, gone, y);
+  }
+  // Same shape, different structure: its allocations may reuse the
+  // destroyed matrix's addresses, but never its table.
+  const auto X = la::kdd_like(400, 200, 10.0, 1.5, 411);
+  const auto got = spmv_csr_vector(dev, X, y);
+  EXPECT_EQ(builds(), 2u);
+  EXPECT_EQ(hits(), 0u);
+  expect_same_traffic(spmv_csr_vector(dev, rebuilt(X), y).counters,
+                      got.counters);
 }
 
 }  // namespace

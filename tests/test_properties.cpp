@@ -4,12 +4,18 @@
 // cost-model sanity under random counter loads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/rng.h"
 #include "kernels/baselines.h"
 #include "kernels/fused_dense.h"
+#include "kernels/fused_row.h"
 #include "kernels/fused_sparse.h"
+#include "kernels/spmv.h"
+#include "kernels/spmv_transpose.h"
+#include "kernels/texture_model.h"
 #include "la/convert.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
@@ -21,6 +27,7 @@
 #include "tuner/launch_params.h"
 #include "vgpu/coalescing.h"
 #include "vgpu/cost_model.h"
+#include "vgpu/mem_tracker.h"
 
 namespace fusedml {
 namespace {
@@ -195,6 +202,328 @@ TEST_P(FuzzSeeds, PlannedPatternDagsMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));
+
+// --- Sparse warp accounting vs an access-by-access recount -------------------
+//
+// The sparse kernels charge each warp's CSR passes from a per-structure
+// table. These tests recount every load and store each kernel issues from
+// scratch: the warp passes step by step, each step's lane addresses handed
+// to vgpu::gather_transactions, on ragged matrices (empty rows, rows over
+// 1024 nonzeros) at every VS. Atomics, shared memory, shuffles and flops are
+// not warp-pass traffic, so the recount takes them from the kernel.
+
+/// Ragged CSR: about a quarter of the rows empty, one in twenty with more
+/// than 1024 nonzeros, the rest short.
+la::CsrMatrix ragged_csr(Rng& rng, index_t m, index_t n) {
+  std::vector<offset_t> row_off{0};
+  std::vector<index_t> col_idx;
+  std::vector<real> values;
+  std::vector<index_t> cols(static_cast<usize>(n));
+  for (index_t r = 0; r < m; ++r) {
+    const double u = rng.uniform();
+    const auto len = static_cast<index_t>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(n),
+        u < 0.25   ? 0
+        : u < 0.30 ? 1025 + rng.uniform_index(300)
+                   : 1 + rng.uniform_index(40)));
+    std::iota(cols.begin(), cols.end(), index_t{0});
+    for (index_t k = 0; k < len; ++k) {
+      const auto j = k + static_cast<index_t>(rng.uniform_index(
+                             static_cast<std::uint64_t>(n - k)));
+      std::swap(cols[static_cast<usize>(k)], cols[static_cast<usize>(j)]);
+    }
+    std::sort(cols.begin(), cols.begin() + len);
+    for (index_t k = 0; k < len; ++k) {
+      col_idx.push_back(cols[static_cast<usize>(k)]);
+      values.push_back(rng.uniform(-1.0, 1.0));
+    }
+    row_off.push_back(static_cast<offset_t>(col_idx.size()));
+  }
+  return la::CsrMatrix(m, n, std::move(row_off), std::move(col_idx),
+                       std::move(values));
+}
+
+/// One warp's pass over rows [first, first + rows) with `vs` lanes per row:
+/// at step k every vector's lanes read its row's chunk k. Loads the CSR
+/// element array (elem_bytes wide) or, with `gather_y`, y[col_idx].
+void recount_pass(vgpu::MemTracker& mem, const la::CsrMatrix& X,
+                  long long first, int rows, int vs, usize elem_bytes,
+                  bool gather_y, vgpu::MemPath path) {
+  offset_t longest = 0;
+  for (int v = 0; v < rows; ++v) {
+    longest = std::max<offset_t>(longest,
+                                 X.row_nnz(static_cast<index_t>(first + v)));
+  }
+  for (offset_t k = 0; k < longest; k += vs) {
+    std::vector<std::uint64_t> addrs;
+    for (int v = 0; v < rows; ++v) {
+      const auto r = static_cast<index_t>(first + v);
+      const offset_t end = std::min(X.row_end(r), X.row_begin(r) + k + vs);
+      for (offset_t i = X.row_begin(r) + k; i < end; ++i) {
+        addrs.push_back(
+            gather_y ? static_cast<std::uint64_t>(
+                           X.col_idx()[static_cast<usize>(i)]) *
+                           sizeof(real)
+                     : static_cast<std::uint64_t>(i) * elem_bytes);
+      }
+    }
+    mem.load_precomputed(vgpu::gather_transactions(addrs),
+                         addrs.size() * elem_bytes, path);
+  }
+}
+
+/// Calls body(first_row, rows) for every warp of X at VS — each row once.
+template <typename Body>
+void for_each_warp(const la::CsrMatrix& X, int vs, Body&& body) {
+  const int rows_per_warp = std::max(1, 32 / vs);
+  for (long long first = 0; first < X.rows(); first += rows_per_warp) {
+    body(first, static_cast<int>(std::min<long long>(rows_per_warp,
+                                                     X.rows() - first)));
+  }
+}
+
+/// Values and col_idx passes of one warp on `path`.
+void recount_data(vgpu::MemTracker& mem, const la::CsrMatrix& X,
+                  long long first, int rows, int vs, vgpu::MemPath path) {
+  recount_pass(mem, X, first, rows, vs, sizeof(real), false, path);
+  recount_pass(mem, X, first, rows, vs, sizeof(index_t), false, path);
+}
+
+/// The recounted loads and stores, with the kernel's own non-memory fields.
+vgpu::MemCounters with_traffic(vgpu::MemCounters got,
+                               const vgpu::MemCounters& traffic) {
+  got.gld_transactions = traffic.gld_transactions;
+  got.gld_bytes = traffic.gld_bytes;
+  got.gst_transactions = traffic.gst_transactions;
+  got.gst_bytes = traffic.gst_bytes;
+  got.l2_hit_transactions = traffic.l2_hit_transactions;
+  got.tex_transactions = traffic.tex_transactions;
+  return got;
+}
+
+void expect_counters_eq(const vgpu::MemCounters& want,
+                        const vgpu::MemCounters& got,
+                        const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(want.gld_transactions, got.gld_transactions);
+  EXPECT_EQ(want.gst_transactions, got.gst_transactions);
+  EXPECT_EQ(want.gld_bytes, got.gld_bytes);
+  EXPECT_EQ(want.gst_bytes, got.gst_bytes);
+  EXPECT_EQ(want.l2_hit_transactions, got.l2_hit_transactions);
+  EXPECT_EQ(want.tex_transactions, got.tex_transactions);
+  EXPECT_EQ(want.atomic_global_ops, got.atomic_global_ops);
+  EXPECT_EQ(want.atomic_shared_ops, got.atomic_shared_ops);
+  EXPECT_EQ(want.atomic_global_targets, got.atomic_global_targets);
+  EXPECT_EQ(want.atomic_int_ops, got.atomic_int_ops);
+  EXPECT_EQ(want.atomic_int_targets, got.atomic_int_targets);
+  EXPECT_EQ(want.smem_accesses, got.smem_accesses);
+  EXPECT_EQ(want.smem_bank_conflicts, got.smem_bank_conflicts);
+  EXPECT_EQ(want.shuffle_ops, got.shuffle_ops);
+  EXPECT_EQ(want.local_spill_bytes, got.local_spill_bytes);
+  EXPECT_EQ(want.flops, got.flops);
+}
+
+struct SweepCase {
+  std::string name;
+  la::CsrMatrix X;
+};
+
+/// Two ragged matrices — y over and under the texture cache — and a
+/// uniform one whose Eq. 4 VS is small, for the kernels that pick VS.
+std::vector<SweepCase> sweep_cases() {
+  Rng rng(2024);
+  std::vector<SweepCase> cases;
+  cases.push_back({"ragged 301x7000", ragged_csr(rng, 301, 7000)});
+  cases.push_back({"ragged 333x3000", ragged_csr(rng, 333, 3000)});
+  cases.push_back({"uniform 411x3000", uniform_sparse(411, 3000, 0.002, 9)});
+  return cases;
+}
+
+TEST(SparseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
+  vgpu::Device dev;
+  const auto& spec = dev.spec();
+  for (const auto& [name, X] : sweep_cases()) {
+    const auto n = static_cast<usize>(X.cols());
+    const auto m = static_cast<usize>(X.rows());
+    const auto y = random_vector(n, 1);
+    for (int vs = 1; vs <= 32; vs *= 2) {
+      for (bool texture : {true, false}) {
+        kernels::SpmvOptions opts;
+        opts.vector_size = vs;
+        opts.texture_y = texture;
+        const auto got = kernels::spmv_csr_vector(dev, X, y, opts);
+        vgpu::MemCounters want;
+        vgpu::MemTracker mem(want);
+        const bool resident =
+            texture && kernels::tex_resident(spec, n * sizeof(real));
+        if (resident) kernels::charge_tex_fill(mem, spec, n * sizeof(real));
+        for_each_warp(X, vs, [&](long long first, int rows) {
+          mem.load_contiguous(static_cast<std::uint64_t>(first), rows + 1,
+                              sizeof(offset_t));
+          recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+          if (!resident) {
+            recount_pass(mem, X, first, rows, vs, sizeof(real), true,
+                         texture ? vgpu::MemPath::kTexture
+                                 : vgpu::MemPath::kDram);
+          }
+          mem.store_contiguous(static_cast<std::uint64_t>(first), rows,
+                               sizeof(real));
+        });
+        expect_counters_eq(with_traffic(got.counters, want), got.counters,
+                           name + " spmv_csr_vector vs=" +
+                               std::to_string(vs) +
+                               (texture ? " tex" : " no-tex"));
+      }
+    }
+
+    // The templates pick VS by Eq. 4 and always bind gathers to texture.
+    const int vs = kernels::vector_size_for(X.mean_nnz_per_row());
+    const auto ext = random_vector(m, 2);
+    const auto u = random_vector(m, 3);
+    const auto z = random_vector(n, 4);
+    const auto per_row = [&](bool gathers, int extra_row_loads,
+                             usize resident_bytes) {
+      vgpu::MemCounters want;
+      vgpu::MemTracker mem(want);
+      const bool resident = kernels::tex_resident(spec, resident_bytes);
+      if (resident) kernels::charge_tex_fill(mem, spec, resident_bytes);
+      for_each_warp(X, vs, [&](long long first, int rows) {
+        const auto row0 = static_cast<std::uint64_t>(first);
+        mem.load_contiguous(row0, rows + 1, sizeof(offset_t));
+        recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+        for (int g = 0; g < (resident ? 0 : (gathers ? 2 : 1)); ++g) {
+          recount_pass(mem, X, first, rows, vs, sizeof(real), true,
+                       vgpu::MemPath::kTexture);
+        }
+        for (int e = 0; e < extra_row_loads; ++e) {
+          mem.load_contiguous(row0, rows, sizeof(real));
+        }
+        mem.store_contiguous(row0, rows, sizeof(real));
+      });
+      return want;
+    };
+    const auto masked = kernels::dev_masked_spmv(dev, X, X.values(), y);
+    expect_counters_eq(
+        with_traffic(masked.counters, per_row(false, 0, n * sizeof(real))),
+        masked.counters, name + " masked_spmv");
+    kernels::EwiseProgram program;
+    program.num_inputs = 2;
+    kernels::EwiseStep mul;
+    mul.op = kernels::EwiseOp::kMul;
+    mul.a = 0;
+    mul.b = 1;
+    program.steps.push_back(mul);
+    const std::span<const real> ext_span(ext);
+    const auto row =
+        kernels::dev_fused_row(dev, X, y, program, {&ext_span, 1});
+    expect_counters_eq(
+        with_traffic(row.counters, per_row(false, 1, n * sizeof(real))),
+        row.counters, name + " fused_row");
+    const auto sddmm = kernels::dev_fused_sddmm(
+        dev, X, u, y, z, [](real x) { return x * x; });
+    expect_counters_eq(
+        with_traffic(sddmm.counters, per_row(true, 1, 2 * n * sizeof(real))),
+        sddmm.counters, name + " fused_sddmm");
+  }
+}
+
+TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
+  vgpu::Device dev;
+  const auto& spec = dev.spec();
+  for (const auto& [name, X] : sweep_cases()) {
+    const auto n = static_cast<usize>(X.cols());
+    const auto m = static_cast<usize>(X.rows());
+    const auto p = random_vector(m, 5);
+    const auto y = random_vector(n, 6);
+    const auto z = random_vector(n, 7);
+    const double mu = X.mean_nnz_per_row();
+    for (int vs = 1; vs <= 32; vs *= 2) {
+      const std::string at = name + " vs=" + std::to_string(vs);
+      {
+        kernels::SpmvOptions opts;
+        opts.vector_size = vs;
+        const auto got = kernels::spmv_t_atomic_scatter(dev, X, p, opts);
+        vgpu::MemCounters want;
+        vgpu::MemTracker mem(want);
+        for_each_warp(X, vs, [&](long long first, int rows) {
+          const auto row0 = static_cast<std::uint64_t>(first);
+          mem.load_contiguous(row0, rows + 1, sizeof(offset_t));
+          mem.load_contiguous(row0, rows, sizeof(real));
+          recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+        });
+        expect_counters_eq(with_traffic(got.counters, want), got.counters,
+                           at + " spmv_t_atomic_scatter");
+      }
+      for (auto aggregation :
+           {tuner::Aggregation::kShared, tuner::Aggregation::kGlobal}) {
+        if (aggregation == tuner::Aggregation::kShared &&
+            !tuner::shared_aggregation_feasible(spec, X.cols(), vs)) {
+          continue;
+        }
+        kernels::FusedSparseOptions opts;
+        opts.vector_size = vs;
+        opts.aggregation = aggregation;
+        const std::string agg =
+            aggregation == tuner::Aggregation::kShared ? " shared" : " global";
+        {
+          const auto got = kernels::fused_spmv_t(dev, X, p, 1.5, opts);
+          vgpu::MemCounters want;
+          vgpu::MemTracker mem(want);
+          for_each_warp(X, vs, [&](long long first, int rows) {
+            const auto row0 = static_cast<std::uint64_t>(first);
+            mem.load_contiguous(row0, rows + 1, sizeof(offset_t));
+            mem.load_contiguous(row0, rows, sizeof(real));
+            recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+          });
+          expect_counters_eq(with_traffic(got.counters, want), got.counters,
+                             at + agg + " fused_spmv_t");
+        }
+        for (bool texture : {true, false}) {
+          opts.texture_y = texture;
+          const auto got =
+              kernels::fused_pattern_sparse(dev, 0.5, X, p, y, 2.0, z, opts);
+          // §3's L2 condition for the second pass, from the launch's
+          // occupancy.
+          const auto params = kernels::fused_sparse_params(dev, X, opts);
+          const double active_vectors =
+              static_cast<double>(params.occupancy.active_threads_per_sm) /
+              vs * spec.num_sms;
+          const vgpu::MemPath pass2 =
+              active_vectors * mu * (sizeof(real) + sizeof(index_t)) <=
+                      static_cast<double>(spec.l2_bytes)
+                  ? vgpu::MemPath::kL2
+                  : vgpu::MemPath::kDram;
+          const bool resident =
+              texture && kernels::tex_resident(spec, n * sizeof(real));
+          vgpu::MemCounters want;
+          vgpu::MemTracker mem(want);
+          if (resident) {
+            kernels::charge_tex_fill(mem, spec, n * sizeof(real));
+          }
+          for (usize i0 = 0; i0 < n; i0 += 32) {  // beta * z
+            const auto lanes = static_cast<int>(std::min<usize>(32, n - i0));
+            mem.load_contiguous(i0, lanes, sizeof(real));
+          }
+          for_each_warp(X, vs, [&](long long first, int rows) {
+            const auto row0 = static_cast<std::uint64_t>(first);
+            mem.load_contiguous(row0, rows + 1, sizeof(offset_t));
+            mem.load_contiguous(row0, rows, sizeof(real));  // v
+            recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+            if (!resident) {
+              recount_pass(mem, X, first, rows, vs, sizeof(real), true,
+                           texture ? vgpu::MemPath::kTexture
+                                   : vgpu::MemPath::kDram);
+            }
+            recount_data(mem, X, first, rows, vs, pass2);
+          });
+          expect_counters_eq(with_traffic(got.counters, want), got.counters,
+                             at + agg + (texture ? " tex" : " no-tex") +
+                                 " fused_pattern_sparse");
+        }
+      }
+    }
+  }
+}
 
 // --- Coalescing-model invariants -------------------------------------------------
 
