@@ -116,7 +116,12 @@ static int run_bench(int argc, char** argv) {
     LoadResult r;
     r.stats = server.drain();
     r.status = server.status();
-    r.latency = server.latency_samples();
+    // Modeled latency (queue wait + execution) of every request that
+    // reached a worker — completed, deadline-exceeded, or failed.
+    for (const auto& h : handles) {
+      const serve::ServeOutcome& o = h.wait();
+      if (o.worker >= 0) r.latency.push_back(o.queue_wait_ms + o.modeled_ms);
+    }
     r.wall_modeled_ms = r.stats.modeled_now_ms;
     std::sort(r.latency.begin(), r.latency.end());
     // Surface whatever --slo-report / --flight-recorder asked for, per

@@ -455,7 +455,6 @@ void Server::count_outcome(const ServeOutcome& o) {
   if (o.worker >= 0) {
     std::lock_guard lock(agg_mutex_);
     resilience_total_ += o.resilience;
-    latency_samples_.push_back(o.queue_wait_ms + o.modeled_ms);
   }
   slo_.record(o);
   if (opts_.flight_recorder) {
@@ -536,11 +535,6 @@ ServeStats Server::stats() const {
   s.quarantine_reentries = device_health_.reentries();
   s.readmissions = readmissions_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::vector<double> Server::latency_samples() const {
-  std::lock_guard lock(agg_mutex_);
-  return latency_samples_;
 }
 
 ServerStatus Server::status() const {

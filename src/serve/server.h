@@ -134,10 +134,6 @@ class Server {
   /// The pool's modeled clock (ms): executed modeled time / workers.
   double now_ms() const;
 
-  /// Modeled latency (queue wait + execution) of every request that reached
-  /// a worker — completed, deadline-exceeded, or failed. For percentiles.
-  std::vector<double> latency_samples() const;
-
   BreakerBoard& breakers() { return breakers_; }
   DeviceHealthBoard& device_health() { return device_health_; }
   const DevicePool& pool() const { return pool_; }
@@ -169,9 +165,8 @@ class Server {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> readmissions_{0};
 
-  mutable std::mutex agg_mutex_;  // guards the two aggregates below
+  mutable std::mutex agg_mutex_;  // guards the aggregate below
   ResilienceStats resilience_total_;
-  std::vector<double> latency_samples_;
 
   // Observability: per-class SLO accounting (always on) and the flight
   // recorder (ring always records when enabled; anomaly detection uses
