@@ -27,22 +27,7 @@ std::uint64_t new_segments(offset_t i0, int lanes, usize elem_bytes,
   return fresh;
 }
 
-const la::WarpTable& lookup(const la::CsrMatrix& X, int vs) {
-  bool built = false;
-  const la::WarpTable& table =
-      X.warp_table(vs, [&] { return build_warp_table(X, vs); }, &built);
-  if (obs::metrics().enabled()) {
-    static obs::Counter& builds =
-        obs::metrics().counter("kernels.warp_table_builds");
-    static obs::Counter& hits =
-        obs::metrics().counter("kernels.warp_table_hits");
-    (built ? builds : hits).add();
-  }
-  return table;
-}
-
-}  // namespace
-
+/// Sweeps every warp of X at vector size `vs` access by access.
 la::WarpTable build_warp_table(const la::CsrMatrix& X, int vs) {
   const int rows_per_warp = std::max(1, 32 / vs);
   const long long m = X.rows();
@@ -64,7 +49,7 @@ la::WarpTable build_warp_table(const la::CsrMatrix& X, int vs) {
       max_len = std::max(max_len, end[v] - start[v]);
     }
     la::WarpSweep& out = table[w];
-    // At each step the warp's lanes cover chunk k of every vector's row.
+    // Step by step, the warp's lanes read chunk i/VS of every vector's row.
     for (offset_t i = 0; i < max_len; i += vs) {
       std::uint64_t last_value = ~0ull;
       std::uint64_t last_col = ~0ull;
@@ -87,6 +72,22 @@ la::WarpTable build_warp_table(const la::CsrMatrix& X, int vs) {
   }
   return table;
 }
+
+const la::WarpTable& lookup(const la::CsrMatrix& X, int vs) {
+  bool built = false;
+  const la::WarpTable& table =
+      X.warp_table(vs, [&] { return build_warp_table(X, vs); }, &built);
+  if (obs::metrics().enabled()) {
+    static obs::Counter& builds =
+        obs::metrics().counter("kernels.warp_table_builds");
+    static obs::Counter& hits =
+        obs::metrics().counter("kernels.warp_table_hits");
+    (built ? builds : hits).add();
+  }
+  return table;
+}
+
+}  // namespace
 
 WarpTraffic::WarpTraffic(const la::CsrMatrix& X, int vs)
     : table_(lookup(X, vs)),

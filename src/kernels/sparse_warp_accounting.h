@@ -22,10 +22,6 @@
 
 namespace fusedml::kernels::detail {
 
-/// Sweeps every warp of X at vector size `vs` access by access — the
-/// table builder, exposed for tests.
-la::WarpTable build_warp_table(const la::CsrMatrix& X, int vs);
-
 /// X's warp-pass traffic at one VS, looked up (or built) once per launch,
 /// before dev.launch. Warps must start at multiples of 32/VS, which every
 /// sparse kernel's geometry guarantees.
