@@ -10,6 +10,15 @@ namespace {
 // transposed writes) reach roughly a third of stream bandwidth on a
 // dual-channel desktop part; dense gemv streams near the default.
 constexpr double kSparseCpuEfficiency = 0.55;
+
+/// The pattern's BLAS-1 traffic: v ⊙ and beta * z each stream two more
+/// vectors.
+std::uint64_t pattern_blas1_bytes(index_t m, index_t n, bool has_v,
+                                  bool has_z) {
+  return (static_cast<std::uint64_t>(m) * (has_v ? 3 : 1) +
+          static_cast<std::uint64_t>(n) * (has_z ? 3 : 1)) *
+         sizeof(real);
+}
 }  // namespace
 
 std::uint64_t CpuBackend::sparse_bytes(const la::CsrMatrix& X) const {
@@ -90,17 +99,6 @@ CpuOpResult CpuBackend::pattern(real alpha, const la::CsrMatrix& X,
   out.modeled_ms = pattern_ms(X, !v.empty(), !z.empty());
   return out;
 }
-
-namespace {
-/// The pattern's BLAS-1 traffic: v ⊙ and beta * z each stream two more
-/// vectors.
-std::uint64_t pattern_blas1_bytes(index_t m, index_t n, bool has_v,
-                                  bool has_z) {
-  return (static_cast<std::uint64_t>(m) * (has_v ? 3 : 1) +
-          static_cast<std::uint64_t>(n) * (has_z ? 3 : 1)) *
-         sizeof(real);
-}
-}  // namespace
 
 double CpuBackend::pattern_ms(const la::CsrMatrix& X, bool has_v,
                               bool has_z) const {

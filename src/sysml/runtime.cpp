@@ -294,7 +294,8 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
   const auto* Xs = sparse(Xid);
   const auto* Xd = dense(Xid);
   FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "pattern needs a matrix");
-  // What the same op would cost on the CPU, priced without running it.
+  // What the same op would have cost on the CPU (Table 6 row 2), priced
+  // without running it.
   const auto cpu_pattern_ms = [&] {
     return Xs != nullptr ? cpu().pattern_ms(*Xs, !v.empty(), !z.empty())
                          : cpu().pattern_ms(*Xd, !v.empty(), !z.empty());
@@ -382,7 +383,6 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
              : (has_bz ? "pattern[bz]" : "pattern"),
        true);
   if (o.backend_used != kernels::Backend::kCpu) {
-    // What the same op would have cost on the CPU (Table 6 row 2).
     stats_.pattern_cpu_equiv_ms += cpu_pattern_ms();
   }
   return emit(std::move(o), "pattern_out");
