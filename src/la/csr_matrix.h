@@ -81,10 +81,10 @@ class CsrMatrix {
   /// keeps it) and it is freed with the last copy. One lock per call.
   template <typename Build>
   const WarpTable& warp_table(int vs, Build&& build, bool* built) const {
-    FUSEDML_CHECK(vs >= 1 && vs <= 32 && std::has_single_bit(
-                                              static_cast<unsigned>(vs)),
-                  "sparse vector size must be a power of two in [1, 32], "
-                  "got " + std::to_string(vs));
+    FUSEDML_CHECK(
+        vs >= 1 && vs <= 32 && std::has_single_bit(static_cast<unsigned>(vs)),
+        "sparse vector size must be a power of two in [1, 32], got " +
+            std::to_string(vs));
     std::unique_ptr<const WarpTable>& slot =
         tables_->by_vs[static_cast<usize>(std::countr_zero(
             static_cast<unsigned>(vs)))];

@@ -408,6 +408,12 @@ TEST(FusedSparseGeometry, RejectsBlockOverridesThatSplitAWarp) {
         << e.what();
   }
   EXPECT_THROW(fused_pattern_sparse(dev, 1, X, {}, y, 0, {}, opts), Error);
+  // The warp accounting knows only VS that divide a warp.
+  for (int vs : {3, 64}) {
+    SpmvOptions spmv_opts;
+    spmv_opts.vector_size = vs;
+    EXPECT_THROW(spmv_csr_vector(dev, X, y, spmv_opts), Error) << vs;
+  }
   for (int bs : {32, 64, 96}) {
     opts.block_size = bs;
     expect_vectors_near(la::reference::spmv_transposed(X, p),
