@@ -108,16 +108,18 @@ static int run_bench(int argc, char** argv) {
     const auto m = scaled_extent(11000000, scale);
     const auto X = la::higgs_like(m, 28, seed);
     const auto y = la::regression_labels(X, seed, 0.1);
-    run_row(table, detail, json, "higgs", "HIGGS-like (1/" + bench::fmt(scale, 0) + ")", X,
-            y, higgs_iters, "1.2x", "11.2x");
+    run_row(table, detail, json, "higgs",
+            "HIGGS-like (1/" + bench::fmt(scale, 0) + ")", X, y, higgs_iters,
+            "1.2x", "11.2x");
   }
   {
     const auto m = scaled_extent(15009374, scale);
     const auto n = scaled_extent(29890095, scale);
     const auto X = la::kdd_like(m, n, 28.0, 1.5, seed + 1);
     const auto y = la::regression_labels(X, seed + 1, 0.1);
-    run_row(table, detail, json, "kdd", "KDD-like (1/" + bench::fmt(scale, 0) + ")", X, y,
-            kdd_iters, "1.9x", "4.1x");
+    run_row(table, detail, json, "kdd",
+            "KDD-like (1/" + bench::fmt(scale, 0) + ")", X, y, kdd_iters,
+            "1.9x", "4.1x");
   }
 
   std::cout << table;
