@@ -59,126 +59,40 @@ DotSums host_dot(std::span<const real> x, std::span<const real> y) {
   }
   return s;
 }
+
+/// X's row and column sums, built once per matrix (la/checksums.h).
+std::shared_ptr<const la::MatrixSums> sums_for(la::MatrixRef X) {
+  return X.checksums().sums([&] {
+    la::MatrixSums s;
+    s.row_sums.assign(static_cast<usize>(X.rows()), real{0});
+    s.col_sums.assign(static_cast<usize>(X.cols()), real{0});
+    X.for_each_entry([&](index_t r, usize, index_t c, real x) {
+      s.row_sums[static_cast<usize>(r)] += x;
+      s.col_sums[static_cast<usize>(c)] += x;
+    });
+    return s;
+  });
+}
+
+/// k = X^T (v ⊙ rowsum(X)), rebuilt when v's contents change (GLM IRLS
+/// outer iterations) and reused by the inner CG iterations.
+std::shared_ptr<const la::PatternSums> pattern_checksum(
+    la::MatrixRef X, std::span<const real> v) {
+  return X.checksums().pattern(v, [&] {
+    const auto sums = sums_for(X);
+    std::vector<real> coeff(static_cast<usize>(X.rows()));
+    for (usize r = 0; r < coeff.size(); ++r) {
+      coeff[r] = sums->row_sums[r] * (v.empty() ? real{1} : v[r]);
+    }
+    std::vector<real> k(static_cast<usize>(X.cols()), real{0});
+    X.for_each_entry([&](index_t r, usize, index_t c, real x) {
+      const real cr = coeff[static_cast<usize>(r)];
+      if (cr != real{0}) k[static_cast<usize>(c)] += x * cr;
+    });
+    return k;
+  });
+}
 }  // namespace
-
-usize AbftVerifier::MatKeyHash::operator()(const MatKey& k) const {
-  usize h = std::hash<const void*>{}(k.data);
-  const auto mix = [&h](usize v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<usize>(k.rows));
-  mix(static_cast<usize>(k.cols));
-  mix(static_cast<usize>(k.nnz));
-  return h;
-}
-
-const AbftVerifier::MatSums& AbftVerifier::sums_for(const la::CsrMatrix& X) {
-  const MatKey key{X.values().data(), X.rows(), X.cols(),
-                   static_cast<std::uint64_t>(X.nnz())};
-  auto it = mat_sums_.find(key);
-  if (it != mat_sums_.end()) return it->second;
-  MatSums s;
-  s.row_sums.assign(static_cast<usize>(X.rows()), real{0});
-  s.col_sums.assign(static_cast<usize>(X.cols()), real{0});
-  const auto vals = X.values();
-  const auto cols = X.col_idx();
-  for (index_t r = 0; r < X.rows(); ++r) {
-    real rs = 0;
-    for (offset_t p = X.row_begin(r); p < X.row_end(r); ++p) {
-      const real v = vals[static_cast<usize>(p)];
-      rs += v;
-      s.col_sums[static_cast<usize>(cols[static_cast<usize>(p)])] += v;
-    }
-    s.row_sums[static_cast<usize>(r)] = rs;
-  }
-  return mat_sums_.emplace(key, std::move(s)).first->second;
-}
-
-const AbftVerifier::MatSums& AbftVerifier::sums_for(const la::DenseMatrix& X) {
-  const MatKey key{X.data().data(), X.rows(), X.cols(), 0};
-  auto it = mat_sums_.find(key);
-  if (it != mat_sums_.end()) return it->second;
-  MatSums s;
-  s.row_sums.assign(static_cast<usize>(X.rows()), real{0});
-  s.col_sums.assign(static_cast<usize>(X.cols()), real{0});
-  for (index_t r = 0; r < X.rows(); ++r) {
-    const auto row = X.row(r);
-    real rs = 0;
-    for (index_t c = 0; c < X.cols(); ++c) {
-      rs += row[static_cast<usize>(c)];
-      s.col_sums[static_cast<usize>(c)] += row[static_cast<usize>(c)];
-    }
-    s.row_sums[static_cast<usize>(r)] = rs;
-  }
-  return mat_sums_.emplace(key, std::move(s)).first->second;
-}
-
-const std::vector<real>& AbftVerifier::pattern_checksum(
-    const la::CsrMatrix& X, std::span<const real> v) {
-  const MatKey key{X.values().data(), X.rows(), X.cols(),
-                   static_cast<std::uint64_t>(X.nnz())};
-  auto& entry = pattern_sums_[key];
-  const HostSums vs = v.empty() ? HostSums{} : host_sums(v);
-  const bool fresh =
-      entry.k.empty() || entry.v_data != (v.empty() ? nullptr : v.data()) ||
-      entry.v_size != v.size() || entry.v_sum != vs.sum ||
-      entry.v_first != (v.empty() ? real{0} : v.front()) ||
-      entry.v_last != (v.empty() ? real{0} : v.back());
-  if (fresh) {
-    const auto& sums = sums_for(X);
-    entry.k.assign(static_cast<usize>(X.cols()), real{0});
-    const auto vals = X.values();
-    const auto cols = X.col_idx();
-    for (index_t r = 0; r < X.rows(); ++r) {
-      const real coeff =
-          sums.row_sums[static_cast<usize>(r)] *
-          (v.empty() ? real{1} : v[static_cast<usize>(r)]);
-      if (coeff == real{0}) continue;
-      for (offset_t p = X.row_begin(r); p < X.row_end(r); ++p) {
-        entry.k[static_cast<usize>(cols[static_cast<usize>(p)])] +=
-            vals[static_cast<usize>(p)] * coeff;
-      }
-    }
-    entry.v_data = v.empty() ? nullptr : v.data();
-    entry.v_size = v.size();
-    entry.v_sum = vs.sum;
-    entry.v_first = v.empty() ? real{0} : v.front();
-    entry.v_last = v.empty() ? real{0} : v.back();
-  }
-  return entry.k;
-}
-
-const std::vector<real>& AbftVerifier::pattern_checksum(
-    const la::DenseMatrix& X, std::span<const real> v) {
-  const MatKey key{X.data().data(), X.rows(), X.cols(), 0};
-  auto& entry = pattern_sums_[key];
-  const HostSums vs = v.empty() ? HostSums{} : host_sums(v);
-  const bool fresh =
-      entry.k.empty() || entry.v_data != (v.empty() ? nullptr : v.data()) ||
-      entry.v_size != v.size() || entry.v_sum != vs.sum ||
-      entry.v_first != (v.empty() ? real{0} : v.front()) ||
-      entry.v_last != (v.empty() ? real{0} : v.back());
-  if (fresh) {
-    const auto& sums = sums_for(X);
-    entry.k.assign(static_cast<usize>(X.cols()), real{0});
-    for (index_t r = 0; r < X.rows(); ++r) {
-      const real coeff =
-          sums.row_sums[static_cast<usize>(r)] *
-          (v.empty() ? real{1} : v[static_cast<usize>(r)]);
-      if (coeff == real{0}) continue;
-      const auto row = X.row(r);
-      for (index_t c = 0; c < X.cols(); ++c) {
-        entry.k[static_cast<usize>(c)] += row[static_cast<usize>(c)] * coeff;
-      }
-    }
-    entry.v_data = v.empty() ? nullptr : v.data();
-    entry.v_size = v.size();
-    entry.v_sum = vs.sum;
-    entry.v_first = v.empty() ? real{0} : v.front();
-    entry.v_last = v.empty() ? real{0} : v.back();
-  }
-  return entry.k;
-}
 
 real AbftVerifier::device_sum(std::span<const real> w, VerifyCharge& charge) {
   auto& ones = ones_[w.size()];
@@ -233,57 +147,26 @@ void AbftVerifier::compare(const char* what, real observed, real expected,
 }
 
 VerifyCharge AbftVerifier::check_product(std::span<const real> p,
-                                         const la::CsrMatrix& X,
+                                         la::MatrixRef X,
                                          std::span<const real> y) {
   obs::TraceSpan span("verify:product", "verify", obs::Track::kDispatch);
   VerifyCharge charge;
   const real observed = device_sum(p, charge);
-  const auto& sums = sums_for(X);
-  const DotSums exp = host_dot(sums.col_sums, y);
-  if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
-  conclude("product", observed, exp.dot, exp.abs_dot, charge);
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_product(std::span<const real> p,
-                                         const la::DenseMatrix& X,
-                                         std::span<const real> y) {
-  obs::TraceSpan span("verify:product", "verify", obs::Track::kDispatch);
-  VerifyCharge charge;
-  const real observed = device_sum(p, charge);
-  const auto& sums = sums_for(X);
-  const DotSums exp = host_dot(sums.col_sums, y);
+  const DotSums exp = host_dot(sums_for(X)->col_sums, y);
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("product", observed, exp.dot, exp.abs_dot, charge);
   return charge;
 }
 
 VerifyCharge AbftVerifier::check_transposed_product(std::span<const real> w,
-                                                    const la::CsrMatrix& X,
+                                                    la::MatrixRef X,
                                                     std::span<const real> y,
                                                     real alpha) {
   obs::TraceSpan span("verify:transposed_product", "verify",
                       obs::Track::kDispatch);
   VerifyCharge charge;
   const real observed = device_sum(w, charge);
-  const auto& sums = sums_for(X);
-  const DotSums exp = host_dot(sums.row_sums, y);
-  if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
-  conclude("transposed_product", observed, alpha * exp.dot,
-           std::abs(alpha) * exp.abs_dot, charge);
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_transposed_product(std::span<const real> w,
-                                                    const la::DenseMatrix& X,
-                                                    std::span<const real> y,
-                                                    real alpha) {
-  obs::TraceSpan span("verify:transposed_product", "verify",
-                      obs::Track::kDispatch);
-  VerifyCharge charge;
-  const real observed = device_sum(w, charge);
-  const auto& sums = sums_for(X);
-  const DotSums exp = host_dot(sums.row_sums, y);
+  const DotSums exp = host_dot(sums_for(X)->row_sums, y);
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("transposed_product", observed, alpha * exp.dot,
            std::abs(alpha) * exp.abs_dot, charge);
@@ -291,34 +174,14 @@ VerifyCharge AbftVerifier::check_transposed_product(std::span<const real> w,
 }
 
 VerifyCharge AbftVerifier::check_pattern(std::span<const real> w, real alpha,
-                                         const la::CsrMatrix& X,
+                                         la::MatrixRef X,
                                          std::span<const real> v,
                                          std::span<const real> y, real beta,
                                          std::span<const real> z) {
   obs::TraceSpan span("verify:pattern", "verify", obs::Track::kDispatch);
   VerifyCharge charge;
   const real observed = device_sum(w, charge);
-  const auto& k = pattern_checksum(X, v);
-  const DotSums ky = host_dot(k, y);
-  const HostSums zs = z.empty() ? HostSums{} : host_sums(z);
-  const real expected = alpha * ky.dot + beta * zs.sum;
-  const real scale =
-      std::abs(alpha) * ky.abs_dot + std::abs(beta) * zs.abs_sum;
-  if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
-  conclude("pattern", observed, expected, scale, charge);
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_pattern(std::span<const real> w, real alpha,
-                                         const la::DenseMatrix& X,
-                                         std::span<const real> v,
-                                         std::span<const real> y, real beta,
-                                         std::span<const real> z) {
-  obs::TraceSpan span("verify:pattern", "verify", obs::Track::kDispatch);
-  VerifyCharge charge;
-  const real observed = device_sum(w, charge);
-  const auto& k = pattern_checksum(X, v);
-  const DotSums ky = host_dot(k, y);
+  const DotSums ky = host_dot(pattern_checksum(X, v)->k, y);
   const HostSums zs = z.empty() ? HostSums{} : host_sums(z);
   const real expected = alpha * ky.dot + beta * zs.sum;
   const real scale =
@@ -417,97 +280,59 @@ VerifyCharge AbftVerifier::check_outer_map(std::span<const real> out,
 }
 
 VerifyCharge AbftVerifier::check_sparse_mask(std::span<const real> out,
-                                             const la::CsrMatrix& X,
+                                             la::MatrixRef X,
                                              std::span<const real> om) {
   VerifyCharge charge;
   ++checks_;
   if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
   const auto n = static_cast<usize>(X.cols());
-  for (index_t r = 0; r < X.rows(); ++r) {
-    for (offset_t i = X.row_begin(r); i < X.row_end(r); ++i) {
-      const auto k = static_cast<usize>(i);
-      const real expected =
-          X.values()[k] *
-          om[static_cast<usize>(r) * n + static_cast<usize>(X.col_idx()[k])];
-      compare("sparse_mask", out[k], expected, 0, 0.0);
-    }
-  }
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_sparse_mask(std::span<const real> out,
-                                             const la::DenseMatrix& X,
-                                             std::span<const real> om) {
-  VerifyCharge charge;
-  ++checks_;
-  if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
-  for (usize i = 0; i < out.size(); ++i) {
-    const real expected = X.data()[i] * om[i];
-    compare("sparse_mask", out[i], expected, 0, 0.0);
-  }
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_masked_product(std::span<const real> out,
-                                                const la::CsrMatrix& X,
-                                                std::span<const real> vals,
-                                                std::span<const real> z) {
-  VerifyCharge charge;
-  ++checks_;
-  if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
-  for (index_t r = 0; r < X.rows(); ++r) {
-    real expected = 0;
-    real abs_terms = 0;
-    for (offset_t i = X.row_begin(r); i < X.row_end(r); ++i) {
-      const auto k = static_cast<usize>(i);
-      const real t = vals[k] * z[static_cast<usize>(X.col_idx()[k])];
-      expected += t;
-      abs_terms += std::abs(t);
-    }
-    compare("masked_product", out[static_cast<usize>(r)], expected, abs_terms,
-            0.0);
-  }
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_masked_product(std::span<const real> out,
-                                                const la::DenseMatrix& X,
-                                                std::span<const real> vals,
-                                                std::span<const real> z) {
-  VerifyCharge charge;
-  ++checks_;
-  if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
-  const auto n = static_cast<usize>(X.cols());
-  for (index_t r = 0; r < X.rows(); ++r) {
-    real expected = 0;
-    real abs_terms = 0;
-    for (usize c = 0; c < n; ++c) {
-      const real t = vals[static_cast<usize>(r) * n + c] * z[c];
-      expected += t;
-      abs_terms += std::abs(t);
-    }
-    compare("masked_product", out[static_cast<usize>(r)], expected, abs_terms,
-            0.0);
-  }
+  X.for_each_entry([&](index_t r, usize k, index_t c, real x) {
+    const real expected =
+        x * om[static_cast<usize>(r) * n + static_cast<usize>(c)];
+    compare("sparse_mask", out[k], expected, 0, 0.0);
+  });
   return charge;
 }
 
 namespace {
-/// Row products and their absolute term sums — the reduction-side scale the
-/// fused-row tolerance needs.
-template <typename RowTerms>
-void product_with_scale(index_t rows, RowTerms&& row_terms,
-                        std::vector<real>& product, std::vector<real>& scale) {
-  product.assign(static_cast<usize>(rows), real{0});
-  scale.assign(static_cast<usize>(rows), real{0});
-  for (index_t r = 0; r < rows; ++r) {
-    row_terms(r, product[static_cast<usize>(r)], scale[static_cast<usize>(r)]);
-  }
+/// Per row r of X: the sum of term(r, k, c, x) over the row's entries and
+/// the sum of their absolute values — the reduction-side tolerance scale.
+struct RowTerms {
+  std::vector<real> sum;
+  std::vector<real> abs_sum;
+};
+template <typename Term>
+RowTerms row_terms(la::MatrixRef X, Term&& term) {
+  RowTerms s;
+  s.sum.assign(static_cast<usize>(X.rows()), real{0});
+  s.abs_sum.assign(static_cast<usize>(X.rows()), real{0});
+  X.for_each_entry([&](index_t r, usize k, index_t c, real x) {
+    const auto ri = static_cast<usize>(r);
+    const real t = term(ri, k, static_cast<usize>(c), x);
+    s.sum[ri] += t;
+    s.abs_sum[ri] += std::abs(t);
+  });
+  return s;
 }
 }  // namespace
 
+VerifyCharge AbftVerifier::check_masked_product(std::span<const real> out,
+                                                la::MatrixRef X,
+                                                std::span<const real> vals,
+                                                std::span<const real> z) {
+  VerifyCharge charge;
+  ++checks_;
+  if (obs::metrics().enabled()) obs::metrics().counter("verify.checks").add();
+  const RowTerms exp = row_terms(
+      X, [&](usize, usize k, usize c, real) { return vals[k] * z[c]; });
+  for (usize r = 0; r < exp.sum.size(); ++r) {
+    compare("masked_product", out[r], exp.sum[r], exp.abs_sum[r], 0.0);
+  }
+  return charge;
+}
+
 VerifyCharge AbftVerifier::check_fused_row(
-    std::span<const real> out, const la::CsrMatrix& X, std::span<const real> y,
+    std::span<const real> out, la::MatrixRef X, std::span<const real> y,
     const EwiseProgram& program, std::span<const std::span<const real>> ext) {
   obs::TraceSpan span("verify:fused_row", "verify", obs::Track::kDispatch);
   VerifyCharge charge;
@@ -515,134 +340,48 @@ VerifyCharge AbftVerifier::check_fused_row(
   // (same idiom as the product/pattern checks), then screen per element on
   // the host — the nonlinear maps in the program rule out a pure checksum.
   const real observed = device_sum(out, charge);
-  std::vector<real> product, scale;
-  product_with_scale(X.rows(),
-                     [&](index_t r, real& p, real& s) {
-                       for (offset_t i = X.row_begin(r); i < X.row_end(r);
-                            ++i) {
-                         const auto k = static_cast<usize>(i);
-                         const real t =
-                             X.values()[k] *
-                             y[static_cast<usize>(X.col_idx()[k])];
-                         p += t;
-                         s += std::abs(t);
-                       }
-                     },
-                     product, scale);
+  const RowTerms product =
+      row_terms(X, [&](usize, usize, usize c, real x) { return x * y[c]; });
   std::vector<std::span<const real>> inputs;
   inputs.reserve(ext.size() + 1);
-  inputs.emplace_back(product);
+  inputs.emplace_back(product.sum);
   for (const auto& e : ext) inputs.push_back(e);
   const auto expected = program.evaluate(inputs);
   real exp_sum = 0;
   real exp_scale = 0;
   for (usize i = 0; i < expected.size(); ++i) {
     exp_sum += expected[i];
-    exp_scale += std::abs(expected[i]) + scale[i];
+    exp_scale += std::abs(expected[i]) + product.abs_sum[i];
   }
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("fused_row", observed, exp_sum, exp_scale, charge);
   for (usize i = 0; i < out.size(); ++i) {
-    compare("fused_row", out[i], expected[i], scale[i], charge.modeled_ms);
-  }
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_fused_row(
-    std::span<const real> out, const la::DenseMatrix& X,
-    std::span<const real> y, const EwiseProgram& program,
-    std::span<const std::span<const real>> ext) {
-  obs::TraceSpan span("verify:fused_row", "verify", obs::Track::kDispatch);
-  VerifyCharge charge;
-  const real observed = device_sum(out, charge);
-  const auto n = static_cast<usize>(X.cols());
-  std::vector<real> product, scale;
-  product_with_scale(X.rows(),
-                     [&](index_t r, real& p, real& s) {
-                       const auto row = X.row(r);
-                       for (usize c = 0; c < n; ++c) {
-                         const real t = row[c] * y[c];
-                         p += t;
-                         s += std::abs(t);
-                       }
-                     },
-                     product, scale);
-  std::vector<std::span<const real>> inputs;
-  inputs.reserve(ext.size() + 1);
-  inputs.emplace_back(product);
-  for (const auto& e : ext) inputs.push_back(e);
-  const auto expected = program.evaluate(inputs);
-  real exp_sum = 0;
-  real exp_scale = 0;
-  for (usize i = 0; i < expected.size(); ++i) {
-    exp_sum += expected[i];
-    exp_scale += std::abs(expected[i]) + scale[i];
-  }
-  if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
-  conclude("fused_row", observed, exp_sum, exp_scale, charge);
-  for (usize i = 0; i < out.size(); ++i) {
-    compare("fused_row", out[i], expected[i], scale[i], charge.modeled_ms);
+    compare("fused_row", out[i], expected[i], product.abs_sum[i],
+            charge.modeled_ms);
   }
   return charge;
 }
 
 VerifyCharge AbftVerifier::check_fused_sddmm(
-    std::span<const real> out, const la::CsrMatrix& X, std::span<const real> u,
+    std::span<const real> out, la::MatrixRef X, std::span<const real> u,
     std::span<const real> v, std::span<const real> z, real (*f)(real)) {
   obs::TraceSpan span("verify:fused_sddmm", "verify", obs::Track::kDispatch);
   VerifyCharge charge;
   const real observed = device_sum(out, charge);
-  std::vector<real> expected(static_cast<usize>(X.rows()), real{0});
-  std::vector<real> scale(static_cast<usize>(X.rows()), real{0});
+  const RowTerms exp = row_terms(X, [&](usize r, usize, usize c, real x) {
+    return x * f(u[r] * v[c]) * z[c];
+  });
   real exp_sum = 0;
   real exp_scale = 0;
-  for (index_t r = 0; r < X.rows(); ++r) {
-    const auto ri = static_cast<usize>(r);
-    for (offset_t i = X.row_begin(r); i < X.row_end(r); ++i) {
-      const auto k = static_cast<usize>(i);
-      const auto col = static_cast<usize>(X.col_idx()[k]);
-      const real t = X.values()[k] * f(u[ri] * v[col]) * z[col];
-      expected[ri] += t;
-      scale[ri] += std::abs(t);
-    }
-    exp_sum += expected[ri];
-    exp_scale += std::abs(expected[ri]) + scale[ri];
+  for (usize r = 0; r < exp.sum.size(); ++r) {
+    exp_sum += exp.sum[r];
+    exp_scale += std::abs(exp.sum[r]) + exp.abs_sum[r];
   }
   if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
   conclude("fused_sddmm", observed, exp_sum, exp_scale, charge);
   for (usize i = 0; i < out.size(); ++i) {
-    compare("fused_sddmm", out[i], expected[i], scale[i], charge.modeled_ms);
-  }
-  return charge;
-}
-
-VerifyCharge AbftVerifier::check_fused_sddmm(
-    std::span<const real> out, const la::DenseMatrix& X,
-    std::span<const real> u, std::span<const real> v, std::span<const real> z,
-    real (*f)(real)) {
-  obs::TraceSpan span("verify:fused_sddmm", "verify", obs::Track::kDispatch);
-  VerifyCharge charge;
-  const real observed = device_sum(out, charge);
-  const auto n = static_cast<usize>(X.cols());
-  std::vector<real> expected(static_cast<usize>(X.rows()), real{0});
-  std::vector<real> scale(static_cast<usize>(X.rows()), real{0});
-  real exp_sum = 0;
-  real exp_scale = 0;
-  for (index_t r = 0; r < X.rows(); ++r) {
-    const auto ri = static_cast<usize>(r);
-    const auto row = X.row(r);
-    for (usize c = 0; c < n; ++c) {
-      const real t = row[c] * f(u[ri] * v[c]) * z[c];
-      expected[ri] += t;
-      scale[ri] += std::abs(t);
-    }
-    exp_sum += expected[ri];
-    exp_scale += std::abs(expected[ri]) + scale[ri];
-  }
-  if (span.active()) span.cover_modeled_ms(charge.modeled_ms);
-  conclude("fused_sddmm", observed, exp_sum, exp_scale, charge);
-  for (usize i = 0; i < out.size(); ++i) {
-    compare("fused_sddmm", out[i], expected[i], scale[i], charge.modeled_ms);
+    compare("fused_sddmm", out[i], exp.sum[i], exp.abs_sum[i],
+            charge.modeled_ms);
   }
   return charge;
 }

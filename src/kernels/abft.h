@@ -4,17 +4,22 @@
 // perturbs a kernel's output without raising any error).
 //
 // The matrix ops are verified Huang–Abraham style with precomputed checksum
-// vectors, cached per matrix so the per-call check is one cheap reduction:
+// vectors, so the per-call check is one cheap reduction:
 //   product            p = X*y          : sum(p)  ?=  <colsum(X), y>
 //   transposed product w = a*X^T*y      : sum(w)  ?=  a * <rowsum(X), y>
 //   pattern (Eq. 1)    w = a*X^T(v⊙Xy)+bz : sum(w) ?= a * <k, y> + b * sum(z)
-//                      with k = X^T (v ⊙ rowsum(X))   (cached per (X, v))
-// The observed-side sum runs as ONE device reduction launch (dev_dot against
-// a cached ones vector) so verification pays real modeled launch cost —
-// declared via OpProfile::verify_launches and accounted by the planner
-// audit. The elementwise/BLAS-1 ops are verified with host-side redundant
-// arithmetic (sum identities or straight recomputation); those checks issue
-// no device launches.
+//                      with k = X^T (v ⊙ rowsum(X))
+// The checksums are owned by the matrix (la/checksums.h): built on first
+// use, shared by its copies, dropped when its values are reached mutably;
+// k is kept for the last v and rebuilt when v's contents change. The
+// observed-side sum runs as ONE device reduction launch (dev_dot against a
+// cached ones vector), so verification pays real modeled launch cost; the
+// fused_row and fused_sddmm checks issue the same reduction and then
+// screen each output element against a host recomputation. The
+// elementwise/BLAS-1, sparse_mask and masked_product checks are host-side
+// redundant arithmetic (sum identities or straight recomputation) and
+// issue no device launches. Every check has one body for both storages: it
+// walks X through la::for_each_entry in storage order.
 //
 // Detection contract. The injected perturbation displaces one element by at
 // least (1 + max|value|); checks compare with a relative tolerance of
@@ -42,8 +47,7 @@
 #include "common/types.h"
 #include "kernels/cpu_backend.h"
 #include "kernels/ewise_program.h"
-#include "la/csr_matrix.h"
-#include "la/dense_matrix.h"
+#include "la/matrix_ref.h"
 #include "vgpu/device.h"
 #include "vgpu/mem_counters.h"
 
@@ -99,22 +103,13 @@ class AbftVerifier {
   // All throw SilentCorruptionError on mismatch (penalty = the check's own
   // modeled cost; the registry adds the doomed attempt's cost on rethrow)
   // and NonFiniteError on a NaN/Inf, like every check below.
-  VerifyCharge check_product(std::span<const real> p, const la::CsrMatrix& X,
-                             std::span<const real> y);
-  VerifyCharge check_product(std::span<const real> p, const la::DenseMatrix& X,
+  VerifyCharge check_product(std::span<const real> p, la::MatrixRef X,
                              std::span<const real> y);
   VerifyCharge check_transposed_product(std::span<const real> w,
-                                        const la::CsrMatrix& X,
-                                        std::span<const real> y, real alpha);
-  VerifyCharge check_transposed_product(std::span<const real> w,
-                                        const la::DenseMatrix& X,
+                                        la::MatrixRef X,
                                         std::span<const real> y, real alpha);
   VerifyCharge check_pattern(std::span<const real> w, real alpha,
-                             const la::CsrMatrix& X, std::span<const real> v,
-                             std::span<const real> y, real beta,
-                             std::span<const real> z);
-  VerifyCharge check_pattern(std::span<const real> w, real alpha,
-                             const la::DenseMatrix& X, std::span<const real> v,
+                             la::MatrixRef X, std::span<const real> v,
                              std::span<const real> y, real beta,
                              std::span<const real> z);
 
@@ -135,44 +130,26 @@ class AbftVerifier {
                                  const EwiseProgram& program,
                                  std::span<const std::span<const real>> inputs);
 
-  // --- Sparsity-template checks (host-side recomputation, launch-free) ---
-  // The row/sddmm family is verified by redundant host arithmetic over the
-  // same per-element expressions the kernels evaluate; the reduction-style
-  // checks scale their tolerance by the row's absolute term sum so
-  // device-vs-host summation order never false-positives.
+  // --- Sparsity-template checks -------------------------------------------
+  // Redundant host arithmetic over the same per-element expressions the
+  // kernels evaluate; the reduction-style checks scale their tolerance by
+  // the row's absolute term sum so device-vs-host summation order never
+  // false-positives. outer_map, sparse_mask and masked_product are
+  // launch-free; fused_row and fused_sddmm first read their output back
+  // through one device reduction.
   VerifyCharge check_outer_map(std::span<const real> out,
                                std::span<const real> u,
                                std::span<const real> v, real (*f)(real));
-  VerifyCharge check_sparse_mask(std::span<const real> out,
-                                 const la::CsrMatrix& X,
+  VerifyCharge check_sparse_mask(std::span<const real> out, la::MatrixRef X,
                                  std::span<const real> om);
-  VerifyCharge check_sparse_mask(std::span<const real> out,
-                                 const la::DenseMatrix& X,
-                                 std::span<const real> om);
-  VerifyCharge check_masked_product(std::span<const real> out,
-                                    const la::CsrMatrix& X,
+  VerifyCharge check_masked_product(std::span<const real> out, la::MatrixRef X,
                                     std::span<const real> vals,
                                     std::span<const real> z);
-  VerifyCharge check_masked_product(std::span<const real> out,
-                                    const la::DenseMatrix& X,
-                                    std::span<const real> vals,
-                                    std::span<const real> z);
-  VerifyCharge check_fused_row(std::span<const real> out,
-                               const la::CsrMatrix& X, std::span<const real> y,
-                               const EwiseProgram& program,
-                               std::span<const std::span<const real>> ext);
-  VerifyCharge check_fused_row(std::span<const real> out,
-                               const la::DenseMatrix& X,
+  VerifyCharge check_fused_row(std::span<const real> out, la::MatrixRef X,
                                std::span<const real> y,
                                const EwiseProgram& program,
                                std::span<const std::span<const real>> ext);
-  VerifyCharge check_fused_sddmm(std::span<const real> out,
-                                 const la::CsrMatrix& X,
-                                 std::span<const real> u,
-                                 std::span<const real> v,
-                                 std::span<const real> z, real (*f)(real));
-  VerifyCharge check_fused_sddmm(std::span<const real> out,
-                                 const la::DenseMatrix& X,
+  VerifyCharge check_fused_sddmm(std::span<const real> out, la::MatrixRef X,
                                  std::span<const real> u,
                                  std::span<const real> v,
                                  std::span<const real> z, real (*f)(real));
@@ -180,40 +157,6 @@ class AbftVerifier {
   static HostSums host_sums(std::span<const real> x);
 
  private:
-  struct MatKey {
-    const void* data = nullptr;
-    index_t rows = 0;
-    index_t cols = 0;
-    std::uint64_t nnz = 0;
-    bool operator==(const MatKey&) const = default;
-  };
-  struct MatKeyHash {
-    usize operator()(const MatKey& k) const;
-  };
-  /// Per-matrix checksum vectors, computed once on the host.
-  struct MatSums {
-    std::vector<real> row_sums;  ///< r_i = sum_j X(i,j)
-    std::vector<real> col_sums;  ///< c_j = sum_i X(i,j)
-  };
-  /// Per-(matrix, v) pattern checksum k = X^T (v ⊙ rowsum(X)), with a cheap
-  /// content fingerprint of v so a changed weight vector (GLM IRLS outer
-  /// iterations) recomputes k while the inner CG iterations reuse it.
-  struct PatternChecksum {
-    std::vector<real> k;
-    const void* v_data = nullptr;
-    usize v_size = 0;
-    real v_sum = 0;
-    real v_first = 0;
-    real v_last = 0;
-  };
-
-  const MatSums& sums_for(const la::CsrMatrix& X);
-  const MatSums& sums_for(const la::DenseMatrix& X);
-  const std::vector<real>& pattern_checksum(const la::CsrMatrix& X,
-                                            std::span<const real> v);
-  const std::vector<real>& pattern_checksum(const la::DenseMatrix& X,
-                                            std::span<const real> v);
-
   /// The observed-side checksum: one dev_dot launch of `w` against a cached
   /// ones vector. Folds the launch into `charge`. If the reduction launch
   /// itself draws a silent-corruption fault, the check cannot be trusted —
@@ -238,8 +181,6 @@ class AbftVerifier {
   std::uint64_t spot_counter_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t mismatches_ = 0;
-  std::unordered_map<MatKey, MatSums, MatKeyHash> mat_sums_;
-  std::unordered_map<MatKey, PatternChecksum, MatKeyHash> pattern_sums_;
   std::unordered_map<usize, std::vector<real>> ones_;
 };
 

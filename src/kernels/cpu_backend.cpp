@@ -11,6 +11,44 @@ namespace {
 // dual-channel desktop part; dense gemv streams near the default.
 constexpr double kSparseCpuEfficiency = 0.55;
 
+/// The storage-specific terms of the cost formulas below.
+struct Footprint {
+  std::uint64_t matrix = 0;      ///< bytes one pass over X moves
+  std::uint64_t product = 0;     ///< bytes of X * y, vectors included
+  std::uint64_t transposed = 0;  ///< bytes of X^T * y, vectors included
+  double efficiency = -1.0;      ///< bandwidth efficiency; < 0: the default
+};
+
+/// CSR: nnz values + indices + row offsets, and the in/out vectors, which
+/// every CSR formula charges; the transposed walk scatters into w, so it
+/// pays an extra output pass.
+Footprint footprint(const la::CsrMatrix& X) {
+  Footprint f;
+  f.matrix = static_cast<std::uint64_t>(X.nnz()) *
+                 (sizeof(real) + sizeof(index_t)) +
+             (static_cast<std::uint64_t>(X.rows()) + X.cols()) * sizeof(real) +
+             static_cast<std::uint64_t>(X.rows() + 1) * sizeof(offset_t);
+  f.product = f.matrix;
+  f.transposed =
+      f.matrix + static_cast<std::uint64_t>(X.cols()) * sizeof(real);
+  f.efficiency = kSparseCpuEfficiency;
+  return f;
+}
+
+/// Dense: the values; only the products charge their in/out vectors.
+Footprint footprint(const la::DenseMatrix& X) {
+  Footprint f;
+  f.matrix = X.bytes();
+  f.product = X.bytes() + (static_cast<std::uint64_t>(X.rows()) + X.cols()) *
+                              sizeof(real);
+  f.transposed = f.product;
+  return f;
+}
+
+Footprint footprint(la::MatrixRef X) {
+  return X.visit([](const auto& M) { return footprint(M); });
+}
+
 /// The pattern's BLAS-1 traffic: v ⊙ and beta * z each stream two more
 /// vectors.
 std::uint64_t pattern_blas1_bytes(index_t m, index_t n, bool has_v,
@@ -21,112 +59,56 @@ std::uint64_t pattern_blas1_bytes(index_t m, index_t n, bool has_v,
 }
 }  // namespace
 
-std::uint64_t CpuBackend::sparse_bytes(const la::CsrMatrix& X) const {
-  return static_cast<std::uint64_t>(X.nnz()) *
-             (sizeof(real) + sizeof(index_t)) +
-         (static_cast<std::uint64_t>(X.rows()) + X.cols()) * sizeof(real) +
-         static_cast<std::uint64_t>(X.rows() + 1) * sizeof(offset_t);
-}
-
-CpuOpResult CpuBackend::spmv(const la::CsrMatrix& X,
-                             std::span<const real> y) const {
+CpuOpResult CpuBackend::product(la::MatrixRef X,
+                                std::span<const real> y) const {
   Timer t;
   CpuOpResult out;
-  out.value = la::reference::spmv(X, y);
+  out.value = X.sparse() ? la::reference::spmv(*X.csr(), y)
+                         : la::reference::gemv(*X.dense(), y);
   out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
-      sparse_bytes(X), 2ull * static_cast<std::uint64_t>(X.nnz()), threads_,
-      kSparseCpuEfficiency);
+  const Footprint fp = footprint(X);
+  out.modeled_ms =
+      model_.op_time_ms(fp.product, 2 * X.entries(), threads_, fp.efficiency);
   return out;
 }
 
-CpuOpResult CpuBackend::spmv_t(const la::CsrMatrix& X,
-                               std::span<const real> y) const {
+CpuOpResult CpuBackend::transposed_product(la::MatrixRef X,
+                                           std::span<const real> y) const {
   Timer t;
   CpuOpResult out;
-  out.value = la::reference::spmv_transposed(X, y);
+  out.value = X.sparse() ? la::reference::spmv_transposed(*X.csr(), y)
+                         : la::reference::gemv_transposed(*X.dense(), y);
   out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = spmv_t_ms(X);
+  out.modeled_ms = transposed_product_ms(X);
   return out;
 }
 
-double CpuBackend::spmv_t_ms(const la::CsrMatrix& X) const {
-  // The transposed walk scatters into w; charge an extra output pass.
-  return model_.op_time_ms(
-      sparse_bytes(X) + static_cast<std::uint64_t>(X.cols()) * sizeof(real),
-      2ull * static_cast<std::uint64_t>(X.nnz()), threads_,
-      kSparseCpuEfficiency);
+double CpuBackend::transposed_product_ms(la::MatrixRef X) const {
+  const Footprint fp = footprint(X);
+  return model_.op_time_ms(fp.transposed, 2 * X.entries(), threads_,
+                           fp.efficiency);
 }
 
-CpuOpResult CpuBackend::gemv(const la::DenseMatrix& X,
-                             std::span<const real> y) const {
-  Timer t;
-  CpuOpResult out;
-  out.value = la::reference::gemv(X, y);
-  out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
-      X.bytes() + (static_cast<std::uint64_t>(X.rows()) + X.cols()) *
-                      sizeof(real),
-      2ull * X.data().size(), threads_);
-  return out;
-}
-
-CpuOpResult CpuBackend::gemv_t(const la::DenseMatrix& X,
-                               std::span<const real> p) const {
-  Timer t;
-  CpuOpResult out;
-  out.value = la::reference::gemv_transposed(X, p);
-  out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = gemv_t_ms(X);
-  return out;
-}
-
-double CpuBackend::gemv_t_ms(const la::DenseMatrix& X) const {
-  return model_.op_time_ms(
-      X.bytes() + (static_cast<std::uint64_t>(X.rows()) + X.cols()) *
-                      sizeof(real),
-      2ull * X.data().size(), threads_);
-}
-
-CpuOpResult CpuBackend::pattern(real alpha, const la::CsrMatrix& X,
+CpuOpResult CpuBackend::pattern(real alpha, la::MatrixRef X,
                                 std::span<const real> v,
                                 std::span<const real> y, real beta,
                                 std::span<const real> z) const {
   Timer t;
   CpuOpResult out;
-  out.value = la::reference::pattern(alpha, X, v, y, beta, z);
+  out.value = X.visit([&](const auto& M) {
+    return la::reference::pattern(alpha, M, v, y, beta, z);
+  });
   out.wall_ms = t.elapsed_ms();
   out.modeled_ms = pattern_ms(X, !v.empty(), !z.empty());
   return out;
 }
 
-double CpuBackend::pattern_ms(const la::CsrMatrix& X, bool has_v,
-                              bool has_z) const {
+double CpuBackend::pattern_ms(la::MatrixRef X, bool has_v, bool has_z) const {
   // Two passes over X (product + transposed product) plus the BLAS-1 work.
+  const Footprint fp = footprint(X);
   return model_.op_time_ms(
-      2 * sparse_bytes(X) +
-          pattern_blas1_bytes(X.rows(), X.cols(), has_v, has_z),
-      4ull * static_cast<std::uint64_t>(X.nnz()), threads_,
-      kSparseCpuEfficiency);
-}
-
-CpuOpResult CpuBackend::pattern(real alpha, const la::DenseMatrix& X,
-                                std::span<const real> v,
-                                std::span<const real> y, real beta,
-                                std::span<const real> z) const {
-  Timer t;
-  CpuOpResult out;
-  out.value = la::reference::pattern(alpha, X, v, y, beta, z);
-  out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = pattern_ms(X, !v.empty(), !z.empty());
-  return out;
-}
-
-double CpuBackend::pattern_ms(const la::DenseMatrix& X, bool has_v,
-                              bool has_z) const {
-  return model_.op_time_ms(
-      2 * X.bytes() + pattern_blas1_bytes(X.rows(), X.cols(), has_v, has_z),
-      4ull * X.data().size(), threads_);
+      2 * fp.matrix + pattern_blas1_bytes(X.rows(), X.cols(), has_v, has_z),
+      4 * X.entries(), threads_, fp.efficiency);
 }
 
 namespace {
@@ -232,79 +214,36 @@ CpuOpResult CpuBackend::outer_map(std::span<const real> u,
   return out;
 }
 
-CpuOpResult CpuBackend::mask_values(const la::CsrMatrix& X,
+CpuOpResult CpuBackend::mask_values(la::MatrixRef X,
                                     std::span<const real> om) const {
   Timer t;
   CpuOpResult out;
   const auto n = static_cast<usize>(X.cols());
-  out.value.resize(static_cast<usize>(X.nnz()));
-  for (index_t r = 0; r < X.rows(); ++r) {
-    for (offset_t i = X.row_begin(r); i < X.row_end(r); ++i) {
-      const auto k = static_cast<usize>(i);
-      out.value[k] =
-          X.values()[k] *
-          om[static_cast<usize>(r) * n + static_cast<usize>(X.col_idx()[k])];
-    }
-  }
+  out.value.resize(static_cast<usize>(X.entries()));
+  X.for_each_entry([&](index_t r, usize k, index_t c, real x) {
+    out.value[k] = x * om[static_cast<usize>(r) * n + static_cast<usize>(c)];
+  });
   out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
-      sparse_bytes(X) + vec_bytes(out.value.size(), 2), out.value.size(),
-      threads_, kSparseCpuEfficiency);
-  return out;
-}
-
-CpuOpResult CpuBackend::mask_values(const la::DenseMatrix& X,
-                                    std::span<const real> om) const {
-  Timer t;
-  CpuOpResult out;
-  out.value.resize(X.data().size());
-  for (usize i = 0; i < out.value.size(); ++i) {
-    out.value[i] = X.data()[i] * om[i];
-  }
-  out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(vec_bytes(out.value.size(), 3),
-                                     out.value.size(), threads_);
-  return out;
-}
-
-CpuOpResult CpuBackend::masked_spmv(const la::CsrMatrix& X,
-                                    std::span<const real> vals,
-                                    std::span<const real> z) const {
-  Timer t;
-  CpuOpResult out;
-  out.value.assign(static_cast<usize>(X.rows()), real{0});
-  for (index_t r = 0; r < X.rows(); ++r) {
-    real s = 0;
-    for (offset_t i = X.row_begin(r); i < X.row_end(r); ++i) {
-      const auto k = static_cast<usize>(i);
-      s += vals[k] * z[static_cast<usize>(X.col_idx()[k])];
-    }
-    out.value[static_cast<usize>(r)] = s;
-  }
-  out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
-      sparse_bytes(X), 2ull * static_cast<std::uint64_t>(X.nnz()), threads_,
-      kSparseCpuEfficiency);
-  return out;
-}
-
-CpuOpResult CpuBackend::masked_gemv(const la::DenseMatrix& X,
-                                    std::span<const real> vals,
-                                    std::span<const real> z) const {
-  Timer t;
-  CpuOpResult out;
-  const auto n = static_cast<usize>(X.cols());
-  out.value.assign(static_cast<usize>(X.rows()), real{0});
-  for (index_t r = 0; r < X.rows(); ++r) {
-    real s = 0;
-    for (usize c = 0; c < n; ++c) {
-      s += vals[static_cast<usize>(r) * n + c] * z[c];
-    }
-    out.value[static_cast<usize>(r)] = s;
-  }
-  out.wall_ms = t.elapsed_ms();
+  const Footprint fp = footprint(X);
   out.modeled_ms =
-      model_.op_time_ms(X.bytes(), 2ull * X.data().size(), threads_);
+      model_.op_time_ms(fp.matrix + vec_bytes(out.value.size(), 2),
+                        out.value.size(), threads_, fp.efficiency);
+  return out;
+}
+
+CpuOpResult CpuBackend::masked_product(la::MatrixRef X,
+                                       std::span<const real> vals,
+                                       std::span<const real> z) const {
+  Timer t;
+  CpuOpResult out;
+  out.value.assign(static_cast<usize>(X.rows()), real{0});
+  X.for_each_entry([&](index_t r, usize k, index_t c, real) {
+    out.value[static_cast<usize>(r)] += vals[k] * z[static_cast<usize>(c)];
+  });
+  out.wall_ms = t.elapsed_ms();
+  const Footprint fp = footprint(X);
+  out.modeled_ms =
+      model_.op_time_ms(fp.matrix, 2 * X.entries(), threads_, fp.efficiency);
   return out;
 }
 
@@ -324,86 +263,42 @@ std::vector<real> row_epilogue(const EwiseProgram& program,
 }  // namespace
 
 CpuOpResult CpuBackend::fused_row(
-    const la::CsrMatrix& X, std::span<const real> y,
-    const EwiseProgram& program,
+    la::MatrixRef X, std::span<const real> y, const EwiseProgram& program,
     std::span<const std::span<const real>> ext) const {
   Timer t;
   CpuOpResult out;
-  out.value = row_epilogue(program, la::reference::spmv(X, y), ext);
+  out.value = row_epilogue(program,
+                           X.sparse() ? la::reference::spmv(*X.csr(), y)
+                                      : la::reference::gemv(*X.dense(), y),
+                           ext);
   out.wall_ms = t.elapsed_ms();
+  const Footprint fp = footprint(X);
   out.modeled_ms = model_.op_time_ms(
-      sparse_bytes(X) + vec_bytes(out.value.size(),
-                                  static_cast<int>(ext.size()) + 1),
-      2ull * static_cast<std::uint64_t>(X.nnz()) +
-          program.flops_per_element() * out.value.size(),
-      threads_, kSparseCpuEfficiency);
+      fp.matrix +
+          vec_bytes(out.value.size(), static_cast<int>(ext.size()) + 1),
+      2 * X.entries() + program.flops_per_element() * out.value.size(),
+      threads_, fp.efficiency);
   return out;
 }
 
-CpuOpResult CpuBackend::fused_row(
-    const la::DenseMatrix& X, std::span<const real> y,
-    const EwiseProgram& program,
-    std::span<const std::span<const real>> ext) const {
-  Timer t;
-  CpuOpResult out;
-  out.value = row_epilogue(program, la::reference::gemv(X, y), ext);
-  out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
-      X.bytes() + vec_bytes(out.value.size(),
-                            static_cast<int>(ext.size()) + 1),
-      2ull * X.data().size() +
-          program.flops_per_element() * out.value.size(),
-      threads_);
-  return out;
-}
-
-CpuOpResult CpuBackend::fused_sddmm(const la::CsrMatrix& X,
-                                    std::span<const real> u,
+CpuOpResult CpuBackend::fused_sddmm(la::MatrixRef X, std::span<const real> u,
                                     std::span<const real> v,
                                     std::span<const real> z,
                                     real (*f)(real)) const {
   Timer t;
   CpuOpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  for (index_t r = 0; r < X.rows(); ++r) {
-    real s = 0;
-    for (offset_t i = X.row_begin(r); i < X.row_end(r); ++i) {
-      const auto k = static_cast<usize>(i);
-      const auto col = static_cast<usize>(X.col_idx()[k]);
-      // Term for term the unfused chain: mask then masked product.
-      const real masked = X.values()[k] * f(u[static_cast<usize>(r)] * v[col]);
-      s += masked * z[col];
-    }
-    out.value[static_cast<usize>(r)] = s;
-  }
+  X.for_each_entry([&](index_t r, usize, index_t c, real x) {
+    const auto ri = static_cast<usize>(r);
+    const auto ci = static_cast<usize>(c);
+    // Term for term the unfused chain: mask then masked product.
+    const real masked = x * f(u[ri] * v[ci]);
+    out.value[ri] += masked * z[ci];
+  });
   out.wall_ms = t.elapsed_ms();
-  out.modeled_ms = model_.op_time_ms(
-      sparse_bytes(X), 7ull * static_cast<std::uint64_t>(X.nnz()), threads_,
-      kSparseCpuEfficiency);
-  return out;
-}
-
-CpuOpResult CpuBackend::fused_sddmm(const la::DenseMatrix& X,
-                                    std::span<const real> u,
-                                    std::span<const real> v,
-                                    std::span<const real> z,
-                                    real (*f)(real)) const {
-  Timer t;
-  CpuOpResult out;
-  const auto n = static_cast<usize>(X.cols());
-  out.value.assign(static_cast<usize>(X.rows()), real{0});
-  for (index_t r = 0; r < X.rows(); ++r) {
-    const auto row = X.row(r);
-    real s = 0;
-    for (usize c = 0; c < n; ++c) {
-      const real masked = row[c] * f(u[static_cast<usize>(r)] * v[c]);
-      s += masked * z[c];
-    }
-    out.value[static_cast<usize>(r)] = s;
-  }
-  out.wall_ms = t.elapsed_ms();
+  const Footprint fp = footprint(X);
   out.modeled_ms =
-      model_.op_time_ms(X.bytes(), 7ull * X.data().size(), threads_);
+      model_.op_time_ms(fp.matrix, 7 * X.entries(), threads_, fp.efficiency);
   return out;
 }
 

@@ -15,8 +15,7 @@
 
 #include "common/types.h"
 #include "kernels/ewise_program.h"
-#include "la/csr_matrix.h"
-#include "la/dense_matrix.h"
+#include "la/matrix_ref.h"
 #include "vgpu/cost_model.h"
 
 namespace fusedml::kernels {
@@ -35,27 +34,23 @@ class CpuBackend {
 
   int threads() const { return threads_; }
 
-  // Matrix-vector products.
-  CpuOpResult spmv(const la::CsrMatrix& X, std::span<const real> y) const;
-  CpuOpResult spmv_t(const la::CsrMatrix& X, std::span<const real> y) const;
-  CpuOpResult gemv(const la::DenseMatrix& X, std::span<const real> y) const;
-  CpuOpResult gemv_t(const la::DenseMatrix& X, std::span<const real> p) const;
+  // Matrix-vector products. Each matrix op has one body for both storages:
+  // it runs the storage's la::reference oracle or one la::for_each_entry
+  // walk, and prices the storage's footprint.
+  CpuOpResult product(la::MatrixRef X, std::span<const real> y) const;
+  CpuOpResult transposed_product(la::MatrixRef X,
+                                 std::span<const real> y) const;
 
   // Whole-pattern evaluations (MKL would run these as two products plus
   // BLAS-1 calls; bytes are charged accordingly).
-  CpuOpResult pattern(real alpha, const la::CsrMatrix& X,
-                      std::span<const real> v, std::span<const real> y,
-                      real beta, std::span<const real> z) const;
-  CpuOpResult pattern(real alpha, const la::DenseMatrix& X,
-                      std::span<const real> v, std::span<const real> y,
-                      real beta, std::span<const real> z) const;
+  CpuOpResult pattern(real alpha, la::MatrixRef X, std::span<const real> v,
+                      std::span<const real> y, real beta,
+                      std::span<const real> z) const;
 
   // Cost-only twins: the modeled_ms the op above would return, priced from
   // shapes alone without running it (the op itself calls these).
-  double spmv_t_ms(const la::CsrMatrix& X) const;
-  double gemv_t_ms(const la::DenseMatrix& X) const;
-  double pattern_ms(const la::CsrMatrix& X, bool has_v, bool has_z) const;
-  double pattern_ms(const la::DenseMatrix& X, bool has_v, bool has_z) const;
+  double transposed_product_ms(la::MatrixRef X) const;
+  double pattern_ms(la::MatrixRef X, bool has_v, bool has_z) const;
 
   // BLAS-1.
   CpuOpResult axpy(real alpha, std::span<const real> x,
@@ -77,38 +72,24 @@ class CpuBackend {
   /// The m*n values of f(u v^T), row-major.
   CpuOpResult outer_map(std::span<const real> u, std::span<const real> v,
                         real (*f)(real)) const;
-  /// X's values scaled by an outer-map at X's nonzeros / densely.
-  CpuOpResult mask_values(const la::CsrMatrix& X,
-                          std::span<const real> om) const;
-  CpuOpResult mask_values(const la::DenseMatrix& X,
-                          std::span<const real> om) const;
+  /// X's values scaled by an outer-map at X's stored entries.
+  CpuOpResult mask_values(la::MatrixRef X, std::span<const real> om) const;
   /// M * z where M is X's structure with substituted values.
-  CpuOpResult masked_spmv(const la::CsrMatrix& X, std::span<const real> vals,
-                          std::span<const real> z) const;
-  CpuOpResult masked_gemv(const la::DenseMatrix& X, std::span<const real> vals,
-                          std::span<const real> z) const;
+  CpuOpResult masked_product(la::MatrixRef X, std::span<const real> vals,
+                             std::span<const real> z) const;
 
   // Fused template kernels (CPU analogues, bit-exact with the unfused CPU
   // chains they replace).
-  CpuOpResult fused_row(const la::CsrMatrix& X, std::span<const real> y,
+  CpuOpResult fused_row(la::MatrixRef X, std::span<const real> y,
                         const EwiseProgram& program,
                         std::span<const std::span<const real>> ext) const;
-  CpuOpResult fused_row(const la::DenseMatrix& X, std::span<const real> y,
-                        const EwiseProgram& program,
-                        std::span<const std::span<const real>> ext) const;
-  CpuOpResult fused_sddmm(const la::CsrMatrix& X, std::span<const real> u,
-                          std::span<const real> v, std::span<const real> z,
-                          real (*f)(real)) const;
-  CpuOpResult fused_sddmm(const la::DenseMatrix& X, std::span<const real> u,
+  CpuOpResult fused_sddmm(la::MatrixRef X, std::span<const real> u,
                           std::span<const real> v, std::span<const real> z,
                           real (*f)(real)) const;
 
  private:
   vgpu::CpuCostModel model_;
   int threads_;
-
-  /// Sparse product footprint: nnz values + indices + in/out vectors.
-  std::uint64_t sparse_bytes(const la::CsrMatrix& X) const;
 };
 
 }  // namespace fusedml::kernels

@@ -56,126 +56,59 @@ const char* to_string(RegistryOp op) {
   return "?";
 }
 
-OpProfile op_profile(RegistryOp op, Backend backend, bool sparse) {
-  const bool cpu = backend == Backend::kCpu;
+OpProfile op_profile(RegistryOp op, bool sparse) {
   OpProfile p;
-  if (cpu) p.launches = 0;
   switch (op) {
     case RegistryOp::kPattern:
-      // Fused: ONE launch, one product pass + one (cached) transpose pass.
-      // Baselines: product, ewise mul, beta*z init, transpose machinery,
-      // transposed product — each its own launch and its own pass.
-      if (backend == Backend::kFused) {
-        p.matrix_passes = sparse ? 1.25 : 1.0;  // second pass mostly cached
-        p.vector_words_per_elem = 4;            // y in, v in, z in, w out
-        p.kernel = sparse ? "fused_pattern_sparse (Alg. 2)"
-                          : "fused_pattern_dense (Alg. 3, codegen)";
-      } else if (cpu) {
-        p.matrix_passes = 2.0;
-        p.vector_words_per_elem = 6;
-        p.kernel = "cpu pattern";
-      } else {
-        p.launches = backend == Backend::kCusparse ? 6 : 5;
-        p.matrix_passes = backend == Backend::kCusparse ? 3.0 : 2.0;
-        p.vector_words_per_elem = 8;  // intermediates hit DRAM between kernels
-        p.kernel = backend == Backend::kCusparse
-                       ? "csrmv + blas1 + csr2csc + csrmv"
-                       : "csrmv + blas1 + atomic-scatter";
-      }
+      // ONE launch, one product pass + one (cached) transpose pass.
+      p.matrix_passes = sparse ? 1.25 : 1.0;  // second pass mostly cached
+      p.vector_words_per_elem = 4;            // y in, v in, z in, w out
       break;
     case RegistryOp::kTransposedProduct:
-      if (backend == Backend::kFused) {
-        p.matrix_passes = 1.0;
-        p.vector_words_per_elem = 2;
-        p.kernel = sparse ? "fused_spmv_t (Alg. 1)" : "gemv_t";
-      } else if (cpu) {
-        p.matrix_passes = 1.0;
-        p.vector_words_per_elem = 2;
-        p.kernel = sparse ? "cpu spmv_t" : "cpu gemv_t";
-      } else {
-        p.launches = sparse && backend == Backend::kCusparse ? 2 : 1;
-        p.matrix_passes = sparse && backend == Backend::kCusparse ? 2.0 : 1.0;
-        p.vector_words_per_elem = 2;
-        p.kernel = sparse ? (backend == Backend::kCusparse
-                                 ? "csr2csc + csrmv"
-                                 : "atomic-scatter spmv_t")
-                          : "gemv_t";
-      }
-      break;
     case RegistryOp::kProduct:
       p.matrix_passes = 1.0;
       p.vector_words_per_elem = 2;
-      p.kernel = cpu ? (sparse ? "cpu spmv" : "cpu gemv")
-                     : (sparse ? "csrmv" : "gemv");
       break;
     case RegistryOp::kAxpy:
+    case RegistryOp::kEwiseMul:
       p.vector_words_per_elem = 3;
-      p.in_place = true;
-      p.kernel = "axpy";
       break;
     case RegistryOp::kScal:
-      p.vector_words_per_elem = 2;
-      p.in_place = true;
-      p.kernel = "scal";
-      break;
     case RegistryOp::kDot:
+    case RegistryOp::kMap:
       p.vector_words_per_elem = 2;
-      p.kernel = "dot";
       break;
     case RegistryOp::kNrm2:
       p.vector_words_per_elem = 1;
-      p.kernel = "nrm2";
-      break;
-    case RegistryOp::kEwiseMul:
-      p.vector_words_per_elem = 3;
-      p.kernel = "ewise_mul";
-      break;
-    case RegistryOp::kMap:
-      p.vector_words_per_elem = 2;
-      p.kernel = "map";
       break;
     case RegistryOp::kFusedEwise:
       // Per stream: the planner adds (num_inputs + 1) * n words itself.
       p.vector_words_per_elem = 1;
-      p.kernel = "ewise chain (codegen)";
       break;
     case RegistryOp::kOuterMap:
       // Streaming over the m*n outer-map values; u/v are tiny next to them.
       p.vector_words_per_elem = 2;
-      p.kernel = cpu ? "cpu outer_map" : "outer_map (streaming)";
       break;
     case RegistryOp::kSparseMask:
       // Per stored element: matrix value in, outer-map gather, value out.
       p.vector_words_per_elem = 3;
-      p.kernel = cpu ? "cpu mask_values" : "mask_values";
       break;
     case RegistryOp::kMaskedProduct:
       // Structure pass over X with substituted values — same shape as kProduct.
       p.matrix_passes = 1.0;
       p.vector_words_per_elem = 2;
-      p.kernel = cpu ? (sparse ? "cpu masked spmv" : "cpu masked gemv")
-                     : (sparse ? "masked csrmv" : "masked gemv");
       break;
     case RegistryOp::kFusedRow:
       // One matrix pass plus per-stream words: the planner adds
       // (num_inputs + 1) * rows words itself, like kFusedEwise.
       p.matrix_passes = 1.0;
       p.vector_words_per_elem = 1;
-      p.kernel = sparse ? "fused_row (csr vector)" : "fused_row (dense warp)";
       break;
     case RegistryOp::kFusedSddmm:
       // One pass over nnz(X); u contiguous, v and z gathered, result out.
       p.matrix_passes = 1.0;
       p.vector_words_per_elem = 4;
-      p.kernel = sparse ? "fused_sddmm (csr vector)" : "fused_sddmm (dense)";
       break;
-  }
-  // ABFT cost declaration: a sampled verification of a matrix op issues one
-  // checksum-reduction launch (abft.h); elementwise checks are host-side.
-  if (!cpu && (op == RegistryOp::kPattern ||
-               op == RegistryOp::kTransposedProduct ||
-               op == RegistryOp::kProduct)) {
-    p.verify_launches = 1;
   }
   return p;
 }
@@ -267,19 +200,19 @@ KernelOutcome OpRegistry::on_device(Launch&& launch, Check&& check) {
   return out;
 }
 
-KernelOutcome OpRegistry::transposed_product(Backend b, const la::CsrMatrix& X,
+KernelOutcome OpRegistry::transposed_product(Backend b, la::MatrixRef X,
                                              std::span<const real> y,
                                              real alpha) {
   if (b == Backend::kCpu) {
-    auto op = cpu_.spmv_t(X, y);
+    auto op = cpu_.transposed_product(X, y);
     if (alpha != real{1}) {
       for (real& w : op.value) w *= alpha;
     }
-    return from_cpu(std::move(op), "cpu spmv_t");
+    return from_cpu(std::move(op), X.sparse() ? "cpu spmv_t" : "cpu gemv_t");
   }
-  const auto baseline = [&](SparseTransposeStrategy strategy,
-                            const char* kernel) {
-    auto op = baseline_xty_sparse(dev_, X, y, strategy);
+  // alpha != 1 costs the operator-at-a-time kernels a scal launch; the
+  // fused sparse kernel applies it per term.
+  const auto scaled = [&](OpResult op, const char* kernel) {
     if (alpha != real{1}) {
       auto s = dev_scal(dev_, alpha, op.value);
       op.absorb_timing(s);
@@ -288,16 +221,33 @@ KernelOutcome OpRegistry::transposed_product(Backend b, const la::CsrMatrix& X,
   };
   return on_device(
       [&] {
+        if (const auto* Xd = X.dense()) {
+          // The paper does not fuse dense X^T x y ("we do not consider
+          // X^T x y, when X is dense" — cuBLAS is already near-optimal), so
+          // every GPU backend runs the gemv_t kernel, differing only in
+          // tile modeling.
+          GemvOptions opts;
+          if (b == Backend::kCusparse) {
+            opts.smem_conflict_ways = kCublasConflictWays;
+            opts.transaction_inflation = kCublasTransactionInflation;
+          }
+          return scaled(gemv_t(dev_, *Xd, y, opts), "gemv_t");
+        }
+        const la::CsrMatrix& Xs = *X.csr();
         switch (b) {
           case Backend::kFused:
-            return from_op(fused_spmv_t(dev_, X, y, alpha, sparse_opts_),
+            return from_op(fused_spmv_t(dev_, Xs, y, alpha, sparse_opts_),
                            "fused_spmv_t (Alg. 1)");
           case Backend::kCusparse:
-            return baseline(SparseTransposeStrategy::kExplicitTranspose,
-                            "csr2csc + csrmv");
+            return scaled(baseline_xty_sparse(
+                              dev_, Xs, y,
+                              SparseTransposeStrategy::kExplicitTranspose),
+                          "csr2csc + csrmv");
           case Backend::kBidmatGpu:
-            return baseline(SparseTransposeStrategy::kAtomicScatter,
-                            "atomic-scatter spmv_t");
+            return scaled(
+                baseline_xty_sparse(dev_, Xs, y,
+                                    SparseTransposeStrategy::kAtomicScatter),
+                "atomic-scatter spmv_t");
           default:
             throw Error("unknown backend");
         }
@@ -307,56 +257,20 @@ KernelOutcome OpRegistry::transposed_product(Backend b, const la::CsrMatrix& X,
       });
 }
 
-KernelOutcome OpRegistry::transposed_product(Backend b,
-                                             const la::DenseMatrix& X,
-                                             std::span<const real> y,
-                                             real alpha) {
+KernelOutcome OpRegistry::product(Backend b, la::MatrixRef X,
+                                  std::span<const real> y) {
   if (b == Backend::kCpu) {
-    auto op = cpu_.gemv_t(X, y);
-    if (alpha != real{1}) {
-      for (real& w : op.value) w *= alpha;
-    }
-    return from_cpu(std::move(op), "cpu gemv_t");
-  }
-  // The paper does not fuse dense X^T x y ("we do not consider X^T x y,
-  // when X is dense" — cuBLAS is already near-optimal), so every GPU
-  // backend runs the gemv_t kernel, differing only in tile modeling.
-  GemvOptions opts;
-  if (b == Backend::kCusparse) {
-    opts.smem_conflict_ways = kCublasConflictWays;
-    opts.transaction_inflation = kCublasTransactionInflation;
+    return from_cpu(cpu_.product(X, y), X.sparse() ? "cpu spmv" : "cpu gemv");
   }
   return on_device(
       [&] {
-        auto op = gemv_t(dev_, X, y, opts);
-        if (alpha != real{1}) {
-          auto s = dev_scal(dev_, alpha, op.value);
-          op.absorb_timing(s);
-        }
-        return from_op(std::move(op), "gemv_t");
+        return X.sparse() ? from_op(spmv_csr_vector(dev_, *X.csr(), y), "csrmv")
+                          : from_op(gemv_n(dev_, *X.dense(), y), "gemv");
       },
-      [&](std::span<const real> w) {
-        return sdc_.check_transposed_product(w, X, y, alpha);
-      });
-}
-
-KernelOutcome OpRegistry::product(Backend b, const la::CsrMatrix& X,
-                                  std::span<const real> y) {
-  if (b == Backend::kCpu) return from_cpu(cpu_.spmv(X, y), "cpu spmv");
-  return on_device(
-      [&] { return from_op(spmv_csr_vector(dev_, X, y), "csrmv"); },
       [&](std::span<const real> p) { return sdc_.check_product(p, X, y); });
 }
 
-KernelOutcome OpRegistry::product(Backend b, const la::DenseMatrix& X,
-                                  std::span<const real> y) {
-  if (b == Backend::kCpu) return from_cpu(cpu_.gemv(X, y), "cpu gemv");
-  return on_device(
-      [&] { return from_op(gemv_n(dev_, X, y), "gemv"); },
-      [&](std::span<const real> p) { return sdc_.check_product(p, X, y); });
-}
-
-KernelOutcome OpRegistry::pattern(Backend b, real alpha, const la::CsrMatrix& X,
+KernelOutcome OpRegistry::pattern(Backend b, real alpha, la::MatrixRef X,
                                   std::span<const real> v,
                                   std::span<const real> y, real beta,
                                   std::span<const real> z) {
@@ -365,47 +279,34 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha, const la::CsrMatrix& X,
   }
   return on_device(
       [&] {
-        switch (b) {
-          case Backend::kFused:
-            return from_op(fused_pattern_sparse(dev_, alpha, X, v, y, beta, z,
-                                                sparse_opts_),
-                           "fused_pattern_sparse (Alg. 2)");
-          case Backend::kCusparse:
-            return from_op(baseline_pattern_sparse(
-                               dev_, alpha, X, v, y, beta, z,
-                               SparseTransposeStrategy::kExplicitTranspose),
-                           "csrmv + blas1 + csr2csc + csrmv");
-          case Backend::kBidmatGpu:
-            return from_op(baseline_pattern_sparse(
-                               dev_, alpha, X, v, y, beta, z,
-                               SparseTransposeStrategy::kAtomicScatter),
-                           "csrmv + blas1 + atomic-scatter");
-          default:
-            throw Error("unknown backend");
+        if (const auto* Xs = X.csr()) {
+          switch (b) {
+            case Backend::kFused:
+              return from_op(fused_pattern_sparse(dev_, alpha, *Xs, v, y, beta,
+                                                  z, sparse_opts_),
+                             "fused_pattern_sparse (Alg. 2)");
+            case Backend::kCusparse:
+              return from_op(baseline_pattern_sparse(
+                                 dev_, alpha, *Xs, v, y, beta, z,
+                                 SparseTransposeStrategy::kExplicitTranspose),
+                             "csrmv + blas1 + csr2csc + csrmv");
+            case Backend::kBidmatGpu:
+              return from_op(baseline_pattern_sparse(
+                                 dev_, alpha, *Xs, v, y, beta, z,
+                                 SparseTransposeStrategy::kAtomicScatter),
+                             "csrmv + blas1 + atomic-scatter");
+            default:
+              throw Error("unknown backend");
+          }
         }
-      },
-      [&](std::span<const real> w) {
-        return sdc_.check_pattern(w, alpha, X, v, y, beta, z);
-      });
-}
-
-KernelOutcome OpRegistry::pattern(Backend b, real alpha,
-                                  const la::DenseMatrix& X,
-                                  std::span<const real> v,
-                                  std::span<const real> y, real beta,
-                                  std::span<const real> z) {
-  if (b == Backend::kCpu) {
-    return from_cpu(cpu_.pattern(alpha, X, v, y, beta, z), "cpu pattern");
-  }
-  return on_device(
-      [&] {
+        const la::DenseMatrix& Xd = *X.dense();
         switch (b) {
           case Backend::kFused: {
-            if (!dense_fused_feasible(dev_.spec(), X.cols())) {
+            if (!dense_fused_feasible(dev_.spec(), Xd.cols())) {
               // §3.2: very wide dense rows exceed the register file — fall
               // back to two separate Level-2 kernels instead of fusing.
               return from_op(
-                  baseline_pattern_dense(dev_, alpha, X, v, y, beta, z,
+                  baseline_pattern_dense(dev_, alpha, Xd, v, y, beta, z,
                                          DenseFlavor::kBidmat),
                   "gemv + gemv_t (fused infeasible: n too large, §3.2)");
             }
@@ -413,22 +314,22 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha,
               // §3.2 lifecycle: the kernel for this (n, VS, TL, options)
               // shape is generated once and reused on every subsequent
               // iteration.
-              const auto params = fused_dense_params(dev_, X, dense_opts_);
+              const auto params = fused_dense_params(dev_, Xd, dense_opts_);
               codegen_cache_.dense_kernel(
-                  {X.cols(), params.config.vector_size,
+                  {Xd.cols(), params.config.vector_size,
                    params.config.thread_load, !v.empty(),
                    !z.empty() && beta != real{0}});
             }
-            return from_op(fused_pattern_dense(dev_, alpha, X, v, y, beta, z,
+            return from_op(fused_pattern_dense(dev_, alpha, Xd, v, y, beta, z,
                                                dense_opts_),
                            "fused_pattern_dense (Alg. 3, codegen)");
           }
           case Backend::kCusparse:
-            return from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta,
+            return from_op(baseline_pattern_dense(dev_, alpha, Xd, v, y, beta,
                                                   z, DenseFlavor::kCublas),
                            "gemv + blas1 + gemv_t (cuBLAS tiles)");
           case Backend::kBidmatGpu:
-            return from_op(baseline_pattern_dense(dev_, alpha, X, v, y, beta,
+            return from_op(baseline_pattern_dense(dev_, alpha, Xd, v, y, beta,
                                                   z, DenseFlavor::kBidmat),
                            "gemv + blas1 + gemv_t (padded tiles)");
           default:
@@ -541,97 +442,63 @@ KernelOutcome OpRegistry::outer_map(Backend b, std::span<const real> u,
       });
 }
 
-KernelOutcome OpRegistry::sparse_mask(Backend b, const la::CsrMatrix& X,
+KernelOutcome OpRegistry::sparse_mask(Backend b, la::MatrixRef X,
                                       std::span<const real> om) {
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.mask_values(X, om), "cpu mask_values");
-  }
-  return on_device(
-      [&] { return from_op(dev_mask_values(dev_, X, om), "mask_values"); },
-      [&](std::span<const real> o) {
-        return sdc_.check_sparse_mask(o, X, om);
-      });
-}
-
-KernelOutcome OpRegistry::sparse_mask(Backend b, const la::DenseMatrix& X,
-                                      std::span<const real> om) {
-  if (b == Backend::kCpu) {
-    return from_cpu(cpu_.mask_values(X, om), "cpu mask_values");
-  }
-  return on_device(
-      [&] { return from_op(dev_mask_values(dev_, X, om), "mask_values"); },
-      [&](std::span<const real> o) {
-        return sdc_.check_sparse_mask(o, X, om);
-      });
-}
-
-KernelOutcome OpRegistry::masked_product(Backend b, const la::CsrMatrix& X,
-                                         std::span<const real> vals,
-                                         std::span<const real> z) {
-  if (b == Backend::kCpu) {
-    return from_cpu(cpu_.masked_spmv(X, vals, z), "cpu masked spmv");
   }
   return on_device(
       [&] {
-        return from_op(dev_masked_spmv(dev_, X, vals, z), "masked csrmv");
+        return X.visit([&](const auto& M) {
+          return from_op(dev_mask_values(dev_, M, om), "mask_values");
+        });
+      },
+      [&](std::span<const real> o) {
+        return sdc_.check_sparse_mask(o, X, om);
+      });
+}
+
+KernelOutcome OpRegistry::masked_product(Backend b, la::MatrixRef X,
+                                         std::span<const real> vals,
+                                         std::span<const real> z) {
+  if (b == Backend::kCpu) {
+    return from_cpu(cpu_.masked_product(X, vals, z),
+                    X.sparse() ? "cpu masked spmv" : "cpu masked gemv");
+  }
+  return on_device(
+      [&] {
+        return X.sparse()
+                   ? from_op(dev_masked_spmv(dev_, *X.csr(), vals, z),
+                             "masked csrmv")
+                   : from_op(dev_masked_gemv(dev_, *X.dense(), vals, z),
+                             "masked gemv");
       },
       [&](std::span<const real> o) {
         return sdc_.check_masked_product(o, X, vals, z);
       });
 }
 
-KernelOutcome OpRegistry::masked_product(Backend b, const la::DenseMatrix& X,
-                                         std::span<const real> vals,
-                                         std::span<const real> z) {
-  if (b == Backend::kCpu) {
-    return from_cpu(cpu_.masked_gemv(X, vals, z), "cpu masked gemv");
-  }
-  return on_device(
-      [&] {
-        return from_op(dev_masked_gemv(dev_, X, vals, z), "masked gemv");
-      },
-      [&](std::span<const real> o) {
-        return sdc_.check_masked_product(o, X, vals, z);
-      });
-}
-
-KernelOutcome OpRegistry::fused_row(Backend b, const la::CsrMatrix& X,
-                                    std::span<const real> y,
-                                    const EwiseProgram& program,
-                                    std::span<const std::span<const real>> ext) {
+KernelOutcome OpRegistry::fused_row(
+    Backend b, la::MatrixRef X, std::span<const real> y,
+    const EwiseProgram& program, std::span<const std::span<const real>> ext) {
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.fused_row(X, y, program, ext),
                     "cpu fused row " + program.signature());
   }
   return on_device(
       [&] {
-        return from_op(dev_fused_row(dev_, X, y, program, ext),
-                       "fused_row (csr vector)");
+        return X.visit([&](const auto& M) {
+          return from_op(dev_fused_row(dev_, M, y, program, ext),
+                         X.sparse() ? "fused_row (csr vector)"
+                                    : "fused_row (dense warp)");
+        });
       },
       [&](std::span<const real> o) {
         return sdc_.check_fused_row(o, X, y, program, ext);
       });
 }
 
-KernelOutcome OpRegistry::fused_row(Backend b, const la::DenseMatrix& X,
-                                    std::span<const real> y,
-                                    const EwiseProgram& program,
-                                    std::span<const std::span<const real>> ext) {
-  if (b == Backend::kCpu) {
-    return from_cpu(cpu_.fused_row(X, y, program, ext),
-                    "cpu fused row " + program.signature());
-  }
-  return on_device(
-      [&] {
-        return from_op(dev_fused_row(dev_, X, y, program, ext),
-                       "fused_row (dense warp)");
-      },
-      [&](std::span<const real> o) {
-        return sdc_.check_fused_row(o, X, y, program, ext);
-      });
-}
-
-KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::CsrMatrix& X,
+KernelOutcome OpRegistry::fused_sddmm(Backend b, la::MatrixRef X,
                                       std::span<const real> u,
                                       std::span<const real> v,
                                       std::span<const real> z, real (*f)(real),
@@ -641,26 +508,11 @@ KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::CsrMatrix& X,
   }
   return on_device(
       [&] {
-        return from_op(dev_fused_sddmm(dev_, X, u, v, z, f),
-                       "fused_sddmm (csr vector)");
-      },
-      [&](std::span<const real> o) {
-        return sdc_.check_fused_sddmm(o, X, u, v, z, f);
-      });
-}
-
-KernelOutcome OpRegistry::fused_sddmm(Backend b, const la::DenseMatrix& X,
-                                      std::span<const real> u,
-                                      std::span<const real> v,
-                                      std::span<const real> z, real (*f)(real),
-                                      const std::string& name) {
-  if (b == Backend::kCpu) {
-    return from_cpu(cpu_.fused_sddmm(X, u, v, z, f), "cpu fused sddmm " + name);
-  }
-  return on_device(
-      [&] {
-        return from_op(dev_fused_sddmm(dev_, X, u, v, z, f),
-                       "fused_sddmm (dense)");
+        return X.visit([&](const auto& M) {
+          return from_op(dev_fused_sddmm(dev_, M, u, v, z, f),
+                         X.sparse() ? "fused_sddmm (csr vector)"
+                                    : "fused_sddmm (dense)");
+        });
       },
       [&](std::span<const real> o) {
         return sdc_.check_fused_sddmm(o, X, u, v, z, f);

@@ -10,12 +10,14 @@
 // retry/backoff/degradation loop (execute_resilient). Every GPU body runs the same device frame — arm
 // ABFT, launch, apply injected corruption, verify — through on_device(),
 // except in-place axpy/scal, which spell it out around their input sums.
+// Each matrix op has one body for both storages: it takes a la::MatrixRef,
+// and only the device kernel it launches (and the kernel name a trace
+// shows) is chosen by storage.
 //
-// The registry also *declares* what each (op, backend, storage) pairing
-// costs — launches issued, passes over the matrix, vector words moved per
-// element — via op_profile(). The fusion planner consumes these profiles to
-// score candidate plans with the same arithmetic the virtual device bills,
-// instead of re-deriving per-op constants in a second place.
+// The registry also *declares* what each fused-backend op costs — launches
+// issued, passes over the matrix, vector words moved per element — via
+// op_profile(). The fusion planner scores candidate plans from these
+// profiles instead of re-deriving per-op constants in a second place.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,7 @@
 #include "kernels/fused_dense.h"
 #include "kernels/fused_sparse.h"
 #include "kernels/kernel_cache.h"
-#include "la/csr_matrix.h"
-#include "la/dense_matrix.h"
+#include "la/matrix_ref.h"
 #include "vgpu/device.h"
 
 namespace fusedml::kernels {
@@ -125,30 +126,21 @@ enum class RegistryOp {
 
 const char* to_string(RegistryOp op);
 
-/// Declared cost/resource shape of one (op, backend, storage) entry — the
-/// planner's costing vocabulary. Traffic splits into matrix passes (scaled
-/// by the operand's byte size) and vector words per output element (scaled
-/// by 8 * n); launches each pay the device's launch overhead.
+/// Declared cost shape of one op on the fused backend — the planner's
+/// costing vocabulary. Traffic splits into matrix passes (scaled by the
+/// operand's byte size) and vector words per output element (scaled by
+/// 8 * n); launches each pay the device's launch overhead.
 struct OpProfile {
   std::uint64_t launches = 1;        ///< kernel launches per invocation
   double matrix_passes = 0.0;        ///< streaming passes over the matrix
   double vector_words_per_elem = 0;  ///< vector words moved per element
-  bool in_place = false;             ///< mutates caller memory (snapshot
-                                     ///< before a retried attempt)
-  /// Extra device launches ONE ABFT verification of this entry issues when
-  /// the active VerifyPolicy samples it (kernels/abft.h): the observed-side
-  /// checksum reduction for the matrix ops; the elementwise checks are
-  /// host-side and launch-free. The planner and the plan-vs-actual audit
-  /// use this to account for verification launches separately from the
-  /// plan's own kernels.
-  std::uint64_t verify_launches = 0;
-  const char* kernel = "";           ///< implementation identifier
 };
 
-/// Profile for `op` on `backend`; `sparse` selects the CSR-vs-dense entry
-/// for the matrix ops (ignored elsewhere). kFusedEwise reports traffic per
-/// program input/output stream — the planner adds the program shape itself.
-OpProfile op_profile(RegistryOp op, Backend backend, bool sparse);
+/// Profile for `op` on Backend::kFused; `sparse` selects the CSR-vs-dense
+/// entry for the matrix ops (ignored elsewhere). kFusedEwise and kFusedRow
+/// report traffic per program stream — the planner adds the program shape
+/// itself.
+OpProfile op_profile(RegistryOp op, bool sparse);
 
 /// Everything one registry dispatch produces. Identical accounting across
 /// backends so callers book CPU and GPU outcomes through the same code.
@@ -181,18 +173,10 @@ class OpRegistry {
 
   // --- Single-attempt dispatch bodies (one switch per op, shared by every
   // caller; no retry logic here) -------------------------------------------
-  KernelOutcome transposed_product(Backend b, const la::CsrMatrix& X,
+  KernelOutcome transposed_product(Backend b, la::MatrixRef X,
                                    std::span<const real> y, real alpha);
-  KernelOutcome transposed_product(Backend b, const la::DenseMatrix& X,
-                                   std::span<const real> y, real alpha);
-  KernelOutcome product(Backend b, const la::CsrMatrix& X,
-                        std::span<const real> y);
-  KernelOutcome product(Backend b, const la::DenseMatrix& X,
-                        std::span<const real> y);
-  KernelOutcome pattern(Backend b, real alpha, const la::CsrMatrix& X,
-                        std::span<const real> v, std::span<const real> y,
-                        real beta, std::span<const real> z);
-  KernelOutcome pattern(Backend b, real alpha, const la::DenseMatrix& X,
+  KernelOutcome product(Backend b, la::MatrixRef X, std::span<const real> y);
+  KernelOutcome pattern(Backend b, real alpha, la::MatrixRef X,
                         std::span<const real> v, std::span<const real> y,
                         real beta, std::span<const real> z);
   KernelOutcome axpy(Backend b, real alpha, std::span<const real> x,
@@ -215,30 +199,17 @@ class OpRegistry {
   KernelOutcome outer_map(Backend b, std::span<const real> u,
                           std::span<const real> v, real (*f)(real),
                           const std::string& name);
-  KernelOutcome sparse_mask(Backend b, const la::CsrMatrix& X,
+  KernelOutcome sparse_mask(Backend b, la::MatrixRef X,
                             std::span<const real> om);
-  KernelOutcome sparse_mask(Backend b, const la::DenseMatrix& X,
-                            std::span<const real> om);
-  KernelOutcome masked_product(Backend b, const la::CsrMatrix& X,
+  KernelOutcome masked_product(Backend b, la::MatrixRef X,
                                std::span<const real> vals,
                                std::span<const real> z);
-  KernelOutcome masked_product(Backend b, const la::DenseMatrix& X,
-                               std::span<const real> vals,
-                               std::span<const real> z);
-  KernelOutcome fused_row(Backend b, const la::CsrMatrix& X,
-                          std::span<const real> y, const EwiseProgram& program,
+  KernelOutcome fused_row(Backend b, la::MatrixRef X, std::span<const real> y,
+                          const EwiseProgram& program,
                           std::span<const std::span<const real>> ext);
-  KernelOutcome fused_row(Backend b, const la::DenseMatrix& X,
-                          std::span<const real> y, const EwiseProgram& program,
-                          std::span<const std::span<const real>> ext);
-  KernelOutcome fused_sddmm(Backend b, const la::CsrMatrix& X,
-                            std::span<const real> u, std::span<const real> v,
-                            std::span<const real> z, real (*f)(real),
-                            const std::string& name);
-  KernelOutcome fused_sddmm(Backend b, const la::DenseMatrix& X,
-                            std::span<const real> u, std::span<const real> v,
-                            std::span<const real> z, real (*f)(real),
-                            const std::string& name);
+  KernelOutcome fused_sddmm(Backend b, la::MatrixRef X, std::span<const real> u,
+                            std::span<const real> v, std::span<const real> z,
+                            real (*f)(real), const std::string& name);
 
   /// Runs `attempt` under the retry/backoff/fallback policy, starting from
   /// `preferred`. `inout` names caller memory the op mutates in place; it

@@ -13,6 +13,7 @@
 
 #include "common/error.h"
 #include "common/types.h"
+#include "la/checksums.h"
 
 namespace fusedml::la {
 
@@ -45,7 +46,12 @@ class CsrMatrix {
   std::span<const offset_t> row_off() const { return row_off_; }
   std::span<const index_t> col_idx() const { return col_idx_; }
   std::span<const real> values() const { return values_; }
-  std::span<real> values_mut() { return values_; }
+  /// Mutable values. Drops this copy's checksums, so take the span anew
+  /// for each change made between two uses of the matrix.
+  std::span<real> values_mut() {
+    checksums_.drop();
+    return values_;
+  }
 
   /// Non-zeros of row r: [row_off[r], row_off[r+1]).
   offset_t row_begin(index_t r) const { return row_off_[static_cast<usize>(r)]; }
@@ -68,7 +74,8 @@ class CsrMatrix {
            row_off_.size() * sizeof(offset_t);
   }
 
-  /// Equal shape, structure and values; the warp tables are not compared.
+  /// Equal shape, structure and values; warp tables and checksums are not
+  /// compared.
   bool operator==(const CsrMatrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && row_off_ == o.row_off_ &&
            col_idx_ == o.col_idx_ && values_ == o.values_;
@@ -94,6 +101,9 @@ class CsrMatrix {
     return *slot;
   }
 
+  /// The checksums of this copy's values (kernels/abft.h).
+  const Checksums& checksums() const { return checksums_; }
+
  private:
   struct WarpTables {
     std::mutex mutex;
@@ -106,6 +116,7 @@ class CsrMatrix {
   std::vector<index_t> col_idx_;
   std::vector<real> values_;
   std::shared_ptr<WarpTables> tables_ = std::make_shared<WarpTables>();
+  Checksums checksums_;
 };
 
 }  // namespace fusedml::la

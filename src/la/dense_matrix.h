@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/types.h"
+#include "la/checksums.h"
 
 namespace fusedml::la {
 
@@ -26,18 +27,27 @@ class DenseMatrix {
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
 
-  real& at(index_t r, index_t c) { return data_[idx(r, c)]; }
+  // The mutable accessors drop this copy's checksums, so take the
+  // reference or span anew for each change made between two uses.
+  real& at(index_t r, index_t c) {
+    checksums_.drop();
+    return data_[idx(r, c)];
+  }
   real at(index_t r, index_t c) const { return data_[idx(r, c)]; }
 
   /// Row r as a contiguous span.
   std::span<real> row(index_t r) {
+    checksums_.drop();
     return {data_.data() + idx(r, 0), static_cast<usize>(cols_)};
   }
   std::span<const real> row(index_t r) const {
     return {data_.data() + idx(r, 0), static_cast<usize>(cols_)};
   }
 
-  std::span<real> data() { return data_; }
+  std::span<real> data() {
+    checksums_.drop();
+    return data_;
+  }
   std::span<const real> data() const { return data_; }
 
   usize bytes() const { return data_.size() * sizeof(real); }
@@ -48,12 +58,19 @@ class DenseMatrix {
   /// the original is untouched.
   DenseMatrix padded_cols(index_t multiple) const;
 
-  bool operator==(const DenseMatrix&) const = default;
+  /// Equal shape and values; the checksums are not compared.
+  bool operator==(const DenseMatrix& o) const {
+    return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;
+  }
+
+  /// The checksums of this copy's values (kernels/abft.h).
+  const Checksums& checksums() const { return checksums_; }
 
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<real> data_;
+  Checksums checksums_;
 
   usize idx(index_t r, index_t c) const {
     FUSEDML_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_,

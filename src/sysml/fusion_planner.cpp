@@ -18,7 +18,6 @@ namespace fusedml::sysml {
 
 namespace {
 
-using kernels::Backend;
 using kernels::EwiseOp;
 using kernels::EwiseProgram;
 using kernels::EwiseStep;
@@ -288,8 +287,7 @@ class CostOracle {
 
   /// Cost of the fused Equation-1 kernel over matrix `info`.
   NodeCost pattern_cost(const TensorInfo& info) {
-    const auto p = op_profile(RegistryOp::kPattern, Backend::kFused,
-                              info.is_sparse);
+    const auto p = op_profile(RegistryOp::kPattern, info.is_sparse);
     const double bytes =
         p.matrix_passes * static_cast<double>(info.bytes) +
         p.vector_words_per_elem * static_cast<double>(info.cols) *
@@ -301,8 +299,7 @@ class CostOracle {
   /// Cost of one generated elementwise kernel: `num_inputs` streams in,
   /// one out, `n_elems` elements each.
   NodeCost fused_ewise_cost(index_t n_elems, int num_inputs) {
-    const auto p = op_profile(RegistryOp::kFusedEwise, Backend::kFused,
-                              false);
+    const auto p = op_profile(RegistryOp::kFusedEwise, false);
     const double words = p.vector_words_per_elem *
                          static_cast<double>(num_inputs + 1) *
                          static_cast<double>(n_elems);
@@ -313,8 +310,7 @@ class CostOracle {
   /// Cost of the fused row kernel: one matrix pass plus the epilogue's
   /// streams (program inputs + the output, `rows` elements each).
   NodeCost fused_row_cost(const TensorInfo& info, int num_inputs) {
-    const auto p = op_profile(RegistryOp::kFusedRow, Backend::kFused,
-                              info.is_sparse);
+    const auto p = op_profile(RegistryOp::kFusedRow, info.is_sparse);
     const double words = p.vector_words_per_elem *
                          static_cast<double>(num_inputs + 1) *
                          static_cast<double>(info.rows);
@@ -327,8 +323,7 @@ class CostOracle {
   /// Cost of the fused sddmm kernel: one pass over X plus the u/v/z/out
   /// vector traffic the profile declares.
   NodeCost fused_sddmm_cost(const TensorInfo& info) {
-    const auto p = op_profile(RegistryOp::kFusedSddmm, Backend::kFused,
-                              info.is_sparse);
+    const auto p = op_profile(RegistryOp::kFusedSddmm, info.is_sparse);
     const double bytes = p.matrix_passes * static_cast<double>(info.bytes) +
                          p.vector_words_per_elem *
                              static_cast<double>(info.rows) * sizeof(real);
@@ -353,8 +348,7 @@ class CostOracle {
           // and z in, one row-length result out.
           const Node* mask = n->inputs[0].get();
           const auto info = matrix_info(mask->inputs[0].get());
-          const auto p = op_profile(RegistryOp::kMaskedProduct,
-                                    Backend::kFused, info.is_sparse);
+          const auto p = op_profile(RegistryOp::kMaskedProduct, info.is_sparse);
           const double bytes =
               p.matrix_passes * static_cast<double>(info.bytes) +
               p.vector_words_per_elem * static_cast<double>(length(n)) *
@@ -422,7 +416,7 @@ class CostOracle {
   /// at effective bandwidth.
   NodeCost profile_cost(RegistryOp op, bool sparse, double mat_bytes,
                         index_t n_elems) {
-    const auto p = op_profile(op, Backend::kFused, sparse);
+    const auto p = op_profile(op, sparse);
     const double bytes = p.matrix_passes * mat_bytes +
                          p.vector_words_per_elem *
                              static_cast<double>(n_elems) * sizeof(real);

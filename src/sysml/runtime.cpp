@@ -80,12 +80,12 @@ std::vector<real>& Runtime::vec(TensorId id) {
   return *v;
 }
 
-const la::CsrMatrix* Runtime::sparse(TensorId id) {
-  return std::get_if<la::CsrMatrix>(&value(id));
-}
-
-const la::DenseMatrix* Runtime::dense(TensorId id) {
-  return std::get_if<la::DenseMatrix>(&value(id));
+la::MatrixRef Runtime::matrix(TensorId id) {
+  Value& v = value(id);
+  if (const auto* s = std::get_if<la::CsrMatrix>(&v)) return *s;
+  const auto* d = std::get_if<la::DenseMatrix>(&v);
+  FUSEDML_CHECK(d != nullptr, "tensor is not a matrix");
+  return *d;
 }
 
 usize Runtime::tensor_bytes(TensorId id) {
@@ -151,7 +151,7 @@ void Runtime::sync_to_host(TensorId id) {
   stats_.transfer_ms += mm_.ensure_on_host(id);
 }
 
-double Runtime::estimate_gpu_ms(usize bytes_touched, TensorId) {
+double Runtime::estimate_gpu_ms(usize bytes_touched) {
   // Streaming heuristic at effective device bandwidth, plus launch overhead.
   const double bw =
       dev_.spec().mem_bandwidth_gbs * 0.8;  // GB/s == bytes/ns
@@ -167,7 +167,7 @@ double Runtime::estimate_cpu_ms(usize bytes_touched) {
 bool Runtime::choose_gpu_span(usize bytes_touched,
                               std::span<const TensorId> inputs) {
   if (!opts_.enable_gpu) return false;
-  double gpu = estimate_gpu_ms(bytes_touched, 0);
+  double gpu = estimate_gpu_ms(bytes_touched);
   double cpu = estimate_cpu_ms(bytes_touched);
   for (TensorId id : inputs) {
     if (id == 0) continue;
@@ -291,15 +291,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
       zid == 0 ? std::span<const real>{} : std::span<const real>(vec(zid));
   const std::vector<real>& y = vec(yid);
 
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "pattern needs a matrix");
-  // What the same op would have cost on the CPU (Table 6 row 2), priced
-  // without running it.
-  const auto cpu_pattern_ms = [&] {
-    return Xs != nullptr ? cpu().pattern_ms(*Xs, !v.empty(), !z.empty())
-                         : cpu().pattern_ms(*Xd, !v.empty(), !z.empty());
-  };
+  const la::MatrixRef X = matrix(Xid);
 
   if (opts_.enable_gpu && mm_.needs_streaming(Xid)) {
     // X does not fit on the device even alone: instead of failing (or
@@ -307,7 +299,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     // result is bit-equivalent to the in-core fused kernel.
     mm_.note_streaming_fallback();
     kernels::StreamingResult sr;
-    if (Xs != nullptr) {
+    if (const auto* Xs = X.csr()) {
       kernels::StreamingOptions sopts;
       sopts.device_budget_bytes = mm_.capacity();
       sr = kernels::streaming_pattern_sparse(dev_, alpha, *Xs, v, y, beta, z,
@@ -315,8 +307,8 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     } else {
       kernels::DenseStreamingOptions sopts;
       sopts.device_budget_bytes = mm_.capacity();
-      sr = kernels::streaming_pattern_dense(dev_, alpha, *Xd, v, y, beta, z,
-                                            sopts);
+      sr = kernels::streaming_pattern_dense(dev_, alpha, *X.dense(), v, y,
+                                            beta, z, sopts);
     }
     // Streaming launches bypass the registry dispatch bodies — consume the
     // device's silent-corruption handshake here, and (when the verify
@@ -324,12 +316,8 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     registry_.consume_streamed_corruption(sr.op.value);
     if (registry_.verifier().arm()) {
       try {
-        const auto charge =
-            Xs != nullptr
-                ? registry_.verifier().check_pattern(sr.op.value, alpha, *Xs,
-                                                     v, y, beta, z)
-                : registry_.verifier().check_pattern(sr.op.value, alpha, *Xd,
-                                                     v, y, beta, z);
+        const auto charge = registry_.verifier().check_pattern(
+            sr.op.value, alpha, X, v, y, beta, z);
         sr.kernel_ms += charge.modeled_ms;
         sr.op.launches += charge.launches;
         stats_.verify_launches += charge.launches;
@@ -349,8 +337,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
         if (obs::metrics().enabled()) {
           obs::metrics().counter("dispatch.sdc_detected").add();
         }
-        auto op = Xs != nullptr ? cpu().pattern(alpha, *Xs, v, y, beta, z)
-                                : cpu().pattern(alpha, *Xd, v, y, beta, z);
+        auto op = cpu().pattern(alpha, X, v, y, beta, z);
         stats_.cpu_op_ms += op.modeled_ms;
         ++stats_.cpu_ops;
         record_trace("pattern (streamed, sdc recompute)", false, true,
@@ -365,7 +352,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
     ++stats_.gpu_ops;
     record_trace("pattern (streamed)", true, true, sr.pipeline_ms,
                  sr.op.wall_ms);
-    stats_.pattern_cpu_equiv_ms += cpu_pattern_ms();
+    stats_.pattern_cpu_equiv_ms += cpu().pattern_ms(X, !v.empty(), !z.empty());
     // The streamed result lives on the host (partials were merged there).
     return add_vector(std::move(sr.op.value), "pattern_out");
   }
@@ -373,8 +360,7 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
   auto o = dispatch(
       2 * tensor_bytes(Xid), std::array{Xid, vid, yid, zid},
       [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.pattern(b, alpha, *Xs, v, y, beta, z)
-                             : registry_.pattern(b, alpha, *Xd, v, y, beta, z);
+        return registry_.pattern(b, alpha, X, v, y, beta, z);
       });
   const bool has_v = !v.empty();
   const bool has_bz = !z.empty() && beta != real{0};
@@ -383,7 +369,9 @@ TensorId Runtime::op_pattern(real alpha, TensorId Xid, TensorId vid,
              : (has_bz ? "pattern[bz]" : "pattern"),
        true);
   if (o.backend_used != kernels::Backend::kCpu) {
-    stats_.pattern_cpu_equiv_ms += cpu_pattern_ms();
+    // What the same op would have cost on the CPU (Table 6 row 2), priced
+    // without running it.
+    stats_.pattern_cpu_equiv_ms += cpu().pattern_ms(X, !v.empty(), !z.empty());
   }
   return emit(std::move(o), "pattern_out");
 }
@@ -392,19 +380,14 @@ TensorId Runtime::op_transposed_product(TensorId Xid, TensorId yid,
                                         real alpha) {
   obs::TraceSpan span("op:transposed_product", "op", obs::Track::kOps);
   const std::vector<real>& y = vec(yid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr,
-                "transposed product needs a matrix");
+  const la::MatrixRef X = matrix(Xid);
   auto o = dispatch(
       tensor_bytes(Xid), std::array{Xid, yid}, [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.transposed_product(b, *Xs, y, alpha)
-                             : registry_.transposed_product(b, *Xd, y, alpha);
+        return registry_.transposed_product(b, X, y, alpha);
       });
   book(o, "transposed_product", true);
   if (o.backend_used != kernels::Backend::kCpu) {
-    stats_.pattern_cpu_equiv_ms +=
-        Xs != nullptr ? cpu().spmv_t_ms(*Xs) : cpu().gemv_t_ms(*Xd);
+    stats_.pattern_cpu_equiv_ms += cpu().transposed_product_ms(X);
   }
   return emit(std::move(o), "xty_out");
 }
@@ -412,14 +395,10 @@ TensorId Runtime::op_transposed_product(TensorId Xid, TensorId yid,
 TensorId Runtime::op_product(TensorId Xid, TensorId yid) {
   obs::TraceSpan span("op:product", "op", obs::Track::kOps);
   const std::vector<real>& y = vec(yid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "product needs a matrix");
-  auto o = dispatch(tensor_bytes(Xid), std::array{Xid, yid},
-                    [&](kernels::Backend b) {
-                      return Xs != nullptr ? registry_.product(b, *Xs, y)
-                                           : registry_.product(b, *Xd, y);
-                    });
+  const la::MatrixRef X = matrix(Xid);
+  auto o = dispatch(
+      tensor_bytes(Xid), std::array{Xid, yid},
+      [&](kernels::Backend b) { return registry_.product(b, X, y); });
   book(o, "product", false);
   return emit(std::move(o), "product_out");
 }
@@ -494,14 +473,10 @@ TensorId Runtime::op_outer_map(TensorId uid, TensorId vid, real (*f)(real),
 TensorId Runtime::op_sparse_mask(TensorId Xid, TensorId omid) {
   obs::TraceSpan span("op:sparse_mask", "op", obs::Track::kOps);
   const std::vector<real>& om = vec(omid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "sparse_mask needs a matrix");
-  auto o = dispatch(tensor_bytes(Xid) + om.size() * sizeof(real),
-                    std::array{Xid, omid}, [&](kernels::Backend b) {
-                      return Xs != nullptr ? registry_.sparse_mask(b, *Xs, om)
-                                           : registry_.sparse_mask(b, *Xd, om);
-                    });
+  const la::MatrixRef X = matrix(Xid);
+  auto o = dispatch(
+      tensor_bytes(Xid) + om.size() * sizeof(real), std::array{Xid, omid},
+      [&](kernels::Backend b) { return registry_.sparse_mask(b, X, om); });
   book(o, "sparse_mask", false);
   return emit(std::move(o), "sparse_mask_out");
 }
@@ -511,15 +486,10 @@ TensorId Runtime::op_masked_product(TensorId Xid, TensorId valsid,
   obs::TraceSpan span("op:masked_product", "op", obs::Track::kOps);
   const std::vector<real>& vals = vec(valsid);
   const std::vector<real>& z = vec(zid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr,
-                "masked product needs a matrix");
+  const la::MatrixRef X = matrix(Xid);
   auto o = dispatch(tensor_bytes(Xid), std::array{Xid, valsid, zid},
                     [&](kernels::Backend b) {
-                      return Xs != nullptr
-                                 ? registry_.masked_product(b, *Xs, vals, z)
-                                 : registry_.masked_product(b, *Xd, vals, z);
+                      return registry_.masked_product(b, X, vals, z);
                     });
   book(o, "masked_product", false);
   return emit(std::move(o), "masked_product_out");
@@ -532,9 +502,7 @@ TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
                 "op_fused_row: external input count mismatch");
   obs::TraceSpan span("op:fused_row", "op", obs::Track::kOps);
   const std::vector<real>& y = vec(yid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "fused row needs a matrix");
+  const la::MatrixRef X = matrix(Xid);
   std::vector<std::span<const real>> views;
   std::vector<TensorId> all_inputs = {Xid, yid};
   views.reserve(ext.size());
@@ -543,8 +511,7 @@ TensorId Runtime::op_fused_row(TensorId Xid, TensorId yid,
     all_inputs.push_back(id);
   }
   auto o = dispatch(tensor_bytes(Xid), all_inputs, [&](kernels::Backend b) {
-    return Xs != nullptr ? registry_.fused_row(b, *Xs, y, program, views)
-                         : registry_.fused_row(b, *Xd, y, program, views);
+    return registry_.fused_row(b, X, y, program, views);
   });
   book(o, "fused_row", false);
   return emit(std::move(o), "fused_row_out");
@@ -557,15 +524,11 @@ TensorId Runtime::op_fused_sddmm(TensorId Xid, TensorId uid, TensorId vid,
   const std::vector<real>& u = vec(uid);
   const std::vector<real>& v = vec(vid);
   const std::vector<real>& z = vec(zid);
-  const auto* Xs = sparse(Xid);
-  const auto* Xd = dense(Xid);
-  FUSEDML_CHECK(Xs != nullptr || Xd != nullptr, "fused sddmm needs a matrix");
-  auto o = dispatch(
-      tensor_bytes(Xid), std::array{Xid, uid, vid, zid},
-      [&](kernels::Backend b) {
-        return Xs != nullptr ? registry_.fused_sddmm(b, *Xs, u, v, z, f, name)
-                             : registry_.fused_sddmm(b, *Xd, u, v, z, f, name);
-      });
+  const la::MatrixRef X = matrix(Xid);
+  auto o = dispatch(tensor_bytes(Xid), std::array{Xid, uid, vid, zid},
+                    [&](kernels::Backend b) {
+                      return registry_.fused_sddmm(b, X, u, v, z, f, name);
+                    });
   book(o, "fused_sddmm", false);
   return emit(std::move(o), "fused_sddmm_out");
 }

@@ -34,6 +34,7 @@
 #include "obs/plan_audit.h"
 #include "la/csr_matrix.h"
 #include "la/dense_matrix.h"
+#include "la/matrix_ref.h"
 #include "sysml/jni_bridge.h"
 #include "sysml/memory_manager.h"
 #include "vgpu/device.h"
@@ -336,8 +337,9 @@ class Runtime {
   TensorId store(Value v, usize bytes, std::string name);
   Value& value(TensorId id);
   std::vector<real>& vec(TensorId id);
-  const la::CsrMatrix* sparse(TensorId id);
-  const la::DenseMatrix* dense(TensorId id);
+  /// The matrix tensor `id`, whichever its storage; throws if it is a
+  /// vector.
+  la::MatrixRef matrix(TensorId id);
   usize tensor_bytes(TensorId id);
 
   /// Moves a tensor to the device, paying JNI on first contact; charges
@@ -372,7 +374,7 @@ class Runtime {
   void mark_written(TensorId id, const kernels::KernelOutcome& outcome);
 
   /// Scheduler estimates (GB-scale streaming heuristics).
-  double estimate_gpu_ms(usize bytes_touched, TensorId matrix_or_zero);
+  double estimate_gpu_ms(usize bytes_touched);
   double estimate_cpu_ms(usize bytes_touched);
   bool choose_gpu_span(usize bytes_touched, std::span<const TensorId> inputs);
 };

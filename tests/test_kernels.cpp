@@ -335,7 +335,7 @@ TEST(CpuBackend, MatchesReferencesAndTimes) {
   const auto v = random_vector(300, 41);
   const auto z = random_vector(150, 42);
 
-  expect_vectors_near(la::reference::spmv(X, y), cpu.spmv(X, y).value);
+  expect_vectors_near(la::reference::spmv(X, y), cpu.product(X, y).value);
   const auto pat = cpu.pattern(2.0, X, v, y, 0.5, z);
   expect_vectors_near(la::reference::pattern(2.0, X, v, y, 0.5, z), pat.value);
   EXPECT_GT(pat.modeled_ms, 0.0);
@@ -346,7 +346,7 @@ TEST(CpuBackend, DenseAndBlas1) {
   CpuBackend cpu;
   const auto X = la::dense_random(100, 60, 402);
   const auto y = random_vector(60, 43);
-  expect_vectors_near(la::reference::gemv(X, y), cpu.gemv(X, y).value);
+  expect_vectors_near(la::reference::gemv(X, y), cpu.product(X, y).value);
 
   auto a = random_vector(500, 44);
   auto b = random_vector(500, 45);
@@ -359,7 +359,8 @@ TEST(CpuBackend, ModeledTimeScalesWithSize) {
   const auto small = uniform_sparse(200, 100, 0.05, 403);
   const auto large = uniform_sparse(4000, 100, 0.05, 404);
   const auto y = random_vector(100, 46);
-  EXPECT_LT(cpu.spmv(small, y).modeled_ms, cpu.spmv(large, y).modeled_ms);
+  EXPECT_LT(cpu.product(small, y).modeled_ms,
+            cpu.product(large, y).modeled_ms);
 }
 
 TEST(CpuBackend, CostOnlyMembersEqualTheOpsModeledMs) {
@@ -368,10 +369,10 @@ TEST(CpuBackend, CostOnlyMembersEqualTheOpsModeledMs) {
   const auto Xd = la::dense_random(120, 40, 406);
   const auto ys = random_vector(150, 47);
   const auto yd = random_vector(40, 48);
-  EXPECT_EQ(cpu.spmv_t_ms(Xs),
-            cpu.spmv_t(Xs, random_vector(300, 49)).modeled_ms);
-  EXPECT_EQ(cpu.gemv_t_ms(Xd),
-            cpu.gemv_t(Xd, random_vector(120, 50)).modeled_ms);
+  EXPECT_EQ(cpu.transposed_product_ms(Xs),
+            cpu.transposed_product(Xs, random_vector(300, 49)).modeled_ms);
+  EXPECT_EQ(cpu.transposed_product_ms(Xd),
+            cpu.transposed_product(Xd, random_vector(120, 50)).modeled_ms);
   for (bool has_v : {false, true}) {
     for (bool has_z : {false, true}) {
       const auto vs = has_v ? random_vector(300, 51) : std::vector<real>{};

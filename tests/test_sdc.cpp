@@ -11,8 +11,11 @@
 //     bit-exact value;
 //   - verification cost is billed exactly once (outcome launches/ms
 //     include it; the verify_* sub-buckets break it out);
+//   - every verifiable registry op, on CSR and on dense storage, is caught
+//     when corrupted and passes when clean; the checksums follow the
+//     matrix and the weight vector's contents, not their addresses;
 //   - the FALSE-POSITIVE ORACLE: with zero faults, full verification over
-//     every ScriptLibrary entry (5 algorithms × {csr, dense} × 3 plan
+//     every ScriptLibrary entry (9 algorithms × {csr, dense} × 3 plan
 //     modes) detects nothing and is bit-exact with verification off;
 //   - SolverCheckpoint saves on cadence and rolls back transient faults
 //     only, within its budget;
@@ -20,8 +23,12 @@
 //     last healthy device, and releases probation on the modeled clock.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -229,6 +236,152 @@ TEST(SdcAbft, VerificationBilledExactlyOnce) {
   EXPECT_EQ(session.verify_launches, verified.verify_launches);
   EXPECT_EQ(session.verify_ms, verified.verify_ms);
   EXPECT_EQ(session.sdc_detected, 0u);
+}
+
+real halve(real x) { return x * real{0.5}; }
+
+// Every op the registry verifies, on both storages of one matrix: under
+// kFull a corrupted launch throws, and a clean one passes its check.
+TEST(SdcAbft, EveryVerifiedOpDetectsOnBothStoragesAndPassesClean) {
+  constexpr index_t kRows = 48;
+  constexpr index_t kCols = 20;
+  const auto Xs = la::uniform_sparse(kRows, kCols, 0.2, 21);
+  const auto Xd = la::csr_to_dense(Xs);
+  const auto y = la::random_vector(kCols, 22);
+  const auto z = la::random_vector(kCols, 23);
+  const auto u = la::random_vector(kRows, 24);
+  const auto v = la::random_vector(kRows, 25);
+  const auto om = la::random_vector(kRows * kCols, 26);
+  kernels::EwiseProgram program;  // out = i0 * i1
+  program.num_inputs = 2;
+  kernels::EwiseStep mul;
+  mul.op = kernels::EwiseOp::kMul;
+  mul.a = 0;
+  mul.b = 1;
+  program.steps.push_back(mul);
+  const std::array<std::span<const real>, 2> chain_inputs = {u, v};
+  const std::span<const real> ext(v);
+
+  using Call = std::function<kernels::KernelOutcome(OpRegistry&,
+                                                    la::MatrixRef)>;
+  const Backend b = Backend::kFused;
+  const std::vector<std::pair<std::string, Call>> ops = {
+      {"product",
+       [&](OpRegistry& r, la::MatrixRef X) { return r.product(b, X, y); }},
+      {"transposed_product",
+       [&](OpRegistry& r, la::MatrixRef X) {
+         return r.transposed_product(b, X, u, 1.5);
+       }},
+      {"pattern",
+       [&](OpRegistry& r, la::MatrixRef X) {
+         return r.pattern(b, 0.5, X, v, y, 2.0, z);
+       }},
+      {"sparse_mask",
+       [&](OpRegistry& r, la::MatrixRef X) {
+         return r.sparse_mask(b, X, om);
+       }},
+      {"masked_product",
+       [&](OpRegistry& r, la::MatrixRef X) {
+         const auto vals = la::random_vector(X.entries(), 27);
+         return r.masked_product(b, X, vals, y);
+       }},
+      {"fused_row",
+       [&](OpRegistry& r, la::MatrixRef X) {
+         return r.fused_row(b, X, y, program, {&ext, 1});
+       }},
+      {"fused_sddmm",
+       [&](OpRegistry& r, la::MatrixRef X) {
+         return r.fused_sddmm(b, X, u, y, z, halve, "halve");
+       }},
+      {"axpy",
+       [&](OpRegistry& r, la::MatrixRef) {
+         auto w = v;
+         return r.axpy(b, 2.0, u, w);
+       }},
+      {"scal",
+       [&](OpRegistry& r, la::MatrixRef) {
+         auto w = v;
+         return r.scal(b, 3.0, w);
+       }},
+      {"dot", [&](OpRegistry& r, la::MatrixRef) { return r.dot(b, u, v); }},
+      {"nrm2", [&](OpRegistry& r, la::MatrixRef) { return r.nrm2(b, u); }},
+      {"ewise_mul",
+       [&](OpRegistry& r, la::MatrixRef) { return r.ewise_mul(b, u, v); }},
+      {"map",
+       [&](OpRegistry& r, la::MatrixRef) {
+         return r.map(b, u, halve, "halve");
+       }},
+      {"fused_ewise",
+       [&](OpRegistry& r, la::MatrixRef) {
+         return r.fused_ewise(b, program, chain_inputs);
+       }},
+      {"outer_map",
+       [&](OpRegistry& r, la::MatrixRef) {
+         return r.outer_map(b, u, y, halve, "halve");
+       }},
+  };
+
+  for (const la::MatrixRef X : {la::MatrixRef(Xs), la::MatrixRef(Xd)}) {
+    for (const auto& [name, call] : ops) {
+      SCOPED_TRACE(name + (X.sparse() ? " on csr" : " on dense"));
+      vgpu::Device clean_dev;
+      OpRegistry clean(clean_dev);
+      clean.set_verify_policy(VerifyPolicy::kFull);
+      EXPECT_NO_THROW(call(clean, X));
+      EXPECT_EQ(clean.verifier().checks(), 1u);
+      EXPECT_EQ(clean.verifier().mismatches(), 0u);
+
+      vgpu::FaultConfig cfg;
+      cfg.silent_fault_rate = 1.0;
+      vgpu::FaultInjector injector(cfg);
+      vgpu::Device dev;
+      dev.set_fault_injector(&injector);
+      OpRegistry reg(dev);
+      reg.set_verify_policy(VerifyPolicy::kFull);
+      EXPECT_THROW(call(reg, X), SilentCorruptionError);
+    }
+  }
+}
+
+// Values written in place are new data, not corruption: the checksums
+// belong to the matrix's values, not to the address they live at.
+TEST(SdcAbft, InPlaceValueWritesAreNotCorruption) {
+  auto Xs = la::uniform_sparse(64, 24, 0.2, 7);
+  auto Xd = la::csr_to_dense(Xs);
+  const auto y = la::random_vector(24, 8);
+  const auto v = la::random_vector(64, 9);
+  vgpu::Device dev;
+  OpRegistry reg(dev);
+  reg.set_verify_policy(VerifyPolicy::kFull);
+  const auto run_matrix_ops = [&](const auto& X) {
+    reg.product(Backend::kFused, X, y);
+    reg.transposed_product(Backend::kFused, X, v, 1.0);
+    reg.pattern(Backend::kFused, 1.0, X, v, y, 0.0, {});
+  };
+  run_matrix_ops(Xs);
+  run_matrix_ops(Xd);
+  for (real& x : Xs.values_mut()) x *= -2;
+  for (real& x : Xd.data()) x *= -2;
+  EXPECT_NO_THROW(run_matrix_ops(Xs));
+  EXPECT_NO_THROW(run_matrix_ops(Xd));
+  EXPECT_EQ(reg.verifier().mismatches(), 0u);
+}
+
+// A weight vector whose entries moved is a new v for the pattern checksum.
+TEST(SdcAbft, ReorderedWeightsAreNotCorruption) {
+  const auto X = la::uniform_sparse(64, 24, 0.2, 7);
+  const auto y = la::random_vector(24, 8);
+  // Integer weights sum exactly in any order, so the swap below keeps v's
+  // address, size, sum and end points; only its contents change.
+  std::vector<real> v(64);
+  for (usize i = 0; i < v.size(); ++i) v[i] = static_cast<real>(1 + i % 11);
+  vgpu::Device dev;
+  OpRegistry reg(dev);
+  reg.set_verify_policy(VerifyPolicy::kFull);
+  reg.pattern(Backend::kFused, 1.0, X, v, y, 0.0, {});
+  std::swap(v[5], v[40]);
+  EXPECT_NO_THROW(reg.pattern(Backend::kFused, 1.0, X, v, y, 0.0, {}));
+  EXPECT_EQ(reg.verifier().mismatches(), 0u);
 }
 
 // --- Non-finite values are the math, not a fault ----------------------------
