@@ -574,7 +574,7 @@ TEST(Chaos, SilentCorruptionSoakDetectsRecoversAndQuarantines) {
   EXPECT_GT(stats.quarantine_reentries, 0u);
 }
 
-// Cancellation storm against a single slow worker: whatever the interleaving
+// Cancellation storm against a single worker: whatever the interleaving
 // (cancel-before-dequeue, cancel-racing-execution, cancel-after-complete),
 // every request resolves exactly once and the books balance.
 TEST(Chaos, CancellationRacesNeverLoseOrDoubleResolve) {
@@ -584,7 +584,6 @@ TEST(Chaos, CancellationRacesNeverLoseOrDoubleResolve) {
   opts.queue_capacity = 256;
   Server server(opts);
   const DatasetId dataset = server.add_dataset(X);
-  server.start();
 
   constexpr int kN = 160;
   std::vector<ServeHandle> handles;
@@ -597,9 +596,14 @@ TEST(Chaos, CancellationRacesNeverLoseOrDoubleResolve) {
     req.work = std::move(eval);
     handles.push_back(server.submit(std::move(req)));
   }
-  // A second thread cancels every third request while the worker drains.
+  // Every third request is cancelled. The first half of those cancels land
+  // before the worker exists, so some cancel always wins the race however
+  // fast the worker drains; a second thread sends the rest while it runs.
+  constexpr int kSplit = 81;  // a multiple of 3, about half of kN
+  for (int i = 0; i < kSplit; i += 3) handles[(usize)i].cancel();
+  server.start();
   std::thread canceller([&] {
-    for (int i = 0; i < kN; i += 3) handles[(usize)i].cancel();
+    for (int i = kSplit; i < kN; i += 3) handles[(usize)i].cancel();
   });
   canceller.join();
   ServeStats stats = server.drain();
