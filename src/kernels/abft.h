@@ -14,12 +14,12 @@
 // k is kept for the last v and rebuilt when v's contents change. The
 // observed-side sum runs as ONE device reduction launch (dev_dot against a
 // cached ones vector), so verification pays real modeled launch cost; the
-// fused_row and fused_sddmm checks issue the same reduction and then
+// fused_row and fused_sddmm checks run the same reduction and then
 // screen each output element against a host recomputation. The
 // elementwise/BLAS-1, sparse_mask and masked_product checks are host-side
 // redundant arithmetic (sum identities or straight recomputation) and
-// issue no device launches. Every check has one body for both storages: it
-// walks X through la::for_each_entry in storage order.
+// launch nothing on the device. Every check has one body for both
+// storages: it walks X through la::for_each_entry in storage order.
 //
 // Detection contract. The injected perturbation displaces one element by at
 // least (1 + max|value|); checks compare with a relative tolerance of

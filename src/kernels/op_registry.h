@@ -7,15 +7,16 @@
 // need no scheduler — serve's pattern requests, kernel-level benches and
 // tests — which call a body under execute_resilient directly. The
 // backend-switch body for each op exists exactly once, and so does the
-// retry/backoff/degradation loop (execute_resilient). Every GPU body runs the same device frame — arm
-// ABFT, launch, apply injected corruption, verify — through on_device(),
-// except in-place axpy/scal, which spell it out around their input sums.
+// retry/backoff/degradation loop (execute_resilient). Every GPU body runs
+// the same device frame — arm ABFT, launch, apply injected corruption,
+// verify — through on_device(), except in-place axpy/scal, which spell it
+// out around their input sums.
 // Each matrix op has one body for both storages: it takes a la::MatrixRef,
 // and only the device kernel it launches (and the kernel name a trace
 // shows) is chosen by storage.
 //
-// The registry also *declares* what each fused-backend op costs — launches
-// issued, passes over the matrix, vector words moved per element — via
+// The registry also *declares* what each fused-backend op costs — kernel
+// launches, passes over the matrix, vector words moved per element — via
 // op_profile(). The fusion planner scores candidate plans from these
 // profiles instead of re-deriving per-op constants in a second place.
 #pragma once
