@@ -8,7 +8,6 @@
 namespace fusedml {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_mutex;
 
 const char* level_tag(LogLevel level) {
@@ -22,8 +21,8 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
+void set_log_level(LogLevel level) { detail::g_log_level.store(level); }
+LogLevel log_level() { return detail::g_log_level.load(); }
 
 LogLevel parse_log_level(const std::string& name) {
   if (name == "debug") return LogLevel::kDebug;
@@ -45,7 +44,7 @@ const char* to_string(LogLevel level) {
 }
 
 void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
+  if (!log_enabled(level)) return;
   std::lock_guard<std::mutex> lock(g_mutex);
   std::cerr << "[" << level_tag(level) << "] " << message << "\n";
 }

@@ -1,6 +1,7 @@
 #include "kernels/ewise_program.h"
 
-#include <sstream>
+#include <cstdio>
+#include <string>
 
 #include "common/error.h"
 
@@ -17,29 +18,41 @@ const char* to_string(EwiseOp op) {
 }
 
 namespace {
-std::string slot_name(int slot, int num_inputs) {
-  std::string name(slot < num_inputs ? "i" : "s");
-  name += std::to_string(slot < num_inputs ? slot : slot - num_inputs);
-  return name;
+void append_slot(std::string& out, int slot, int num_inputs) {
+  out += slot < num_inputs ? 'i' : 's';
+  out += std::to_string(slot < num_inputs ? slot : slot - num_inputs);
 }
 }  // namespace
 
+// Built by appends rather than an ostringstream: the CPU ewise and fused-row
+// paths put the signature in their kernel label on every call.
 std::string EwiseProgram::signature() const {
-  std::ostringstream os;
-  os << num_inputs << "in:";
+  std::string out = std::to_string(num_inputs);
+  out += "in:";
   for (usize j = 0; j < steps.size(); ++j) {
     const EwiseStep& s = steps[j];
-    if (j != 0) os << ";";
-    os << to_string(s.op);
-    if (s.op == EwiseOp::kMap) os << "[" << s.map_name << "]";
-    if (s.op == EwiseOp::kScale) os << "[" << s.scalar << "]";
-    os << "(" << slot_name(s.a, num_inputs);
-    if (s.op == EwiseOp::kAdd || s.op == EwiseOp::kMul) {
-      os << "," << slot_name(s.b, num_inputs);
+    if (j != 0) out += ';';
+    out += to_string(s.op);
+    if (s.op == EwiseOp::kMap) {
+      out += '[';
+      out += s.map_name;
+      out += ']';
     }
-    os << ")";
+    if (s.op == EwiseOp::kScale) {
+      // "%g" is what a default-formatted ostream prints for a double.
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "[%g]", s.scalar);
+      out += buf;
+    }
+    out += '(';
+    append_slot(out, s.a, num_inputs);
+    if (s.op == EwiseOp::kAdd || s.op == EwiseOp::kMul) {
+      out += ',';
+      append_slot(out, s.b, num_inputs);
+    }
+    out += ')';
   }
-  return os.str();
+  return out;
 }
 
 std::uint64_t EwiseProgram::flops_per_element() const {

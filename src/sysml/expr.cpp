@@ -1,5 +1,6 @@
 #include "sysml/expr.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.h"
@@ -111,24 +112,20 @@ void Program::bind(const std::string& leaf, TensorId id) {
   FUSEDML_CHECK(false, "Program has no leaf named '" + leaf + "'");
 }
 
-std::string Program::shape_signature(Runtime& rt, PlanMode mode,
-                                     const PlannerOptions& po) const {
-  std::ostringstream os;
-  os << to_string(mode);
-  if (mode != PlanMode::kUnfused) {
-    // Planner knobs change the plan, so they are part of the cache key.
-    os << "[p" << po.enable_pattern_fusion << 'e' << po.enable_ewise_fusion
-       << 'r' << po.enable_row_fusion << 's' << po.enable_sddmm_fusion << 'b'
-       << po.candidate_budget << 'm' << po.min_benefit_ms << ']';
-  }
+Program::PlanKey Program::plan_key(Runtime& rt, PlanMode mode,
+                                   const PlannerOptions& po) const {
+  PlanKey key;
+  key.mode = mode;
+  // Planner knobs change the plan, so they are part of the key.
+  if (mode != PlanMode::kUnfused) key.opts = po;
+  key.leaves.reserve(leaves_.size());
   for (const auto& [name, node] : leaves_) {
     FUSEDML_CHECK(node->tensor != 0,
                   "Program leaf '" + name + "' is not bound to a tensor");
     const TensorInfo info = rt.tensor_info(node->tensor);
-    os << '|' << name << ':' << info.rows << 'x' << info.cols << ':'
-       << info.nnz << (info.is_sparse ? 's' : 'd');
+    key.leaves.push_back({info.rows, info.cols, info.nnz, info.is_sparse});
   }
-  return os.str();
+  return key;
 }
 
 void Program::prepare(Runtime& rt, PlanMode mode) {
@@ -138,8 +135,10 @@ void Program::prepare(Runtime& rt, PlanMode mode) {
   const PlannerOptions opts = mode == PlanMode::kHardcodedPass
                                   ? equation1_only()
                                   : rt.planner_options();
-  const std::string key = shape_signature(rt, mode, opts);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
+  PlanKey key = plan_key(rt, mode, opts);
+  const auto it = std::find_if(cache_.begin(), cache_.end(),
+                               [&](const auto& e) { return e.first == key; });
+  if (it != cache_.end()) {
     current_ = &it->second;
     ++cache_hits_;
     rt.note_plan_prepare(plan_timer.elapsed_ms(), /*cache_hit=*/true);
@@ -163,9 +162,7 @@ void Program::prepare(Runtime& rt, PlanMode mode) {
     }
     prep.explain = explain.str();
     ++plans_built_;
-    const auto [slot, inserted] = cache_.emplace(key, std::move(prep));
-    FUSEDML_CHECK(inserted, "plan cache emplace raced itself");
-    current_ = &slot->second;
+    current_ = &cache_.emplace_back(std::move(key), std::move(prep)).second;
     rt.note_plan_prepare(plan_timer.elapsed_ms(), /*cache_hit=*/false);
   }
   if (mode != PlanMode::kUnfused) rt.note_plan(current_->explain);

@@ -21,7 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,14 +164,30 @@ class Program {
     int fused_groups = 0;
   };
 
-  /// Cache key: mode, the planner options the mode plans with, and the
-  /// shape of every bound leaf.
-  std::string shape_signature(Runtime& rt, PlanMode mode,
-                              const PlannerOptions& opts) const;
+  struct LeafShape {
+    index_t rows = 0;
+    index_t cols = 0;
+    std::uint64_t nnz = 0;
+    bool is_sparse = false;
+    bool operator==(const LeafShape&) const = default;
+  };
+  /// Cache key: mode, the planner options the mode plans with (every field
+  /// compared exactly; default under kUnfused, which plans nothing), and
+  /// the shape of every bound leaf in leaf order.
+  struct PlanKey {
+    PlanMode mode = PlanMode::kUnfused;
+    PlannerOptions opts;
+    std::vector<LeafShape> leaves;
+    bool operator==(const PlanKey&) const = default;
+  };
+  PlanKey plan_key(Runtime& rt, PlanMode mode,
+                   const PlannerOptions& opts) const;
 
   std::vector<std::pair<std::string, NodePtr>> leaves_;
   std::vector<std::pair<std::string, NodePtr>> outputs_;
-  std::map<std::string, Prepared> cache_;  // node-stable addresses
+  // A handful of entries per program (one per mode and leaf shape), so a
+  // linear scan; a list keeps current_ stable across insertions.
+  std::list<std::pair<PlanKey, Prepared>> cache_;
   Prepared* current_ = nullptr;
   int plans_built_ = 0;
   int cache_hits_ = 0;

@@ -82,6 +82,8 @@ struct PlannerOptions {
   /// the enumerated candidate count is at most this; larger candidate sets
   /// fall back to benefit-ordered greedy with one-step lookahead.
   int candidate_budget = 24;
+
+  bool operator==(const PlannerOptions&) const = default;
 };
 
 /// Declares and parses the standard planner flags (--planner-budget,

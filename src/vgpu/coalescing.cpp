@@ -7,14 +7,6 @@
 
 namespace fusedml::vgpu {
 
-std::uint64_t contiguous_transactions(std::uint64_t first_byte, int active,
-                                      usize elem_bytes) {
-  if (active <= 0) return 0;
-  const std::uint64_t last_byte =
-      first_byte + static_cast<std::uint64_t>(active) * elem_bytes - 1;
-  return segment_of(last_byte) - segment_of(first_byte) + 1;
-}
-
 std::uint64_t strided_transactions(std::uint64_t first_byte, int active,
                                    std::uint64_t stride_bytes,
                                    usize elem_bytes) {

@@ -1,30 +1,8 @@
 #include "vgpu/mem_tracker.h"
 
+#include <algorithm>
+
 namespace fusedml::vgpu {
-
-void MemTracker::charge_load(std::uint64_t transactions, std::uint64_t bytes,
-                             MemPath path) {
-  switch (path) {
-    case MemPath::kDram:
-      counters_.gld_transactions += transactions;
-      counters_.gld_bytes += bytes;
-      break;
-    case MemPath::kL2:
-      counters_.l2_hit_transactions += transactions;
-      break;
-    case MemPath::kTexture:
-      counters_.tex_transactions += transactions;
-      break;
-  }
-}
-
-void MemTracker::load_contiguous(std::uint64_t first_elem, int active,
-                                 usize elem_bytes, MemPath path) {
-  if (active <= 0) return;
-  const std::uint64_t tx =
-      contiguous_transactions(first_elem * elem_bytes, active, elem_bytes);
-  charge_load(tx, static_cast<std::uint64_t>(active) * elem_bytes, path);
-}
 
 void MemTracker::load_gather(std::span<const std::uint64_t> byte_addrs,
                              MemPath path) {
@@ -40,30 +18,6 @@ void MemTracker::load_strided(std::uint64_t first_byte, int active,
   const std::uint64_t tx =
       strided_transactions(first_byte, active, stride_bytes, elem_bytes);
   charge_load(tx, static_cast<std::uint64_t>(active) * elem_bytes, path);
-}
-
-namespace {
-// Transactions for a contiguous stream accessed by successive 32-lane warps:
-// the union of segments plus one extra per internal warp boundary that is
-// not 128-byte aligned (that segment is fetched by both warps).
-std::uint64_t stream_transactions(std::uint64_t first_byte,
-                                  std::uint64_t bytes) {
-  if (bytes == 0) return 0;
-  const std::uint64_t base =
-      segment_of(first_byte + bytes - 1) - segment_of(first_byte) + 1;
-  const std::uint64_t warp_bytes = 32 * 8;  // worst case lane width
-  const std::uint64_t warps = (bytes + warp_bytes - 1) / warp_bytes;
-  const bool boundary_aligned =
-      (first_byte % kSegmentBytes == 0) && (warp_bytes % kSegmentBytes == 0);
-  return base + (boundary_aligned || warps == 0 ? 0 : warps - 1);
-}
-}  // namespace
-
-void MemTracker::load_stream(std::uint64_t first_elem, std::uint64_t count,
-                             usize elem_bytes, MemPath path) {
-  const std::uint64_t bytes = count * elem_bytes;
-  charge_load(stream_transactions(first_elem * elem_bytes, bytes), bytes,
-              path);
 }
 
 void MemTracker::store_stream(std::uint64_t first_elem, std::uint64_t count,
@@ -90,13 +44,6 @@ void MemTracker::store_scatter(int lanes, usize elem_bytes) {
   // so expensive (§3.1).
   counters_.gst_transactions += 2ull * static_cast<std::uint64_t>(lanes);
   counters_.gst_bytes += static_cast<std::uint64_t>(lanes) * elem_bytes;
-}
-
-void MemTracker::atomic_global(std::uint64_t ops,
-                               std::uint64_t distinct_targets) {
-  counters_.atomic_global_ops += ops;
-  counters_.atomic_global_targets =
-      std::max(counters_.atomic_global_targets, distinct_targets);
 }
 
 void MemTracker::atomic_int(std::uint64_t ops,

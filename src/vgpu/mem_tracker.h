@@ -9,8 +9,14 @@
 //   kTexture — the read-only/texture path (the paper binds y to texture
 //              memory: §4.1 "the input vector y is always bound to texture
 //              memory").
+//
+// The per-access charges the dense kernels' row loops issue (load_contiguous,
+// load_stream, atomic_global and the charge they share) are defined in this
+// header: out of line, each call is an opaque function call that keeps the
+// compiler from holding the loops' register state across it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -29,7 +35,12 @@ class MemTracker {
   /// Warp-contiguous load: `active` lanes read consecutive elements of
   /// `elem_bytes` starting at element index `first_elem`.
   void load_contiguous(std::uint64_t first_elem, int active, usize elem_bytes,
-                       MemPath path = MemPath::kDram);
+                       MemPath path = MemPath::kDram) {
+    if (active <= 0) return;
+    const std::uint64_t tx =
+        contiguous_transactions(first_elem * elem_bytes, active, elem_bytes);
+    charge_load(tx, static_cast<std::uint64_t>(active) * elem_bytes, path);
+  }
 
   /// Gather load with per-lane byte addresses (e.g. y[col_idx[i]]).
   void load_gather(std::span<const std::uint64_t> byte_addrs,
@@ -52,7 +63,11 @@ class MemTracker {
   /// 32-lane warps — closed-form transaction count so dense kernels can
   /// charge a whole row in O(1) instead of per-chunk.
   void load_stream(std::uint64_t first_elem, std::uint64_t count,
-                   usize elem_bytes, MemPath path = MemPath::kDram);
+                   usize elem_bytes, MemPath path = MemPath::kDram) {
+    const std::uint64_t bytes = count * elem_bytes;
+    charge_load(stream_transactions(first_elem * elem_bytes, bytes), bytes,
+                path);
+  }
   void store_stream(std::uint64_t first_elem, std::uint64_t count,
                     usize elem_bytes);
 
@@ -66,7 +81,11 @@ class MemTracker {
   /// Global double-precision atomic adds (CAS loops on CC 3.5): `ops`
   /// operations spread over `distinct_targets` addresses (the cost model
   /// derives contention from the ratio).
-  void atomic_global(std::uint64_t ops, std::uint64_t distinct_targets);
+  void atomic_global(std::uint64_t ops, std::uint64_t distinct_targets) {
+    counters_.atomic_global_ops += ops;
+    counters_.atomic_global_targets =
+        std::max(counters_.atomic_global_targets, distinct_targets);
+  }
 
   /// Native integer atomics (histogram counts, cursors, semaphores).
   void atomic_int(std::uint64_t ops, std::uint64_t distinct_targets);
@@ -84,7 +103,20 @@ class MemTracker {
   MemCounters& counters_;
 
   void charge_load(std::uint64_t transactions, std::uint64_t bytes,
-                   MemPath path);
+                   MemPath path) {
+    switch (path) {
+      case MemPath::kDram:
+        counters_.gld_transactions += transactions;
+        counters_.gld_bytes += bytes;
+        break;
+      case MemPath::kL2:
+        counters_.l2_hit_transactions += transactions;
+        break;
+      case MemPath::kTexture:
+        counters_.tex_transactions += transactions;
+        break;
+    }
+  }
 };
 
 }  // namespace fusedml::vgpu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "common/error.h"
 
@@ -9,7 +10,10 @@ namespace fusedml::vgpu {
 
 SharedMemory::SharedMemory(usize words, int banks, MemCounters& counters)
     : data_(words, real{0}), banks_(banks), counters_(counters) {
-  FUSEDML_CHECK(banks_ > 0, "bank count must be positive");
+  // warp_access tracks per-bank state in 32-entry arrays (one per lane).
+  FUSEDML_CHECK(banks_ >= 1 && banks_ <= 32,
+                "shared-memory bank count " + std::to_string(banks_) +
+                    " is outside [1, 32]");
 }
 
 void SharedMemory::bounds_check(usize word) const {

@@ -293,6 +293,27 @@ TEST(Log, LevelThresholdDropsBelow) {
   EXPECT_NE(out.find("kept-error"), std::string::npos);
 }
 
+TEST(Log, DisabledLevelSkipsItsOperands) {
+  const LogLevel saved = log_level();
+  int evaluated = 0;
+  const auto operand = [&evaluated] {
+    ++evaluated;
+    return "side-effect";
+  };
+  CerrCapture capture;
+  set_log_level(LogLevel::kInfo);
+  FUSEDML_LOG_DEBUG << "skipped " << operand();
+  EXPECT_EQ(evaluated, 0) << "a debug operand ran at the info level";
+  set_log_level(LogLevel::kDebug);
+  FUSEDML_LOG_DEBUG << "written " << operand();
+  set_log_level(saved);
+  EXPECT_EQ(evaluated, 1);
+  const std::string out = capture.str();
+  EXPECT_EQ(out.find("skipped"), std::string::npos);
+  EXPECT_NE(out.find("[DEBUG] written side-effect"), std::string::npos)
+      << out;
+}
+
 TEST(Log, ConcurrentLinesStayUnscrambled) {
   const LogLevel saved = log_level();
   set_log_level(LogLevel::kInfo);

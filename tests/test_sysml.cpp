@@ -9,6 +9,7 @@
 #include "la/convert.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
+#include "sysml/expr.h"
 #include "sysml/jni_bridge.h"
 #include "ml/script_library.h"
 #include "sysml/memory_manager.h"
@@ -345,6 +346,28 @@ TEST(Runtime, TraceRecordsOpsAndPlacement) {
     EXPECT_FALSE(entry.op.empty());
   }
   EXPECT_EQ(rt.trace()[0].op, "pattern");
+}
+
+TEST(Program, PlanCacheKeysMinBenefitExactly) {
+  // Thresholds that agree to six significant digits still plan separately:
+  // the cache key compares every planner option exactly.
+  vgpu::Device dev;
+  Runtime rt(dev, {});
+  ExprBuilder b;
+  const auto X = b.matrix("X");
+  const auto y = b.vector("y");
+  b.output("p", ExprBuilder::spmv_t(X, ExprBuilder::spmv(X, y)));
+  Program prog = b.build();
+  prog.bind("X", rt.add_sparse(la::uniform_sparse(200, 50, 0.1, 77), "X"));
+  prog.bind("y", rt.add_vector(la::random_vector(50, 78), "y"));
+  for (const double min_benefit : {1e-7, 1.0000001e-7, 2e-7}) {
+    PlannerOptions opts;
+    opts.min_benefit_ms = min_benefit;
+    rt.set_planner_options(opts);
+    prog.prepare(rt, PlanMode::kPlanner);
+  }
+  EXPECT_EQ(prog.plans_built(), 3);
+  EXPECT_EQ(prog.plan_cache_hits(), 0);
 }
 
 TEST(Script, LogRegGradientDescentLearns) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -149,6 +150,23 @@ TEST(SharedMemory, OutOfBoundsThrows) {
   SharedMemory sm(8, 32, c);
   EXPECT_THROW(sm.load(8), Error);
   EXPECT_THROW(sm.store(100, 1.0), Error);
+}
+
+TEST(SharedMemory, RejectsBankCountsOutsideTheBankModel) {
+  MemCounters c;
+  // The bank model tracks at most 32 banks; more would index past its
+  // per-bank state.
+  for (int banks : {0, -4, 33, 64}) {
+    try {
+      SharedMemory sm(64, banks, c);
+      ADD_FAILURE() << banks << " banks accepted";
+    } catch (const Error& e) {
+      const std::string named = "bank count " + std::to_string(banks) + " ";
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  }
+  for (int banks : {1, 16, 32}) EXPECT_NO_THROW(SharedMemory(64, banks, c));
 }
 
 TEST(SharedMemory, ConflictFreeWarpAccess) {
