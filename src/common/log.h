@@ -20,7 +20,7 @@ LogLevel log_level();
 /// True when messages at `level` are written under the current threshold.
 inline bool log_enabled(LogLevel level) {
   return static_cast<int>(level) >=
-         static_cast<int>(detail::g_log_level.load(std::memory_order_relaxed));
+         static_cast<int>(detail::g_log_level.load());
 }
 
 /// "debug" / "info" / "warn" / "error" (case-sensitive); throws
@@ -60,7 +60,7 @@ struct LogVoidify {
 }  // namespace fusedml
 
 // A disabled level builds no LogLine and evaluates none of the streamed
-// operands, so a debug line on a hot path costs one relaxed atomic load.
+// operands, so a debug line on a hot path costs one atomic load.
 #define FUSEDML_LOG_AT(level)                          \
   !::fusedml::log_enabled(level)                       \
       ? (void)0                                        \

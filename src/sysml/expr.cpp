@@ -122,8 +122,7 @@ Program::PlanKey Program::plan_key(Runtime& rt, PlanMode mode,
   for (const auto& [name, node] : leaves_) {
     FUSEDML_CHECK(node->tensor != 0,
                   "Program leaf '" + name + "' is not bound to a tensor");
-    const TensorInfo info = rt.tensor_info(node->tensor);
-    key.leaves.push_back({info.rows, info.cols, info.nnz, info.is_sparse});
+    key.leaves.push_back(rt.tensor_info(node->tensor));
   }
   return key;
 }

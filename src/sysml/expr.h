@@ -164,20 +164,13 @@ class Program {
     int fused_groups = 0;
   };
 
-  struct LeafShape {
-    index_t rows = 0;
-    index_t cols = 0;
-    std::uint64_t nnz = 0;
-    bool is_sparse = false;
-    bool operator==(const LeafShape&) const = default;
-  };
   /// Cache key: mode, the planner options the mode plans with (every field
   /// compared exactly; default under kUnfused, which plans nothing), and
-  /// the shape of every bound leaf in leaf order.
+  /// the shape and storage of every bound leaf in leaf order.
   struct PlanKey {
     PlanMode mode = PlanMode::kUnfused;
     PlannerOptions opts;
-    std::vector<LeafShape> leaves;
+    std::vector<TensorInfo> leaves;
     bool operator==(const PlanKey&) const = default;
   };
   PlanKey plan_key(Runtime& rt, PlanMode mode,

@@ -137,6 +137,8 @@ struct TensorInfo {
   index_t cols = 0;
   usize bytes = 0;
   std::uint64_t nnz = 0;  ///< sparse matrices only
+
+  bool operator==(const TensorInfo&) const = default;
 };
 
 class Runtime {
