@@ -15,9 +15,9 @@
 // to runtime tensors by name, and may be re-bound every iteration (hits
 // re-binds "a" to the previous refresh's output; glm re-binds "resid" to
 // the freshly computed residual). Planning cost is paid once per solver,
-// not per iteration: prepare() keys its plan cache on (plan mode, shape
-// signature of every bound leaf), so the steady-state loop hits the cache
-// and run() just interprets the already-rewritten DAG.
+// not per iteration: prepare() keys its plan cache on (plan mode, planner
+// options, shape of every bound leaf), so the steady-state loop hits the
+// cache and run() just interprets the already-rewritten DAG.
 #pragma once
 
 #include <cstdint>
@@ -121,7 +121,7 @@ class ExprBuilder {
 };
 
 /// A compiled expression program: named leaves, named output DAGs, and a
-/// per-(plan mode, leaf shape signature) cache of prepared plans.
+/// per-(plan mode, planner options, leaf shapes) cache of prepared plans.
 class Program {
  public:
   Program() = default;
