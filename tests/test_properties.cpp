@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <set>
 
 #include "common/rng.h"
 #include "kernels/baselines.h"
@@ -209,8 +211,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
 // table. These tests recount every load and store each kernel issues from
 // scratch: the warp passes step by step, each step's lane addresses handed
 // to vgpu::gather_transactions, on ragged matrices (empty rows, rows over
-// 1024 nonzeros) at every VS. Atomics, shared memory, shuffles and flops are
-// not warp-pass traffic, so the recount takes them from the kernel.
+// 1024 nonzeros) at every VS. The other counters are recounted too: flops
+// per lane step, the shuffles of each row's butterfly reduction, shared-memory
+// accesses and bank conflicts, and global and shared atomics with their
+// targets.
 
 /// Ragged CSR: about a quarter of the rows empty, one in twenty with more
 /// than 1024 nonzeros, the rest short.
@@ -289,16 +293,85 @@ void recount_data(vgpu::MemTracker& mem, const la::CsrMatrix& X,
   recount_pass(mem, X, first, rows, vs, sizeof(index_t), false, path);
 }
 
-/// The recounted loads and stores, with the kernel's own non-memory fields.
-vgpu::MemCounters with_traffic(vgpu::MemCounters got,
-                               const vgpu::MemCounters& traffic) {
-  got.gld_transactions = traffic.gld_transactions;
-  got.gld_bytes = traffic.gld_bytes;
-  got.gst_transactions = traffic.gst_transactions;
-  got.gst_bytes = traffic.gst_bytes;
-  got.l2_hit_transactions = traffic.l2_hit_transactions;
-  got.tex_transactions = traffic.tex_transactions;
-  return got;
+/// Calls step(r, k0, lanes) for every step of every row of the warp: a
+/// vector's lanes take the row's elements [k0, k0 + lanes).
+template <typename Step>
+void for_each_lane_step(const la::CsrMatrix& X, long long first, int rows,
+                        int vs, Step&& step) {
+  for (int v = 0; v < rows; ++v) {
+    const auto r = static_cast<index_t>(first + v);
+    for (offset_t k0 = X.row_begin(r); k0 < X.row_end(r); k0 += vs) {
+      step(r, k0, static_cast<int>(std::min<offset_t>(vs, X.row_end(r) - k0)));
+    }
+  }
+}
+
+/// Shuffles of one butterfly reduction over VS lanes: VS/2 + VS/4 + ... + 1.
+std::uint64_t reduce_shuffles(int vs) {
+  std::uint64_t ops = 0;
+  for (int offset = vs / 2; offset > 0; offset /= 2) {
+    ops += static_cast<std::uint64_t>(offset);
+  }
+  return ops;
+}
+
+/// A warp's row products: `lane_flops` per lane per step, then one
+/// butterfly reduction per row, empty rows included.
+void recount_row_products(vgpu::MemCounters& want, const la::CsrMatrix& X,
+                          long long first, int rows, int vs,
+                          std::uint64_t lane_flops) {
+  for_each_lane_step(X, first, rows, vs, [&](index_t, offset_t, int lanes) {
+    want.flops += lane_flops * static_cast<std::uint64_t>(lanes);
+  });
+  want.shuffle_ops += static_cast<std::uint64_t>(rows) * reduce_shuffles(vs);
+}
+
+/// Extra passes of one warp-wide shared-memory access: lanes that meet in a
+/// bank at different words serialize, lanes at one word share a broadcast.
+std::uint64_t bank_conflicts(std::span<const usize> words, int banks) {
+  std::map<usize, std::set<usize>> by_bank;
+  for (const usize w : words) by_bank[w % static_cast<usize>(banks)].insert(w);
+  usize passes = 1;
+  for (const auto& [bank, distinct] : by_bank) {
+    passes = std::max(passes, distinct.size());
+  }
+  return static_cast<std::uint64_t>(passes - 1);
+}
+
+/// One lane step of a transposed product's scatter of row r's elements
+/// [k0, k0 + lanes) into the n outputs: with shared aggregation, one bank-
+/// checked warp access and one shared atomic per lane on word `nv + col`
+/// (the block's staging area holds nv words first); else one global atomic
+/// per lane over n targets.
+void recount_scatter_step(vgpu::MemTracker& mem, const la::CsrMatrix& X,
+                          offset_t k0, int lanes, bool shared, usize nv,
+                          int banks) {
+  auto& want = mem.counters();
+  if (!shared) {
+    mem.atomic_global(static_cast<std::uint64_t>(lanes),
+                      static_cast<std::uint64_t>(X.cols()));
+    return;
+  }
+  std::vector<usize> words;
+  for (int l = 0; l < lanes; ++l) {
+    words.push_back(nv + static_cast<usize>(
+                             X.col_idx()[static_cast<usize>(k0 + l)]));
+  }
+  want.smem_accesses += 2 * static_cast<std::uint64_t>(lanes);
+  want.atomic_shared_ops += static_cast<std::uint64_t>(lanes);
+  want.smem_bank_conflicts += bank_conflicts(words, banks);
+}
+
+/// The inter-block aggregation of a shared-aggregation launch: every block
+/// of the grid reads its n partial sums from shared memory and adds them to
+/// the n outputs with global atomics, `flops_per_output` each.
+void recount_block_aggregation(vgpu::MemTracker& mem, int grid_size, usize n,
+                               std::uint64_t flops_per_output) {
+  for (int b = 0; b < grid_size; ++b) {
+    mem.counters().smem_accesses += n;
+    mem.atomic_global(n, n);
+    mem.add_flops(flops_per_output * n);
+  }
 }
 
 void expect_counters_eq(const vgpu::MemCounters& want,
@@ -368,8 +441,9 @@ TEST(SparseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
           }
           mem.store_contiguous(static_cast<std::uint64_t>(first), rows,
                                sizeof(real));
+          recount_row_products(want, X, first, rows, vs, 2);
         });
-        expect_counters_eq(with_traffic(got.counters, want), got.counters,
+        expect_counters_eq(want, got.counters,
                            name + " spmv_csr_vector vs=" +
                                std::to_string(vs) +
                                (texture ? " tex" : " no-tex"));
@@ -381,8 +455,10 @@ TEST(SparseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
     const auto ext = random_vector(m, 2);
     const auto u = random_vector(m, 3);
     const auto z = random_vector(n, 4);
+    // `lane_flops` per lane step; `row_flops` more per row for an epilogue.
     const auto per_row = [&](bool gathers, int extra_row_loads,
-                             usize resident_bytes) {
+                             usize resident_bytes, std::uint64_t lane_flops,
+                             std::uint64_t row_flops) {
       vgpu::MemCounters want;
       vgpu::MemTracker mem(want);
       const bool resident = kernels::tex_resident(spec, resident_bytes);
@@ -399,13 +475,14 @@ TEST(SparseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
           mem.load_contiguous(row0, rows, sizeof(real));
         }
         mem.store_contiguous(row0, rows, sizeof(real));
+        recount_row_products(want, X, first, rows, vs, lane_flops);
+        want.flops += row_flops * static_cast<std::uint64_t>(rows);
       });
       return want;
     };
     const auto masked = kernels::dev_masked_spmv(dev, X, X.values(), y);
-    expect_counters_eq(
-        with_traffic(masked.counters, per_row(false, 0, n * sizeof(real))),
-        masked.counters, name + " masked_spmv");
+    expect_counters_eq(per_row(false, 0, n * sizeof(real), 2, 0),
+                       masked.counters, name + " masked_spmv");
     kernels::EwiseProgram program;
     program.num_inputs = 2;
     kernels::EwiseStep mul;
@@ -416,14 +493,14 @@ TEST(SparseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
     const std::span<const real> ext_span(ext);
     const auto row =
         kernels::dev_fused_row(dev, X, y, program, {&ext_span, 1});
-    expect_counters_eq(
-        with_traffic(row.counters, per_row(false, 1, n * sizeof(real))),
-        row.counters, name + " fused_row");
+    // The epilogue ext * product is one multiply per row.
+    expect_counters_eq(per_row(false, 1, n * sizeof(real), 2, 1),
+                       row.counters, name + " fused_row");
     const auto sddmm = kernels::dev_fused_sddmm(
         dev, X, u, y, z, [](real x) { return x * x; });
-    expect_counters_eq(
-        with_traffic(sddmm.counters, per_row(true, 1, 2 * n * sizeof(real))),
-        sddmm.counters, name + " fused_sddmm");
+    // Per nonzero: two multiplies, the map (four) and a multiply-add.
+    expect_counters_eq(per_row(true, 1, 2 * n * sizeof(real), 7, 0),
+                       sddmm.counters, name + " fused_sddmm");
   }
 }
 
@@ -450,9 +527,13 @@ TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
           mem.load_contiguous(row0, rows + 1, sizeof(offset_t));
           mem.load_contiguous(row0, rows, sizeof(real));
           recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+          for_each_lane_step(X, first, rows, vs,
+                             [&](index_t, offset_t k0, int lanes) {
+            mem.add_flops(static_cast<std::uint64_t>(lanes));
+            recount_scatter_step(mem, X, k0, lanes, false, 0, spec.smem_banks);
+          });
         });
-        expect_counters_eq(with_traffic(got.counters, want), got.counters,
-                           at + " spmv_t_atomic_scatter");
+        expect_counters_eq(want, got.counters, at + " spmv_t_atomic_scatter");
       }
       for (auto aggregation :
            {tuner::Aggregation::kShared, tuner::Aggregation::kGlobal}) {
@@ -465,6 +546,12 @@ TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
         opts.aggregation = aggregation;
         const std::string agg =
             aggregation == tuner::Aggregation::kShared ? " shared" : " global";
+        // The launch shape: the shared staging area's base word and the
+        // number of blocks that aggregate.
+        const auto shape = kernels::fused_sparse_params(dev, X, opts);
+        const bool shared = shape.shared_aggregation;
+        const auto nv =
+            static_cast<usize>(shape.config.num_vectors_per_block());
         {
           const auto got = kernels::fused_spmv_t(dev, X, p, 1.5, opts);
           vgpu::MemCounters want;
@@ -474,9 +561,17 @@ TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
             mem.load_contiguous(row0, rows + 1, sizeof(offset_t));
             mem.load_contiguous(row0, rows, sizeof(real));
             recount_data(mem, X, first, rows, vs, vgpu::MemPath::kDram);
+            for_each_lane_step(X, first, rows, vs,
+                               [&](index_t, offset_t k0, int lanes) {
+              mem.add_flops(static_cast<std::uint64_t>(lanes));
+              recount_scatter_step(mem, X, k0, lanes, shared, nv,
+                                   spec.smem_banks);
+            });
           });
-          expect_counters_eq(with_traffic(got.counters, want), got.counters,
-                             at + agg + " fused_spmv_t");
+          if (shared) {
+            recount_block_aggregation(mem, shape.config.grid_size, n, 0);
+          }
+          expect_counters_eq(want, got.counters, at + agg + " fused_spmv_t");
         }
         for (bool texture : {true, false}) {
           opts.texture_y = texture;
@@ -503,6 +598,8 @@ TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
           for (usize i0 = 0; i0 < n; i0 += 32) {  // beta * z
             const auto lanes = static_cast<int>(std::min<usize>(32, n - i0));
             mem.load_contiguous(i0, lanes, sizeof(real));
+            mem.atomic_global(static_cast<std::uint64_t>(lanes), n);
+            mem.add_flops(static_cast<std::uint64_t>(lanes));
           }
           for_each_warp(X, vs, [&](long long first, int rows) {
             const auto row0 = static_cast<std::uint64_t>(first);
@@ -515,8 +612,21 @@ TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
                                    : vgpu::MemPath::kDram);
             }
             recount_data(mem, X, first, rows, vs, pass2);
+            // First pass: the row product, then v[r] * p[r], one flop.
+            recount_row_products(want, X, first, rows, vs, 2);
+            mem.add_flops(static_cast<std::uint64_t>(rows));
+            // Second pass: a multiply-add per lane and the scatter.
+            for_each_lane_step(X, first, rows, vs,
+                               [&](index_t, offset_t k0, int lanes) {
+              mem.add_flops(2 * static_cast<std::uint64_t>(lanes));
+              recount_scatter_step(mem, X, k0, lanes, shared, nv,
+                                   spec.smem_banks);
+            });
           });
-          expect_counters_eq(with_traffic(got.counters, want), got.counters,
+          if (shared) {
+            recount_block_aggregation(mem, shape.config.grid_size, n, 1);
+          }
+          expect_counters_eq(want, got.counters,
                              at + agg + (texture ? " tex" : " no-tex") +
                                  " fused_pattern_sparse");
         }
