@@ -10,12 +10,14 @@ namespace fusedml::kernels {
 
 namespace {
 
+using detail::launch_streaming;
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
+}  // namespace
 
-/// Launch geometry for a grid-stride streaming kernel over `n` elements.
-LaunchConfig streaming_config(const vgpu::Device& dev, usize n) {
+vgpu::LaunchConfig detail::streaming_config(const vgpu::Device& dev,
+                                            usize n) {
   LaunchConfig cfg;
   cfg.block_size = 256;
   cfg.resources = {kBlas1RegsPerThread, 0};
@@ -28,30 +30,6 @@ LaunchConfig streaming_config(const vgpu::Device& dev, usize n) {
   cfg.grid_size = std::max(1, blocks_needed);
   return cfg;
 }
-
-/// Runs `body(ctx, i0, lanes)` for every warp-sized slice [i0, i0+lanes) of
-/// [0, n), distributed across blocks grid-stride — the canonical streaming
-/// kernel shape. `body` does both the functional work and the accounting.
-template <typename Body>
-vgpu::LaunchStats launch_streaming(vgpu::Device& dev, const char* label,
-                                   usize n, Body&& body) {
-  LaunchConfig cfg = streaming_config(dev, n);
-  cfg.label = label;
-  return dev.launch(cfg, [&](BlockCtx& ctx) {
-    const usize stride =
-        static_cast<usize>(ctx.grid_size()) * ctx.block_size();
-    const usize base = static_cast<usize>(ctx.block_id()) * ctx.block_size();
-    for (usize chunk = base; chunk < n; chunk += stride) {
-      const usize end = std::min(n, chunk + ctx.block_size());
-      for (usize i0 = chunk; i0 < end; i0 += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-        body(ctx, i0, lanes);
-      }
-    }
-  });
-}
-
-}  // namespace
 
 OpResult dev_axpy(vgpu::Device& dev, real alpha, std::span<const real> x,
                   std::span<real> y) {
@@ -92,7 +70,7 @@ OpResult reduction_kernel(vgpu::Device& dev, const char* label, usize n,
   OpResult out;
   out.value.assign(1, real{0});
   real& target = out.value.front();
-  LaunchConfig cfg = streaming_config(dev, n);
+  LaunchConfig cfg = detail::streaming_config(dev, n);
   cfg.label = label;
   cfg.smem_words = static_cast<usize>(cfg.block_size) / 32;  // warp partials
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {

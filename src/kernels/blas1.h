@@ -5,6 +5,7 @@
 // exactly the costs kernel fusion removes.
 #pragma once
 
+#include <algorithm>
 #include <span>
 
 #include "common/types.h"
@@ -44,5 +45,35 @@ OpResult dev_map(vgpu::Device& dev, std::span<const real> x, real (*f)(real));
 /// intermediates in registers (ewise_program.h / generate_ewise_chain_cuda).
 OpResult dev_ewise_chain(vgpu::Device& dev, const EwiseProgram& program,
                          std::span<const std::span<const real>> inputs);
+
+namespace detail {
+
+/// Launch geometry for a grid-stride streaming kernel over `n` elements.
+vgpu::LaunchConfig streaming_config(const vgpu::Device& dev, usize n);
+
+/// Runs `body(ctx, i0, lanes)` for every warp-sized slice [i0, i0+lanes) of
+/// [0, n), distributed across blocks grid-stride — the canonical streaming
+/// kernel shape of these kernels and the elementwise steps of the fused
+/// templates. `body` does both the functional work and the accounting.
+template <typename Body>
+vgpu::LaunchStats launch_streaming(vgpu::Device& dev, const char* label,
+                                   usize n, Body&& body) {
+  vgpu::LaunchConfig cfg = streaming_config(dev, n);
+  cfg.label = label;
+  return dev.launch(cfg, [&](vgpu::BlockCtx& ctx) {
+    const usize stride =
+        static_cast<usize>(ctx.grid_size()) * ctx.block_size();
+    const usize base = static_cast<usize>(ctx.block_id()) * ctx.block_size();
+    for (usize chunk = base; chunk < n; chunk += stride) {
+      const usize end = std::min(n, chunk + ctx.block_size());
+      for (usize i0 = chunk; i0 < end; i0 += 32) {
+        const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
+        body(ctx, i0, lanes);
+      }
+    }
+  });
+}
+
+}  // namespace detail
 
 }  // namespace fusedml::kernels

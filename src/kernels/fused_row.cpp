@@ -5,74 +5,20 @@
 #include <vector>
 
 #include "common/error.h"
+#include "kernels/blas1.h"
 #include "kernels/resource_profile.h"
 #include "kernels/sparse_warp_accounting.h"
 #include "kernels/spmv.h"
 #include "kernels/texture_model.h"
-#include "vgpu/warp.h"
 
 namespace fusedml::kernels {
 
 namespace {
 
+using detail::launch_streaming;
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
-
-/// Grid-stride streaming geometry (same shape as the BLAS-1 kernels).
-LaunchConfig streaming_config(const vgpu::Device& dev, usize n) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.resources = {kBlas1RegsPerThread, 0};
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  const int max_resident_blocks = occ.blocks_per_sm * dev.spec().num_sms;
-  const auto blocks_needed = static_cast<int>(
-      std::min<usize>((n + cfg.block_size - 1) / cfg.block_size,
-                      static_cast<usize>(max_resident_blocks)));
-  cfg.grid_size = std::max(1, blocks_needed);
-  return cfg;
-}
-
-template <typename Body>
-vgpu::LaunchStats launch_streaming(vgpu::Device& dev, const char* label,
-                                   usize n, Body&& body) {
-  LaunchConfig cfg = streaming_config(dev, n);
-  cfg.label = label;
-  return dev.launch(cfg, [&](BlockCtx& ctx) {
-    const usize stride =
-        static_cast<usize>(ctx.grid_size()) * ctx.block_size();
-    const usize base = static_cast<usize>(ctx.block_id()) * ctx.block_size();
-    for (usize chunk = base; chunk < n; chunk += stride) {
-      const usize end = std::min(n, chunk + ctx.block_size());
-      for (usize i0 = chunk; i0 < end; i0 += 32) {
-        const int lanes = static_cast<int>(std::min<usize>(32, end - i0));
-        body(ctx, i0, lanes);
-      }
-    }
-  });
-}
-
-/// Resident-grid geometry for the sparse row sweeps — must match
-/// spmv.cpp's sparse_config so masked / fused products share the baseline's
-/// launch shape (and therefore its reduction order).
-LaunchConfig sparse_config(const vgpu::Device& dev, index_t m, int vs) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.vector_size = vs;
-  cfg.resources = {kSpmvRegsPerThread, 0};
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  const int resident = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
-  const int vectors_needed =
-      static_cast<int>((static_cast<long long>(m) + 0) /
-                       std::max(1, cfg.block_size / vs)) + 1;
-  cfg.grid_size = std::max(1, std::min(resident, vectors_needed));
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * (cfg.block_size / vs);
-  cfg.coarsening = static_cast<int>((m + total_vectors - 1) / total_vectors);
-  return cfg;
-}
 
 /// Dense row-per-warp geometry, matching gemv.cpp's dense_config.
 LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
@@ -87,28 +33,6 @@ LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
   cfg.coarsening = static_cast<int>(
       std::max<long long>(1, (rows + warps_total - 1) / warps_total));
   return cfg;
-}
-
-/// One vector's dot product over row r against `vals` in place of X's
-/// values array — the exact arithmetic of spmv.cpp's vector_row_dot (same
-/// lane partition by VS, same shuffle reduction), which is what keeps the
-/// masked product bit-exact with the fused sddmm kernel.
-real vector_row_dot_vals(BlockCtx& ctx, const la::CsrMatrix& X,
-                         std::span<const real> vals, std::span<const real> z,
-                         index_t r, int vs) {
-  const offset_t start = X.row_begin(r);
-  const offset_t end = X.row_end(r);
-  std::array<real, 32> lane_sum{};
-  for (offset_t i = start; i < end; i += vs) {
-    const int lanes = static_cast<int>(std::min<offset_t>(vs, end - i));
-    ctx.mem().add_flops(2ull * lanes);
-    for (int l = 0; l < lanes; ++l) {
-      const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-      lane_sum[l] += vals[k] * z[static_cast<usize>(X.col_idx()[k])];
-    }
-  }
-  return vgpu::shuffle_reduce_sum({lane_sum.data(), static_cast<usize>(vs)},
-                                  ctx.counters());
 }
 
 /// Per-element evaluation of an EwiseProgram with slots preloaded — the
@@ -225,45 +149,32 @@ OpResult dev_masked_spmv(vgpu::Device& dev, const la::CsrMatrix& X,
   FUSEDML_CHECK(z.size() == static_cast<usize>(X.cols()),
                 "masked_spmv dimension mismatch");
   const int vs = vector_size_for(X.mean_nnz_per_row());
-  LaunchConfig cfg = sparse_config(dev, X.rows(), vs);
+  LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "masked_spmv";
   const bool z_resident = tex_resident(dev.spec(), z.size() * sizeof(real));
   const MemPath z_path = MemPath::kTexture;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const int nv = cfg.num_vectors_per_block();
-  const int rows_per_warp = std::max(1, 32 / vs);
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * nv;
   const detail::WarpTraffic traffic(X, vs);
+  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                            int rows_here) {
+    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                   /*with_y=*/!z_resident, z_path);
+    for (int v = 0; v < rows_here; ++v) {
+      const auto r = static_cast<index_t>(first_row + v);
+      out.value[static_cast<usize>(r)] =
+          detail::vector_row_dot(ctx, X, vals, z, r, vs);
+    }
+    ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                               rows_here, sizeof(real));
+  };
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && z_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), z.size() * sizeof(real));
     }
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
-                       /*with_y=*/!z_resident, z_path);
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          out.value[static_cast<usize>(r)] =
-              vector_row_dot_vals(ctx, X, vals, z, r, vs);
-        }
-        ctx.mem().store_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                   rows_here, sizeof(real));
-      }
-    }
+    detail::sweep_rows(ctx, X, per_warp);
   }));
   return out;
 }
@@ -328,62 +239,46 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
                   "fused_row: external input must be a length-m vector");
   }
   const int vs = vector_size_for(X.mean_nnz_per_row());
-  LaunchConfig cfg = sparse_config(dev, X.rows(), vs);
+  LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "fused_row";
   const bool y_resident = tex_resident(dev.spec(), y.size() * sizeof(real));
   const MemPath y_path = MemPath::kTexture;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const int nv = cfg.num_vectors_per_block();
-  const int rows_per_warp = std::max(1, 32 / vs);
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * nv;
   const std::uint64_t epilogue_flops = program.flops_per_element();
   const detail::WarpTraffic traffic(X, vs);
+  // Blocks run one at a time, so one set of epilogue slots serves them all.
+  std::vector<real> slots(static_cast<usize>(program.num_inputs) +
+                          program.steps.size());
+  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                            int rows_here) {
+    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                   /*with_y=*/!y_resident, y_path);
+    // External epilogue inputs: one coalesced load per stream.
+    for (usize e = 0; e < ext.size(); ++e) {
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                rows_here, sizeof(real));
+    }
+    ctx.mem().add_flops(epilogue_flops *
+                        static_cast<std::uint64_t>(rows_here));
+    for (int v = 0; v < rows_here; ++v) {
+      const auto r = static_cast<index_t>(first_row + v);
+      slots[0] = detail::vector_row_dot(ctx, X, X.values(), y, r, vs);
+      for (usize e = 0; e < ext.size(); ++e) {
+        slots[e + 1] = ext[e][static_cast<usize>(r)];
+      }
+      out.value[static_cast<usize>(r)] = eval_program_element(program, slots);
+    }
+    ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                               rows_here, sizeof(real));
+  };
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), y.size() * sizeof(real));
     }
-    std::vector<real> slots(static_cast<usize>(program.num_inputs) +
-                            program.steps.size());
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
-                       /*with_y=*/!y_resident, y_path);
-        // External epilogue inputs: one coalesced load per stream.
-        for (usize e = 0; e < ext.size(); ++e) {
-          ctx.mem().load_contiguous(
-              static_cast<std::uint64_t>(warp_first_row), rows_here,
-              sizeof(real));
-        }
-        ctx.mem().add_flops(epilogue_flops *
-                            static_cast<std::uint64_t>(rows_here));
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          // The row product is spmv.cpp's vector_row_dot arithmetic: same
-          // lane partition by VS, same shuffle reduction.
-          slots[0] = vector_row_dot_vals(ctx, X, X.values(), y, r, vs);
-          for (usize e = 0; e < ext.size(); ++e) {
-            slots[e + 1] = ext[e][static_cast<usize>(r)];
-          }
-          out.value[static_cast<usize>(r)] =
-              eval_program_element(program, slots);
-        }
-        ctx.mem().store_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                   rows_here, sizeof(real));
-      }
-    }
+    detail::sweep_rows(ctx, X, per_warp);
   }));
   return out;
 }
@@ -462,7 +357,7 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
                     z.size() == static_cast<usize>(X.cols()),
                 "fused_sddmm: v and z must be length-n vectors");
   const int vs = vector_size_for(X.mean_nnz_per_row());
-  LaunchConfig cfg = sparse_config(dev, X.rows(), vs);
+  LaunchConfig cfg = detail::sparse_config(dev, X.rows(), vs);
   cfg.label = "fused_sddmm";
   // v and z are both gathered at col_idx; they share the read-only cache.
   const bool vz_resident =
@@ -471,64 +366,39 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const int nv = cfg.num_vectors_per_block();
-  const int rows_per_warp = std::max(1, 32 / vs);
-  const long long total_vectors =
-      static_cast<long long>(cfg.grid_size) * nv;
   const detail::WarpTraffic traffic(X, vs);
+  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                            int rows_here) {
+    // u for the warp's rows: one coalesced load.
+    ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                              rows_here, sizeof(real));
+    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                   /*with_y=*/!vz_resident, gather_path);
+    if (!vz_resident) {
+      // Second gather stream (v AND z are fetched per nonzero).
+      traffic.charge_gather(ctx.mem(), first_row, rows_here, gather_path);
+    }
+    for (int vrow = 0; vrow < rows_here; ++vrow) {
+      const auto r = static_cast<index_t>(first_row + vrow);
+      const real ur = u[static_cast<usize>(r)];
+      // 2 mul + map + mul-add per lane. Term for term the unfused chain's
+      // expression: mask = X.values[k] * f(u[r] * v[col]); sum += mask * z[col]
+      out.value[static_cast<usize>(r)] = detail::vector_row_sum(
+          ctx, X, r, vs, 7, [&](usize k, usize col) {
+            const real masked = X.values()[k] * f(ur * v[col]);
+            return masked * z[col];
+          });
+    }
+    ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                               rows_here, sizeof(real));
+  };
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && vz_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(),
                       (v.size() + z.size()) * sizeof(real));
     }
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        // u for the warp's rows: one coalesced load.
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here, sizeof(real));
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
-                       /*with_y=*/!vz_resident, gather_path);
-        if (!vz_resident) {
-          // Second gather stream (v AND z are fetched per nonzero).
-          traffic.charge_gather(ctx.mem(), warp_first_row, rows_here,
-                                gather_path);
-        }
-        for (int vrow = 0; vrow < rows_here; ++vrow) {
-          const auto r = static_cast<index_t>(warp_first_row + vrow);
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-          std::array<real, 32> lane_sum{};
-          for (offset_t i = start; i < end; i += vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(vs, end - i));
-            ctx.mem().add_flops(7ull * lanes);  // 2 mul + map + mul-add
-            for (int l = 0; l < lanes; ++l) {
-              const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-              const auto col = static_cast<usize>(X.col_idx()[k]);
-              // Term for term the unfused chain's expression:
-              //   mask = X.values[k] * f(u[r] * v[col]);  sum += mask * z[col]
-              const real masked =
-                  X.values()[k] * f(u[static_cast<usize>(r)] * v[col]);
-              lane_sum[l] += masked * z[col];
-            }
-          }
-          out.value[static_cast<usize>(r)] = vgpu::shuffle_reduce_sum(
-              {lane_sum.data(), static_cast<usize>(vs)}, ctx.counters());
-        }
-        ctx.mem().store_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                   rows_here, sizeof(real));
-      }
-    }
+    detail::sweep_rows(ctx, X, per_warp);
   }));
   return out;
 }

@@ -8,7 +8,6 @@
 #include "kernels/resource_profile.h"
 #include "kernels/sparse_warp_accounting.h"
 #include "kernels/texture_model.h"
-#include "vgpu/warp.h"
 
 namespace fusedml::kernels {
 
@@ -88,20 +87,51 @@ MemPath second_pass_path(const vgpu::Device& dev,
              : MemPath::kDram;
 }
 
-struct SweepGeometry {
-  int vs, nv, rows_per_warp, coarsening;
-  long long total_vectors;
-};
+/// Where a transposed product's lanes add X[r,:]^T * p[r]: with shared
+/// aggregation, into the block's partial w in shared memory (Alg. 1 L11-14,
+/// Alg. 2 L13-14; words [nv, nv + n) after the per-vector staging slots),
+/// otherwise straight into the n outputs through global atomics, scaled by
+/// alpha.
+struct RowScatter {
+  const la::CsrMatrix& X;
+  bool shared;
+  real alpha;
+  std::span<real> out;
 
-SweepGeometry geometry(const LaunchConfig& cfg) {
-  SweepGeometry g;
-  g.vs = cfg.vector_size;
-  g.nv = cfg.num_vectors_per_block();
-  g.rows_per_warp = std::max(1, 32 / g.vs);
-  g.coarsening = cfg.coarsening;
-  g.total_vectors = static_cast<long long>(cfg.grid_size) * g.nv;
-  return g;
-}
+  /// Scatters row r times pr, one lane step at a time, charging
+  /// `lane_flops` per active lane per step.
+  void row(BlockCtx& ctx, index_t r, real pr, std::uint64_t lane_flops) const {
+    const int vs = ctx.vector_size();
+    const auto sd_base = static_cast<usize>(ctx.num_vectors());
+    const offset_t start = X.row_begin(r);
+    const offset_t end = X.row_end(r);
+    std::array<usize, 32> words{};
+    for (offset_t i = start; i < end; i += vs) {
+      const int lanes = static_cast<int>(std::min<offset_t>(vs, end - i));
+      ctx.mem().add_flops(lane_flops * static_cast<std::uint64_t>(lanes));
+      if (shared) {
+        for (int l = 0; l < lanes; ++l) {
+          const auto k = static_cast<usize>(i) + static_cast<usize>(l);
+          words[l] = sd_base + static_cast<usize>(X.col_idx()[k]);
+        }
+        ctx.smem().warp_access({words.data(), static_cast<usize>(lanes)});
+        for (int l = 0; l < lanes; ++l) {
+          const auto k = static_cast<usize>(i) + static_cast<usize>(l);
+          ctx.smem().atomic_add(sd_base + static_cast<usize>(X.col_idx()[k]),
+                                X.values()[k] * pr);
+        }
+      } else {
+        ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
+                                static_cast<std::uint64_t>(out.size()));
+        for (int l = 0; l < lanes; ++l) {
+          const auto k = static_cast<usize>(i) + static_cast<usize>(l);
+          vgpu::atomic_add(out[static_cast<usize>(X.col_idx()[k])],
+                           alpha * X.values()[k] * pr);
+        }
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -118,7 +148,6 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
                 "fused_spmv_t: p must have m entries");
   const double mu = X.mean_nnz_per_row();
   const auto params = resolve_params(dev, X.rows(), X.cols(), mu, opts);
-  const auto g = geometry(params.config);
   const auto n = static_cast<usize>(X.cols());
   const bool shared = params.shared_aggregation;
   // Single pass over X here (p is given), so every load is a cold load.
@@ -128,64 +157,24 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
 
   LaunchConfig launch_cfg = params.config;
   launch_cfg.label = "fused_spmv_t";
-  const detail::WarpTraffic traffic(X, g.vs);
-  out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
-    const usize sd_base = static_cast<usize>(g.nv);  // staging | partial w
-    for (int c = 0; c < g.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * g.nv +
-          static_cast<long long>(c) * g.total_vectors;
-      for (int vid0 = 0; vid0 < g.nv; vid0 += g.rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            g.rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here, sizeof(real));  // p[row]
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
-                       /*with_y=*/false, MemPath::kDram);
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          const real pr = p[static_cast<usize>(r)];
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-          std::array<usize, 32> words{};
-          for (offset_t i = start; i < end; i += g.vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(g.vs, end - i));
-            ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
-            if (shared) {
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                const auto col = static_cast<usize>(X.col_idx()[k]);
-                words[l] = sd_base + col;
-              }
-              ctx.smem().warp_access({words.data(),
-                                      static_cast<usize>(lanes)});
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                ctx.smem().atomic_add(
-                    sd_base + static_cast<usize>(X.col_idx()[k]),
-                    X.values()[k] * pr);
-              }
-            } else {
-              ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                      static_cast<std::uint64_t>(n));
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                vgpu::atomic_add(
-                    out.value[static_cast<usize>(X.col_idx()[k])],
-                    alpha * X.values()[k] * pr);
-              }
-            }
-          }
-        }
-      }
+  const detail::WarpTraffic traffic(X, launch_cfg.vector_size);
+  const RowScatter scatter{X, shared, alpha, out.value};
+  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                            int rows_here) {
+    ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                              rows_here, sizeof(real));  // p[row]
+    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                   /*with_y=*/false, MemPath::kDram);
+    for (int v = 0; v < rows_here; ++v) {
+      const auto r = static_cast<index_t>(first_row + v);
+      scatter.row(ctx, r, p[static_cast<usize>(r)], 1);
     }
+  };
+  out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
+    detail::sweep_rows(ctx, X, per_warp);
     if (shared) {
       // __syncthreads, then the inter-block aggregation (Alg. 1 L15-16).
+      const auto sd_base = static_cast<usize>(ctx.num_vectors());
       for (usize i = 0; i < n; i += 32) {
         const int lanes = static_cast<int>(std::min<usize>(32, n - i));
         for (int l = 0; l < lanes; ++l) {
@@ -213,7 +202,6 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
                 "fused_pattern_sparse: z must have n entries or be empty");
   const double mu = X.mean_nnz_per_row();
   const auto params = resolve_params(dev, X.rows(), X.cols(), mu, opts);
-  const auto g = geometry(params.config);
   const auto n = static_cast<usize>(X.cols());
   const bool shared = params.shared_aggregation;
   const bool y_resident =
@@ -229,9 +217,38 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
 
   LaunchConfig launch_cfg = params.config;
   launch_cfg.label = "fused_pattern_sparse";
-  const detail::WarpTraffic traffic(X, g.vs);
+  const int vs = launch_cfg.vector_size;
+  const detail::WarpTraffic traffic(X, vs);
+  const RowScatter scatter{X, shared, alpha, out.value};
+  // The fused row sweep (Alg. 2 L5-15).
+  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                            int rows_here) {
+    if (!v.empty()) {
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                rows_here, sizeof(real));  // v[row]
+    }
+    // First pass over the warp's rows: cold loads + y gathers (skipped
+    // when y is texture-resident — only the fill was charged).
+    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                   /*with_y=*/!y_resident, y_path);
+    // Second pass: same data while still cache-resident.
+    traffic.charge(ctx.mem(), first_row, rows_here, pass2,
+                   /*with_y=*/false, y_path);
+    for (int vv = 0; vv < rows_here; ++vv) {
+      const auto r = static_cast<index_t>(first_row + vv);
+      // First pass: p[r] = X[r,:] * y (Alg. 2 L10-11), reduced within the
+      // vector, then v ⊙ (Alg. 2 L12).
+      real pr = detail::vector_row_dot(ctx, X, X.values(), y, r, vs);
+      if (!v.empty()) {
+        pr *= v[static_cast<usize>(r)];
+        ctx.mem().add_flops(1);
+      }
+      // Second pass: scatter X[r,:]^T * p[r] (Alg. 2 L13-14) — loads
+      // already charged above at the pass2 (cache) path.
+      scatter.row(ctx, r, pr, 2);
+    }
+  };
   out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
-    const usize sd_base = static_cast<usize>(g.nv);
     const usize bs = static_cast<usize>(ctx.block_size());
     const usize grid_stride = static_cast<usize>(ctx.grid_size()) * bs;
     if (ctx.block_id() == 0 && y_resident) {
@@ -256,92 +273,11 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
       }
     }
 
-    // --- the fused row sweep (Alg. 2 L5-15) --------------------------------
-    std::array<real, 32> lane_sum{};
-    std::array<usize, 32> words{};
-    for (int c = 0; c < g.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * g.nv +
-          static_cast<long long>(c) * g.total_vectors;
-      for (int vid0 = 0; vid0 < g.nv; vid0 += g.rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            g.rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        if (!v.empty()) {
-          ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                    rows_here, sizeof(real));  // v[row]
-        }
-        // First pass over the warp's rows: cold loads + y gathers (skipped
-        // when y is texture-resident — only the fill was charged).
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
-                       /*with_y=*/!y_resident, y_path);
-        // Second pass: same data while still cache-resident.
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, pass2,
-                       /*with_y=*/false, y_path);
-        for (int vv = 0; vv < rows_here; ++vv) {
-          const auto r = static_cast<index_t>(warp_first_row + vv);
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-
-          // First pass: p[r] = X[r,:] * y  (Alg. 2 L10-11).
-          lane_sum.fill(real{0});
-          for (offset_t i = start; i < end; i += g.vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(g.vs, end - i));
-            ctx.mem().add_flops(2ull * lanes);
-            for (int l = 0; l < lanes; ++l) {
-              const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-              lane_sum[l] +=
-                  X.values()[k] * y[static_cast<usize>(X.col_idx()[k])];
-            }
-          }
-          // Intra-vector register reduction + v ⊙ (Alg. 2 L12).
-          real pr = vgpu::shuffle_reduce_sum(
-              {lane_sum.data(), static_cast<usize>(g.vs)}, ctx.counters());
-          if (!v.empty()) {
-            pr *= v[static_cast<usize>(r)];
-            ctx.mem().add_flops(1);
-          }
-
-          // Second pass: scatter X[r,:]^T * p[r] (Alg. 2 L13-14) — loads
-          // already charged above at the pass2 (cache) path.
-          for (offset_t i = start; i < end; i += g.vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(g.vs, end - i));
-            ctx.mem().add_flops(2ull * lanes);
-            if (shared) {
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                words[l] = sd_base + static_cast<usize>(X.col_idx()[k]);
-              }
-              ctx.smem().warp_access({words.data(),
-                                      static_cast<usize>(lanes)});
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                ctx.smem().atomic_add(
-                    sd_base + static_cast<usize>(X.col_idx()[k]),
-                    X.values()[k] * pr);
-              }
-            } else {
-              ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                      static_cast<std::uint64_t>(n));
-              for (int l = 0; l < lanes; ++l) {
-                const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-                vgpu::atomic_add(
-                    out.value[static_cast<usize>(X.col_idx()[k])],
-                    alpha * X.values()[k] * pr);
-              }
-            }
-          }
-        }
-      }
-    }
+    detail::sweep_rows(ctx, X, per_warp);
 
     // --- __syncthreads + inter-block aggregation (Alg. 2 L16-18) ----------
     if (shared) {
+      const auto sd_base = static_cast<usize>(ctx.num_vectors());
       for (usize i = 0; i < n; i += 32) {
         const int lanes = static_cast<int>(std::min<usize>(32, n - i));
         ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),

@@ -4,10 +4,29 @@
 #include <array>
 
 #include "common/error.h"
+#include "kernels/resource_profile.h"
 #include "obs/metrics.h"
 #include "vgpu/coalescing.h"
 
 namespace fusedml::kernels::detail {
+
+vgpu::LaunchConfig sparse_config(const vgpu::Device& dev, index_t m, int vs) {
+  vgpu::LaunchConfig cfg;
+  cfg.block_size = 256;
+  cfg.vector_size = vs;
+  cfg.resources = {kSpmvRegsPerThread, 0};
+  const auto occ =
+      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
+  const int resident = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
+  const int blocks_needed =
+      static_cast<int>(static_cast<long long>(m) /
+                       std::max(1, cfg.block_size / vs)) + 1;
+  cfg.grid_size = std::max(1, std::min(resident, blocks_needed));
+  const long long total_vectors =
+      static_cast<long long>(cfg.grid_size) * (cfg.block_size / vs);
+  cfg.coarsening = static_cast<int>((m + total_vectors - 1) / total_vectors);
+  return cfg;
+}
 
 namespace {
 

@@ -1,13 +1,11 @@
 #include "kernels/spmv_transpose.h"
 
 #include <algorithm>
-#include <array>
 
 #include "common/error.h"
 #include "kernels/resource_profile.h"
 #include "kernels/sparse_warp_accounting.h"
 #include "la/convert.h"
-#include "vgpu/warp.h"
 
 namespace fusedml::kernels {
 
@@ -46,52 +44,40 @@ OpResult spmv_t_atomic_scatter(vgpu::Device& dev, const la::CsrMatrix& X,
   const auto occ =
       vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
   cfg.grid_size = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
-  const int nv = cfg.num_vectors_per_block();
-  const long long total_vectors = static_cast<long long>(cfg.grid_size) * nv;
+  const long long total_vectors =
+      static_cast<long long>(cfg.grid_size) * cfg.num_vectors_per_block();
   cfg.coarsening = static_cast<int>(
       (X.rows() + total_vectors - 1) / total_vectors);
-  const int rows_per_warp = std::max(1, 32 / vs);
   const detail::WarpTraffic traffic(X, vs);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.cols()), real{0});
-  out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
-    for (int c = 0; c < cfg.coarsening; ++c) {
-      const long long block_first_row =
-          static_cast<long long>(ctx.block_id()) * nv +
-          static_cast<long long>(c) * total_vectors;
-      for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-        const long long warp_first_row = block_first_row + vid0;
-        if (warp_first_row >= X.rows()) continue;
-        const int rows_here = static_cast<int>(std::min<long long>(
-            rows_per_warp, X.rows() - warp_first_row));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here + 1, sizeof(offset_t));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(warp_first_row),
-                                  rows_here, sizeof(real));  // y[row]
-        traffic.charge(ctx.mem(), warp_first_row, rows_here, MemPath::kDram,
-                       /*with_y=*/false, MemPath::kDram);
-        for (int v = 0; v < rows_here; ++v) {
-          const auto r = static_cast<index_t>(warp_first_row + v);
-          const real yr = y[static_cast<usize>(r)];
-          const offset_t start = X.row_begin(r);
-          const offset_t end = X.row_end(r);
-          for (offset_t i = start; i < end; i += vs) {
-            const int lanes =
-                static_cast<int>(std::min<offset_t>(vs, end - i));
-            ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
-            for (int l = 0; l < lanes; ++l) {
-              const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-              vgpu::atomic_add(
-                  out.value[static_cast<usize>(X.col_idx()[k])],
-                  X.values()[k] * yr);
-            }
-            ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
-                                    static_cast<std::uint64_t>(X.cols()));
-          }
+  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                            int rows_here) {
+    ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                              rows_here, sizeof(real));  // y[row]
+    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                   /*with_y=*/false, MemPath::kDram);
+    for (int v = 0; v < rows_here; ++v) {
+      const auto r = static_cast<index_t>(first_row + v);
+      const real yr = y[static_cast<usize>(r)];
+      const offset_t start = X.row_begin(r);
+      const offset_t end = X.row_end(r);
+      for (offset_t i = start; i < end; i += vs) {
+        const int lanes = static_cast<int>(std::min<offset_t>(vs, end - i));
+        ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
+        for (int l = 0; l < lanes; ++l) {
+          const auto k = static_cast<usize>(i) + static_cast<usize>(l);
+          vgpu::atomic_add(out.value[static_cast<usize>(X.col_idx()[k])],
+                           X.values()[k] * yr);
         }
+        ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
+                                static_cast<std::uint64_t>(X.cols()));
       }
     }
+  };
+  out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
+    detail::sweep_rows(ctx, X, per_warp);
   }));
   return out;
 }
