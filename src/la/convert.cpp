@@ -29,43 +29,32 @@ CsrMatrix coo_to_csr(const CooMatrix& coo_in) {
                    std::move(values));
 }
 
-CscMatrix csr_to_csc(const CsrMatrix& csr) {
+CsrMatrix transpose(const CsrMatrix& csr) {
   const usize nnz = static_cast<usize>(csr.nnz());
-  std::vector<offset_t> col_off(static_cast<usize>(csr.cols()) + 1, 0);
-  // Histogram.
+  // Histogram: row c of X^T holds column c's entries.
+  std::vector<offset_t> row_off(static_cast<usize>(csr.cols()) + 1, 0);
   for (usize i = 0; i < nnz; ++i) {
-    ++col_off[static_cast<usize>(csr.col_idx()[i]) + 1];
+    ++row_off[static_cast<usize>(csr.col_idx()[i]) + 1];
   }
   // Exclusive scan.
   for (usize c = 0; c < static_cast<usize>(csr.cols()); ++c) {
-    col_off[c + 1] += col_off[c];
+    row_off[c + 1] += row_off[c];
   }
-  // Scatter. Row order within a column is preserved because rows are walked
-  // in increasing order, so row_idx comes out strictly increasing.
-  std::vector<index_t> row_idx(nnz);
+  // Scatter. X's rows are walked in increasing order, so each row of X^T
+  // lists its columns in increasing order.
+  std::vector<index_t> col_idx(nnz);
   std::vector<real> values(nnz);
-  std::vector<offset_t> cursor(col_off.begin(), col_off.end() - 1);
+  std::vector<offset_t> cursor(row_off.begin(), row_off.end() - 1);
   for (index_t r = 0; r < csr.rows(); ++r) {
     for (offset_t i = csr.row_begin(r); i < csr.row_end(r); ++i) {
       const index_t c = csr.col_idx()[static_cast<usize>(i)];
       const offset_t dst = cursor[static_cast<usize>(c)]++;
-      row_idx[static_cast<usize>(dst)] = r;
+      col_idx[static_cast<usize>(dst)] = r;
       values[static_cast<usize>(dst)] = csr.values()[static_cast<usize>(i)];
     }
   }
-  return CscMatrix(csr.rows(), csr.cols(), std::move(col_off),
-                   std::move(row_idx), std::move(values));
-}
-
-CsrMatrix csc_as_transposed_csr(const CscMatrix& csc) {
-  return CsrMatrix(csc.cols(), csc.rows(),
-                   {csc.col_off().begin(), csc.col_off().end()},
-                   {csc.row_idx().begin(), csc.row_idx().end()},
-                   {csc.values().begin(), csc.values().end()});
-}
-
-CsrMatrix transpose(const CsrMatrix& csr) {
-  return csc_as_transposed_csr(csr_to_csc(csr));
+  return CsrMatrix(csr.cols(), csr.rows(), std::move(row_off),
+                   std::move(col_idx), std::move(values));
 }
 
 CsrMatrix select_rows(const CsrMatrix& csr, std::span<const index_t> rows) {

@@ -1,9 +1,8 @@
-// Format conversions, including the explicit transpose (csr2csc) that the
-// paper's cuSPARSE baseline relies on.
+// Format conversions, including the explicit transpose (the host-side
+// semantics of the csr2csc step the paper's cuSPARSE baseline relies on).
 #pragma once
 
 #include "la/coo_matrix.h"
-#include "la/csc_matrix.h"
 #include "la/csr_matrix.h"
 #include "la/dense_matrix.h"
 
@@ -12,15 +11,9 @@ namespace fusedml::la {
 /// Builds CSR from (normalized or not) COO triplets.
 CsrMatrix coo_to_csr(const CooMatrix& coo);
 
-/// Explicit transpose, the host-side semantics of cuSPARSE's csr2csc:
-/// histogram over columns, exclusive scan, scatter.
-CscMatrix csr_to_csc(const CsrMatrix& csr);
-
-/// X in CSC reinterpreted as X^T in CSR (pure relabeling; O(1) data moves
-/// beyond the array copies).
-CsrMatrix csc_as_transposed_csr(const CscMatrix& csc);
-
-/// Transpose via csr2csc relabeling: returns X^T as a CsrMatrix.
+/// Explicit transpose, the host-side semantics of cuSPARSE's csr2csc
+/// (X in CSC is X^T in CSR): histogram over columns, exclusive scan,
+/// scatter, written straight into X^T's CSR arrays.
 CsrMatrix transpose(const CsrMatrix& csr);
 
 /// Row-subset extraction: the rows listed in `rows` (strictly increasing),
