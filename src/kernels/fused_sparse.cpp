@@ -93,19 +93,29 @@ MemPath second_pass_path(const vgpu::Device& dev,
 /// otherwise straight into the n outputs through global atomics, scaled by
 /// alpha.
 struct RowScatter {
+  RowScatter(const la::CsrMatrix& matrix, const tuner::SparseParams& params,
+             real scale, std::span<real> outputs)
+      : X(matrix),
+        vs(params.config.vector_size),
+        sd_base(static_cast<usize>(params.config.num_vectors_per_block())),
+        shared(params.shared_aggregation),
+        alpha(scale),
+        out(outputs) {}
+
   const la::CsrMatrix& X;
+  int vs;
+  usize sd_base;
   bool shared;
   real alpha;
   std::span<real> out;
+  /// One lane step's shared-memory words, for the bank model.
+  std::array<usize, 32> words{};
 
   /// Scatters row r times pr, one lane step at a time, charging
   /// `lane_flops` per active lane per step.
-  void row(BlockCtx& ctx, index_t r, real pr, std::uint64_t lane_flops) const {
-    const int vs = ctx.vector_size();
-    const auto sd_base = static_cast<usize>(ctx.num_vectors());
+  void row(BlockCtx& ctx, index_t r, real pr, std::uint64_t lane_flops) {
     const offset_t start = X.row_begin(r);
     const offset_t end = X.row_end(r);
-    std::array<usize, 32> words{};
     for (offset_t i = start; i < end; i += vs) {
       const int lanes = static_cast<int>(std::min<offset_t>(vs, end - i));
       ctx.mem().add_flops(lane_flops * static_cast<std::uint64_t>(lanes));
@@ -149,7 +159,6 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
   const double mu = X.mean_nnz_per_row();
   const auto params = resolve_params(dev, X.rows(), X.cols(), mu, opts);
   const auto n = static_cast<usize>(X.cols());
-  const bool shared = params.shared_aggregation;
   // Single pass over X here (p is given), so every load is a cold load.
 
   OpResult out;
@@ -158,7 +167,7 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
   LaunchConfig launch_cfg = params.config;
   launch_cfg.label = "fused_spmv_t";
   const detail::WarpTraffic traffic(X, launch_cfg.vector_size);
-  const RowScatter scatter{X, shared, alpha, out.value};
+  RowScatter scatter(X, params, alpha, out.value);
   const auto per_warp = [&](BlockCtx& ctx, long long first_row,
                             int rows_here) {
     ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
@@ -172,14 +181,13 @@ OpResult fused_spmv_t(vgpu::Device& dev, const la::CsrMatrix& X,
   };
   out.absorb(dev.launch(launch_cfg, [&](BlockCtx& ctx) {
     detail::sweep_rows(ctx, X, per_warp);
-    if (shared) {
+    if (scatter.shared) {
       // __syncthreads, then the inter-block aggregation (Alg. 1 L15-16).
-      const auto sd_base = static_cast<usize>(ctx.num_vectors());
       for (usize i = 0; i < n; i += 32) {
         const int lanes = static_cast<int>(std::min<usize>(32, n - i));
         for (int l = 0; l < lanes; ++l) {
           vgpu::atomic_add(out.value[i + l],
-                           alpha * ctx.smem().load(sd_base + i + l));
+                           alpha * ctx.smem().load(scatter.sd_base + i + l));
         }
         ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
                                 static_cast<std::uint64_t>(n));
@@ -203,7 +211,6 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
   const double mu = X.mean_nnz_per_row();
   const auto params = resolve_params(dev, X.rows(), X.cols(), mu, opts);
   const auto n = static_cast<usize>(X.cols());
-  const bool shared = params.shared_aggregation;
   const bool y_resident =
       opts.texture_y && tex_resident(dev.spec(), y.size() * sizeof(real));
   const MemPath y_path =
@@ -219,7 +226,7 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
   launch_cfg.label = "fused_pattern_sparse";
   const int vs = launch_cfg.vector_size;
   const detail::WarpTraffic traffic(X, vs);
-  const RowScatter scatter{X, shared, alpha, out.value};
+  RowScatter scatter(X, params, alpha, out.value);
   // The fused row sweep (Alg. 2 L5-15).
   const auto per_warp = [&](BlockCtx& ctx, long long first_row,
                             int rows_here) {
@@ -276,8 +283,7 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
     detail::sweep_rows(ctx, X, per_warp);
 
     // --- __syncthreads + inter-block aggregation (Alg. 2 L16-18) ----------
-    if (shared) {
-      const auto sd_base = static_cast<usize>(ctx.num_vectors());
+    if (scatter.shared) {
       for (usize i = 0; i < n; i += 32) {
         const int lanes = static_cast<int>(std::min<usize>(32, n - i));
         ctx.mem().atomic_global(static_cast<std::uint64_t>(lanes),
@@ -285,7 +291,7 @@ OpResult fused_pattern_sparse(vgpu::Device& dev, real alpha,
         ctx.mem().add_flops(static_cast<std::uint64_t>(lanes));
         for (int l = 0; l < lanes; ++l) {
           vgpu::atomic_add(out.value[i + l],
-                           alpha * ctx.smem().load(sd_base + i + l));
+                           alpha * ctx.smem().load(scatter.sd_base + i + l));
         }
       }
     }

@@ -56,9 +56,9 @@ void sweep_rows(vgpu::BlockCtx& ctx, const la::CsrMatrix& X,
     const long long block_first_row =
         static_cast<long long>(ctx.block_id()) * nv +
         static_cast<long long>(c) * total_vectors;
-    for (int vid0 = 0; vid0 < nv; vid0 += rows_per_warp) {
-      const long long first_row = block_first_row + vid0;
-      if (first_row >= rows) continue;
+    const long long block_end = std::min(block_first_row + nv, rows);
+    for (long long first_row = block_first_row; first_row < block_end;
+         first_row += rows_per_warp) {
       const int rows_here = static_cast<int>(
           std::min<long long>(rows_per_warp, rows - first_row));
       ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
@@ -73,19 +73,24 @@ void sweep_rows(vgpu::BlockCtx& ctx, const la::CsrMatrix& X,
 /// per step, and the lanes fold through the shuffle tree. Functional work
 /// plus flop/shuffle accounting only; the warp's memory traffic is charged
 /// through WarpTraffic (loads coalesce across the warp's vectors).
+/// Always inlined: in a file with several row products the compiler would
+/// otherwise call one shared out-of-line copy per row, which made the masked
+/// and fused row products about 10% slower on the host (300x150 CSR).
 template <typename Term>
-real vector_row_sum(vgpu::BlockCtx& ctx, const la::CsrMatrix& X, index_t r,
-                    int vs, std::uint64_t lane_flops, Term&& term) {
+[[gnu::always_inline]] inline real vector_row_sum(vgpu::BlockCtx& ctx,
+                                                  const la::CsrMatrix& X,
+                                                  index_t r, int vs,
+                                                  std::uint64_t lane_flops,
+                                                  Term&& term) {
   const offset_t start = X.row_begin(r);
   const offset_t end = X.row_end(r);
-  const auto cols = X.col_idx();
   std::array<real, 32> lane_sum{};
   for (offset_t i = start; i < end; i += vs) {
     const int lanes = static_cast<int>(std::min<offset_t>(vs, end - i));
     ctx.mem().add_flops(lane_flops * static_cast<std::uint64_t>(lanes));
     for (int l = 0; l < lanes; ++l) {
       const auto k = static_cast<usize>(i) + static_cast<usize>(l);
-      lane_sum[l] += term(k, static_cast<usize>(cols[k]));
+      lane_sum[l] += term(k, static_cast<usize>(X.col_idx()[k]));
     }
   }
   return vgpu::shuffle_reduce_sum({lane_sum.data(), static_cast<usize>(vs)},
@@ -97,7 +102,7 @@ real vector_row_sum(vgpu::BlockCtx& ctx, const la::CsrMatrix& X, index_t r,
 inline real vector_row_dot(vgpu::BlockCtx& ctx, const la::CsrMatrix& X,
                            std::span<const real> vals, std::span<const real> y,
                            index_t r, int vs) {
-  return vector_row_sum(ctx, X, r, vs, 2, [&](usize k, usize col) {
+  return vector_row_sum(ctx, X, r, vs, 2, [vals, y](usize k, usize col) {
     return vals[k] * y[col];
   });
 }
