@@ -384,7 +384,7 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
       // 2 mul + map + mul-add per lane. Term for term the unfused chain's
       // expression: mask = X.values[k] * f(u[r] * v[col]); sum += mask * z[col]
       out.value[static_cast<usize>(r)] = detail::vector_row_sum(
-          ctx, X, r, vs, 7, [&](usize k, usize col) {
+          ctx, X, r, vs, 7, [&X, ur, v, z, f](usize k, usize col) {
             const real masked = X.values()[k] * f(ur * v[col]);
             return masked * z[col];
           });
