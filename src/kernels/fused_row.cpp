@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "kernels/blas1.h"
+#include "kernels/gemv.h"
 #include "kernels/resource_profile.h"
 #include "kernels/sparse_warp_accounting.h"
 #include "kernels/spmv.h"
@@ -15,25 +16,11 @@ namespace fusedml::kernels {
 
 namespace {
 
+using detail::dense_config;
 using detail::launch_streaming;
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
-
-/// Dense row-per-warp geometry, matching gemv.cpp's dense_config.
-LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
-  LaunchConfig cfg;
-  cfg.block_size = 256;
-  cfg.resources = {kGemvRegsPerThread, 32 * sizeof(real)};
-  cfg.smem_words = 32;
-  const auto occ =
-      vgpu::compute_occupancy(dev.spec(), cfg.block_size, cfg.resources);
-  cfg.grid_size = std::max(1, occ.blocks_per_sm * dev.spec().num_sms);
-  const int warps_total = cfg.grid_size * (cfg.block_size / 32);
-  cfg.coarsening = static_cast<int>(
-      std::max<long long>(1, (rows + warps_total - 1) / warps_total));
-  return cfg;
-}
 
 /// Per-element evaluation of an EwiseProgram with slots preloaded — the
 /// same SSA switch as dev_ewise_chain, so fused epilogues stay bit-exact

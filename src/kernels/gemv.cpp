@@ -12,8 +12,9 @@ namespace {
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
+}  // namespace
 
-LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
+LaunchConfig detail::dense_config(const vgpu::Device& dev, index_t rows) {
   LaunchConfig cfg;
   cfg.block_size = 256;
   cfg.resources = {kGemvRegsPerThread, 32 * sizeof(real)};
@@ -26,14 +27,13 @@ LaunchConfig dense_config(const vgpu::Device& dev, index_t rows) {
       std::max<long long>(1, (rows + warps_total - 1) / warps_total));
   return cfg;
 }
-}  // namespace
 
 OpResult gemv_n(vgpu::Device& dev, const la::DenseMatrix& X,
                 std::span<const real> y, GemvOptions opts) {
   FUSEDML_CHECK(y.size() == static_cast<usize>(X.cols()),
                 "gemv_n dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "gemv_n";
   const bool y_resident =
       opts.texture_y && tex_resident(dev.spec(), n * sizeof(real));
@@ -81,7 +81,7 @@ OpResult gemv_t(vgpu::Device& dev, const la::DenseMatrix& X,
   FUSEDML_CHECK(p.size() == static_cast<usize>(X.rows()),
                 "gemv_t dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
-  LaunchConfig cfg = dense_config(dev, X.rows());
+  LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "gemv_t";
   const int warps_per_block = cfg.block_size / 32;
   const long long rows_per_block_step =

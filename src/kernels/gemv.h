@@ -44,4 +44,11 @@ OpResult gemv_n(vgpu::Device& dev, const la::DenseMatrix& X,
 OpResult gemv_t(vgpu::Device& dev, const la::DenseMatrix& X,
                 std::span<const real> p, GemvOptions opts = {});
 
+namespace detail {
+/// Dense row-per-warp geometry of the gemv kernels, shared with the dense
+/// masked and fused row products: 256-thread blocks, a full resident grid,
+/// and enough coarsening that its warps cover `rows` rows.
+vgpu::LaunchConfig dense_config(const vgpu::Device& dev, index_t rows);
+}  // namespace detail
+
 }  // namespace fusedml::kernels

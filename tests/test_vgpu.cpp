@@ -3,7 +3,11 @@
 // block executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -150,6 +154,12 @@ TEST(SharedMemory, OutOfBoundsThrows) {
   SharedMemory sm(8, 32, c);
   EXPECT_THROW(sm.load(8), Error);
   EXPECT_THROW(sm.store(100, 1.0), Error);
+  EXPECT_THROW(sm.atomic_add(8, 1.0), Error);
+  // One lane past the end fails the whole warp access.
+  const std::vector<usize> last_lane_out = {0, 1, 7, 8};
+  EXPECT_THROW(sm.warp_access(last_lane_out), Error);
+  const std::vector<usize> in_bounds = {0, 1, 7};
+  EXPECT_EQ(sm.warp_access(in_bounds), 1);
 }
 
 TEST(SharedMemory, RejectsBankCountsOutsideTheBankModel) {
@@ -194,6 +204,51 @@ TEST(SharedMemory, StridedAccessConflicts) {
   for (usize i = 0; i < 32; ++i) addrs[i] = i * 32;
   EXPECT_EQ(sm.warp_access(addrs), 32);
   EXPECT_EQ(c.smem_bank_conflicts, 31u);
+}
+
+TEST(SharedMemory, RepeatedLaterWordBroadcasts) {
+  MemCounters c;
+  SharedMemory sm(64, 32, c);
+  // Bank 0 receives two distinct words; the third lane repeats the second
+  // word and shares its access -> 2 passes, 1 conflict.
+  const std::vector<usize> addrs = {0, 32, 32};
+  EXPECT_EQ(sm.warp_access(addrs), 2);
+  EXPECT_EQ(c.smem_bank_conflicts, 1u);
+  EXPECT_EQ(c.smem_accesses, 3u);
+}
+
+TEST(SharedMemory, NonPowerOfTwoBankCountMapsByModulo) {
+  MemCounters c;
+  SharedMemory sm(64, 24, c);
+  // On 24 banks, words 0, 24 and 48 share bank 0 (24 repeats) and word 8
+  // has bank 8 to itself -> 3 passes. A mask of 23 would put 8 with 0 and
+  // 24 with 48 (2 passes).
+  const std::vector<usize> addrs = {0, 24, 24, 48, 8};
+  EXPECT_EQ(sm.warp_access(addrs), 3);
+  EXPECT_EQ(c.smem_bank_conflicts, 2u);
+}
+
+TEST(SharedMemory, WarpAccessChargesMostDistinctWordsInOneBank) {
+  // Random lane words against a plain per-bank set of distinct words.
+  std::mt19937 rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int banks = 1 + static_cast<int>(rng() % 32);
+    const usize lanes = rng() % 33;
+    const usize span = 1 + rng() % 256;  // small spans force repeats
+    std::vector<usize> addrs(lanes);
+    for (usize& a : addrs) a = rng() % span;
+    std::map<usize, std::set<usize>> by_bank;
+    for (const usize a : addrs) by_bank[a % static_cast<usize>(banks)].insert(a);
+    int want = 1;
+    for (const auto& [bank, words] : by_bank)
+      want = std::max(want, static_cast<int>(words.size()));
+
+    MemCounters c;
+    SharedMemory sm(256, banks, c);
+    ASSERT_EQ(sm.warp_access(addrs), want) << "banks " << banks;
+    EXPECT_EQ(c.smem_bank_conflicts, static_cast<std::uint64_t>(want - 1));
+    EXPECT_EQ(c.smem_accesses, lanes);
+  }
 }
 
 // --- Warp primitives ---------------------------------------------------------
