@@ -236,6 +236,62 @@ TEST(Executor, WideDenseFallsBackToTwoKernels) {
   EXPECT_FALSE(dense_fused_feasible(dev.spec(), 5121));
 }
 
+TEST(Executor, BaselineDispatchNamesAndLaunches) {
+  // Each baseline backend on each storage names the composition it ran and
+  // launches one kernel per primitive (ABFT is off, so no verify launches).
+  vgpu::Device dev;
+  OpRegistry reg(dev);
+  const auto Xs = uniform_sparse(300, 100, 0.05, 79);
+  const auto Xd = la::dense_random(200, 96, 80);
+  // n = 5200 is over the fused dense kernel's 5120-column limit.
+  const auto Xwide = la::dense_random(20, 5200, 81);
+  enum class Op { kPattern, kTransposed, kScaledTransposed };
+  struct Row {
+    Backend backend;
+    la::MatrixRef X;
+    Op op;
+    std::string kernel;
+    std::uint64_t launches;
+  };
+  const Row rows[] = {
+      {Backend::kCusparse, Xs, Op::kPattern,
+       "csrmv + blas1 + csr2csc + csrmv", 8},
+      {Backend::kCusparse, Xs, Op::kTransposed, "csr2csc + csrmv", 4},
+      {Backend::kCusparse, Xs, Op::kScaledTransposed, "csr2csc + csrmv", 5},
+      {Backend::kBidmatGpu, Xs, Op::kPattern,
+       "csrmv + blas1 + atomic-scatter", 5},
+      {Backend::kBidmatGpu, Xs, Op::kTransposed, "atomic-scatter spmv_t", 1},
+      {Backend::kBidmatGpu, Xs, Op::kScaledTransposed,
+       "atomic-scatter spmv_t", 2},
+      {Backend::kCusparse, Xd, Op::kPattern,
+       "gemv + blas1 + gemv_t (cuBLAS tiles)", 5},
+      {Backend::kCusparse, Xd, Op::kTransposed, "gemv_t", 1},
+      {Backend::kCusparse, Xd, Op::kScaledTransposed, "gemv_t", 2},
+      {Backend::kBidmatGpu, Xd, Op::kPattern,
+       "gemv + blas1 + gemv_t (padded tiles)", 5},
+      {Backend::kBidmatGpu, Xd, Op::kTransposed, "gemv_t", 1},
+      {Backend::kBidmatGpu, Xd, Op::kScaledTransposed, "gemv_t", 2},
+      {Backend::kFused, Xwide, Op::kPattern,
+       "gemv + gemv_t (fused infeasible: n too large, §3.2)", 5},
+  };
+  for (const Row& row : rows) {
+    const auto m = static_cast<usize>(row.X.rows());
+    const auto n = static_cast<usize>(row.X.cols());
+    const auto y = random_vector(n, 15);
+    const auto v = random_vector(m, 16);
+    const auto z = random_vector(n, 17);
+    const auto p = random_vector(m, 18);
+    const KernelOutcome got =
+        row.op == Op::kPattern
+            ? reg.pattern(row.backend, 1.5, row.X, v, y, -0.5, z)
+            : reg.transposed_product(row.backend, row.X, p,
+                                     row.op == Op::kTransposed ? 1.0 : 2.0);
+    SCOPED_TRACE(to_string(row.backend) + " " + row.kernel);
+    EXPECT_EQ(got.kernel, row.kernel);
+    EXPECT_EQ(got.launches, row.launches);
+  }
+}
+
 TEST(Executor, SingleThreadCpuSlowerThanEightInModel) {
   vgpu::Device dev;
   OpRegistry cpu8(dev, 8);

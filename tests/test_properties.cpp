@@ -9,12 +9,15 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "kernels/baselines.h"
 #include "kernels/fused_dense.h"
 #include "kernels/fused_row.h"
 #include "kernels/fused_sparse.h"
+#include "kernels/gemv.h"
+#include "kernels/resource_profile.h"
 #include "kernels/spmv.h"
 #include "kernels/spmv_transpose.h"
 #include "kernels/texture_model.h"
@@ -30,6 +33,7 @@
 #include "vgpu/coalescing.h"
 #include "vgpu/cost_model.h"
 #include "vgpu/mem_tracker.h"
+#include "vgpu/occupancy.h"
 
 namespace fusedml {
 namespace {
@@ -632,6 +636,154 @@ TEST(SparseWarpCounters, TransposedProductsMatchAnAccessByAccessRecount) {
         }
       }
     }
+  }
+}
+
+// --- Dense warp accounting vs an access-by-access recount --------------------
+//
+// The dense row kernels (gemv_n, the dense masked product and the dense row
+// and sddmm templates) give each row one warp. This test recounts every
+// counter they charge with its own walk: each row's X stream and vector
+// streams as successive 32-lane warp steps, one coalesced access per step,
+// the per-row loads of length-m vectors, flops per row, one 31-shuffle
+// reduction per row, and one coalesced store per block step of eight rows.
+
+/// Loads of `count` doubles from element `first` by successive 32-lane warp
+/// steps, one warp access per step.
+void recount_stream(vgpu::MemTracker& mem, std::uint64_t first, usize count,
+                    vgpu::MemPath path) {
+  for (usize c = 0; c < count; c += 32) {
+    mem.load_contiguous(first + c,
+                        static_cast<int>(std::min<usize>(32, count - c)),
+                        sizeof(real), path);
+  }
+}
+
+TEST(DenseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
+  vgpu::Device dev;
+  const auto& spec = dev.spec();
+  // 256-thread blocks: eight warps, one row each, store their rows together.
+  constexpr long long kRowsPerStep = 256 / 32;
+  const auto occ = vgpu::compute_occupancy(
+      spec, 256, {kernels::kGemvRegsPerThread, 32 * sizeof(real)});
+  const long long grid_stride_rows =
+      static_cast<long long>(occ.blocks_per_sm) * spec.num_sms * kRowsPerStep;
+  struct Shape {
+    std::string name;
+    index_t m, n;
+  };
+  // A shape taller than a grid stride with a partial last step; one whose
+  // v+z (but not y) is over the texture cache; one whose y is over it.
+  const Shape shapes[] = {{"tall 2045x28", 2045, 28},
+                          {"v+z over 37x3500", 37, 3500},
+                          {"y over 13x6500", 13, 6500}};
+  ASSERT_GT(shapes[0].m, grid_stride_rows);
+  ASSERT_NE(shapes[0].m % kRowsPerStep, 0);
+  for (const auto& [name, m, n] : shapes) {
+    const auto X = la::dense_random(m, n, 77);
+    const auto nu = static_cast<usize>(n);
+    const auto y = random_vector(nu, 1);
+    const auto u = random_vector(static_cast<usize>(m), 2);
+    const auto z = random_vector(nu, 3);
+    const auto e1 = random_vector(static_cast<usize>(m), 4);
+    const auto e2 = random_vector(static_cast<usize>(m), 5);
+    // Counters of one launch: the fill of `resident_bytes` when they fit
+    // the texture cache, then per row row_loads(mem, r, resident),
+    // `row_flops` and a warp reduction, then the per-step output stores.
+    const auto recount = [&](usize resident_bytes, std::uint64_t row_flops,
+                             const auto& row_loads) {
+      vgpu::MemCounters want;
+      vgpu::MemTracker mem(want);
+      const bool resident = kernels::tex_resident(spec, resident_bytes);
+      if (resident) kernels::charge_tex_fill(mem, spec, resident_bytes);
+      for (long long r = 0; r < m; ++r) {
+        row_loads(mem, static_cast<std::uint64_t>(r), resident);
+        mem.add_flops(row_flops);
+        want.shuffle_ops += reduce_shuffles(32);
+      }
+      for (long long first = 0; first < m; first += kRowsPerStep) {
+        mem.store_contiguous(
+            static_cast<std::uint64_t>(first),
+            static_cast<int>(std::min<long long>(kRowsPerStep, m - first)),
+            sizeof(real));
+      }
+      return want;
+    };
+    // X's row streamed `passes` times, then `vectors` length-n streams on
+    // the texture path unless resident.
+    const auto row_streams = [&](int passes, int vectors) {
+      return [&, passes, vectors](vgpu::MemTracker& mem, std::uint64_t r,
+                                  bool resident) {
+        for (int p = 0; p < passes; ++p) {
+          recount_stream(mem, r * nu, nu, vgpu::MemPath::kDram);
+        }
+        for (int v = 0; !resident && v < vectors; ++v) {
+          recount_stream(mem, 0, nu, vgpu::MemPath::kTexture);
+        }
+      };
+    };
+    const usize y_bytes = nu * sizeof(real);
+
+    for (const int inflation : {1, 2}) {
+      const auto got = kernels::gemv_n(
+          dev, X, y, kernels::GemvOptions{.transaction_inflation = inflation});
+      expect_counters_eq(recount(y_bytes, 2 * nu, row_streams(inflation, 1)),
+                         got.counters,
+                         name + " gemv_n inflation " +
+                             std::to_string(inflation));
+    }
+
+    const auto masked = kernels::dev_masked_gemv(dev, X, X.data(), y);
+    expect_counters_eq(recount(y_bytes, 2 * nu, row_streams(1, 1)),
+                       masked.counters, name + " masked_gemv");
+
+    // Epilogues: 2 * product (one flop), and product * e1 + e2 (two).
+    const auto step = [](kernels::EwiseOp op, int a, int b) {
+      kernels::EwiseStep s;
+      s.op = op;
+      s.a = a;
+      s.b = b;
+      s.scalar = 2;
+      return s;
+    };
+    kernels::EwiseProgram scale;
+    scale.num_inputs = 1;
+    scale.steps.push_back(step(kernels::EwiseOp::kScale, 0, -1));
+    kernels::EwiseProgram mul_add;
+    mul_add.num_inputs = 3;
+    mul_add.steps.push_back(step(kernels::EwiseOp::kMul, 0, 1));
+    mul_add.steps.push_back(step(kernels::EwiseOp::kAdd, 3, 2));
+    const std::span<const real> ext[] = {e1, e2};
+    for (const auto& [program, ext_count, epilogue_flops] :
+         {std::tuple{&scale, usize{0}, std::uint64_t{1}},
+          std::tuple{&mul_add, usize{2}, std::uint64_t{2}}}) {
+      const auto got = kernels::dev_fused_row(
+          dev, X, y, *program, std::span(ext).first(ext_count));
+      const auto loads = [&, ext_count](vgpu::MemTracker& mem,
+                                        std::uint64_t r, bool resident) {
+        row_streams(1, 1)(mem, r, resident);
+        for (usize e = 0; e < ext_count; ++e) {
+          mem.load_contiguous(r, 1, sizeof(real));
+        }
+      };
+      expect_counters_eq(recount(y_bytes, 2 * nu + epilogue_flops, loads),
+                         got.counters,
+                         name + " fused_row, " + std::to_string(ext_count) +
+                             " external inputs");
+    }
+
+    // Per element: two multiplies, the map (four) and a multiply-add; v and
+    // z share the texture cache.
+    const auto sddmm = kernels::dev_fused_sddmm(
+        dev, X, u, y, z, [](real x) { return x * x; });
+    const auto sddmm_loads = [&](vgpu::MemTracker& mem, std::uint64_t r,
+                                 bool resident) {
+      recount_stream(mem, r * nu, nu, vgpu::MemPath::kDram);
+      mem.load_contiguous(r, 1, sizeof(real));  // u[r]
+      row_streams(0, 2)(mem, r, resident);
+    };
+    expect_counters_eq(recount(2 * y_bytes, 7 * nu, sddmm_loads),
+                       sddmm.counters, name + " fused_sddmm");
   }
 }
 
