@@ -203,8 +203,8 @@ static int run_bench(int argc, char** argv) {
       vgpu::Device d(spec);
       const auto fused =
           kernels::fused_pattern_sparse(d, 1, X, {}, y, 0, {});
-      const auto base = kernels::baseline_xtxy_sparse(
-          d, X, y, kernels::SparseTransposeStrategy::kExplicitTranspose);
+      const auto base = kernels::baseline_xtxy(
+          d, X, y, kernels::BaselineLibrary::kVendor);
       const auto params = kernels::fused_sparse_params(d, X, {});
       t.row()
           .add(spec.name)

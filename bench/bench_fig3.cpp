@@ -52,10 +52,10 @@ static int run_bench(int argc, char** argv) {
     const auto y = la::random_vector(static_cast<usize>(n), seed + 1);
 
     const auto fused = kernels::fused_pattern_sparse(dev, 1, X, {}, y, 0, {});
-    const auto cus = kernels::baseline_xtxy_sparse(
-        dev, X, y, kernels::SparseTransposeStrategy::kExplicitTranspose);
-    const auto bid = kernels::baseline_xtxy_sparse(
-        dev, X, y, kernels::SparseTransposeStrategy::kAtomicScatter);
+    const auto cus = kernels::baseline_xtxy(
+        dev, X, y, kernels::BaselineLibrary::kVendor);
+    const auto bid = kernels::baseline_xtxy(
+        dev, X, y, kernels::BaselineLibrary::kBidmat);
     const auto cpu_res = cpu.pattern(1, X, {}, y, 0, {});
 
     const auto ref = la::reference::pattern(1, X, {}, y, 0, {});

@@ -55,12 +55,10 @@ static int run_bench(int argc, char** argv) {
 
     const auto fused =
         kernels::fused_pattern_sparse(dev, alpha, X, v, y, beta, z);
-    const auto cus = kernels::baseline_pattern_sparse(
-        dev, alpha, X, v, y, beta, z,
-        kernels::SparseTransposeStrategy::kExplicitTranspose);
-    const auto bid = kernels::baseline_pattern_sparse(
-        dev, alpha, X, v, y, beta, z,
-        kernels::SparseTransposeStrategy::kAtomicScatter);
+    const auto cus = kernels::baseline_pattern(
+        dev, alpha, X, v, y, beta, z, kernels::BaselineLibrary::kVendor);
+    const auto bid = kernels::baseline_pattern(
+        dev, alpha, X, v, y, beta, z, kernels::BaselineLibrary::kBidmat);
     const auto cpu_res = cpu.pattern(alpha, X, v, y, beta, z);
 
     const auto ref = la::reference::pattern(alpha, X, v, y, beta, z);

@@ -53,10 +53,10 @@ static int run_bench(int argc, char** argv) {
 
     const auto fused = kernels::fused_pattern_dense(dev, 1, X, {}, y, 0, {});
     const auto params = kernels::fused_dense_params(dev, X, {});
-    const auto cub = kernels::baseline_xtxy_dense(
-        dev, X, y, kernels::DenseFlavor::kCublas);
-    const auto bid = kernels::baseline_xtxy_dense(
-        dev, X, y, kernels::DenseFlavor::kBidmat);
+    const auto cub = kernels::baseline_xtxy(
+        dev, X, y, kernels::BaselineLibrary::kVendor);
+    const auto bid = kernels::baseline_xtxy(
+        dev, X, y, kernels::BaselineLibrary::kBidmat);
     const auto cpu_res = cpu.pattern(1, X, {}, y, 0, {});
 
     const auto ref = la::reference::pattern(1, X, {}, y, 0, {});

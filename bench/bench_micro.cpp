@@ -71,9 +71,8 @@ void BM_BaselinePatternSparse(benchmark::State& state) {
   SparseFixture f;
   double modeled = 0;
   for (auto _ : state) {
-    auto r = kernels::baseline_xtxy_sparse(
-        f.dev, f.X, f.y_cols,
-        kernels::SparseTransposeStrategy::kExplicitTranspose);
+    auto r = kernels::baseline_xtxy(
+        f.dev, f.X, f.y_cols, kernels::BaselineLibrary::kVendor);
     benchmark::DoNotOptimize(r.value.data());
     modeled = r.modeled_ms;
   }

@@ -53,8 +53,8 @@ static int run_bench(int argc, char** argv) {
 
   {  // X^T * y
     const auto fused = kernels::fused_spmv_t(dev, X, ym);
-    const auto base = kernels::baseline_xty_sparse(
-        dev, X, ym, kernels::SparseTransposeStrategy::kExplicitTranspose);
+    const auto base = kernels::baseline_transposed_product(
+        dev, X, ym, kernels::BaselineLibrary::kVendor);
     const auto params = kernels::fused_sparse_params(dev, X, {});
     json.add("xty.fused_ms", fused.modeled_ms);
     json.add("xty.baseline_ms", base.modeled_ms);
@@ -68,8 +68,8 @@ static int run_bench(int argc, char** argv) {
   }
   {  // X^T * (X * y)
     const auto fused = kernels::fused_pattern_sparse(dev, 1, X, {}, yn, 0, {});
-    const auto base = kernels::baseline_xtxy_sparse(
-        dev, X, yn, kernels::SparseTransposeStrategy::kExplicitTranspose);
+    const auto base = kernels::baseline_xtxy(
+        dev, X, yn, kernels::BaselineLibrary::kVendor);
     if (la::max_abs_diff(fused.value, base.value) > 1e-6) {
       std::cerr << "RESULT MISMATCH on X^T*(X*y)\n";
       return 1;
@@ -87,9 +87,8 @@ static int run_bench(int argc, char** argv) {
   {  // full pattern
     const auto fused =
         kernels::fused_pattern_sparse(dev, alpha, X, v, yn, beta, z);
-    const auto base = kernels::baseline_pattern_sparse(
-        dev, alpha, X, v, yn, beta, z,
-        kernels::SparseTransposeStrategy::kExplicitTranspose);
+    const auto base = kernels::baseline_pattern(
+        dev, alpha, X, v, yn, beta, z, kernels::BaselineLibrary::kVendor);
     if (la::max_abs_diff(fused.value, base.value) > 1e-6) {
       std::cerr << "RESULT MISMATCH on the full pattern\n";
       return 1;

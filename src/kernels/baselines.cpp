@@ -1,8 +1,6 @@
 #include "kernels/baselines.h"
 
-#include "common/error.h"
 #include "kernels/blas1.h"
-#include "kernels/gemv.h"
 #include "kernels/spmv.h"
 #include "kernels/spmv_transpose.h"
 
@@ -16,56 +14,42 @@ SpmvOptions library_spmv_options() {
   return opts;
 }
 
-OpResult transposed_product(vgpu::Device& dev, const la::CsrMatrix& X,
-                            std::span<const real> p,
-                            SparseTransposeStrategy strategy) {
-  switch (strategy) {
-    case SparseTransposeStrategy::kExplicitTranspose:
-      return spmv_t_explicit_transpose(dev, X, p, library_spmv_options())
-          .combined();
-    case SparseTransposeStrategy::kAtomicScatter:
-      return spmv_t_atomic_scatter(dev, X, p);
-  }
-  throw Error("unknown sparse transpose strategy");
-}
-
-GemvOptions flavor_options(DenseFlavor flavor) {
-  GemvOptions opts;
-  if (flavor == DenseFlavor::kCublas) {
-    opts.smem_conflict_ways = kCublasConflictWays;
-    opts.transaction_inflation = kCublasTransactionInflation;
-  }
-  return opts;
+/// p = X * y with the library's product kernel.
+OpResult product(vgpu::Device& dev, la::MatrixRef X, std::span<const real> y,
+                 BaselineLibrary library) {
+  if (const auto* Xd = X.dense()) return gemv_n(dev, *Xd, y, library);
+  return spmv_csr_vector(dev, *X.csr(), y, library_spmv_options());
 }
 }  // namespace
 
-OpResult baseline_xty_sparse(vgpu::Device& dev, const la::CsrMatrix& X,
-                             std::span<const real> y,
-                             SparseTransposeStrategy strategy) {
-  return transposed_product(dev, X, y, strategy);
+OpResult baseline_transposed_product(vgpu::Device& dev, la::MatrixRef X,
+                                     std::span<const real> p,
+                                     BaselineLibrary library) {
+  if (const auto* Xd = X.dense()) return gemv_t(dev, *Xd, p, library);
+  if (library == BaselineLibrary::kVendor) {
+    return spmv_t_explicit_transpose(dev, *X.csr(), p, library_spmv_options())
+        .combined();
+  }
+  return spmv_t_atomic_scatter(dev, *X.csr(), p);
 }
 
-OpResult baseline_xtxy_sparse(vgpu::Device& dev, const la::CsrMatrix& X,
-                              std::span<const real> y,
-                              SparseTransposeStrategy strategy) {
+OpResult baseline_xtxy(vgpu::Device& dev, la::MatrixRef X,
+                       std::span<const real> y, BaselineLibrary library) {
   OpResult out;
-  auto p = spmv_csr_vector(dev, X, y, library_spmv_options());  // p = X*y
-  auto w = transposed_product(dev, X, p.value,  // kernel(s) 2: w = X^T * p
-                              strategy);
+  auto p = product(dev, X, y, library);  // p = X*y
+  auto w = baseline_transposed_product(dev, X, p.value, library);  // X^T*p
   out.value = std::move(w.value);
   out.absorb_timing(p);
   out.absorb_timing(w);
   return out;
 }
 
-OpResult baseline_pattern_sparse(vgpu::Device& dev, real alpha,
-                                 const la::CsrMatrix& X,
-                                 std::span<const real> v,
-                                 std::span<const real> y, real beta,
-                                 std::span<const real> z,
-                                 SparseTransposeStrategy strategy) {
+OpResult baseline_pattern(vgpu::Device& dev, real alpha, la::MatrixRef X,
+                          std::span<const real> v, std::span<const real> y,
+                          real beta, std::span<const real> z,
+                          BaselineLibrary library) {
   OpResult out;
-  auto p = spmv_csr_vector(dev, X, y, library_spmv_options());  // p = X*y
+  auto p = product(dev, X, y, library);  // p = X*y
   out.absorb_timing(p);
   std::span<const real> t = p.value;
   OpResult vp;
@@ -74,55 +58,13 @@ OpResult baseline_pattern_sparse(vgpu::Device& dev, real alpha,
     out.absorb_timing(vp);
     t = vp.value;
   }
-  auto w = transposed_product(dev, X, t, strategy);  // w = X^T * t
+  auto w = baseline_transposed_product(dev, X, t, library);  // w = X^T * t
   out.absorb_timing(w);
   if (alpha != real{1}) {  // w *= alpha (scal)
     auto s = dev_scal(dev, alpha, w.value);
     out.absorb_timing(s);
   }
   if (!z.empty() && beta != real{0}) {  // w += beta * z (axpy)
-    auto a = dev_axpy(dev, beta, z, w.value);
-    out.absorb_timing(a);
-  }
-  out.value = std::move(w.value);
-  return out;
-}
-
-OpResult baseline_xtxy_dense(vgpu::Device& dev, const la::DenseMatrix& X,
-                             std::span<const real> y, DenseFlavor flavor) {
-  const auto opts = flavor_options(flavor);
-  OpResult out;
-  auto p = gemv_n(dev, X, y, opts);
-  auto w = gemv_t(dev, X, p.value, opts);
-  out.value = std::move(w.value);
-  out.absorb_timing(p);
-  out.absorb_timing(w);
-  return out;
-}
-
-OpResult baseline_pattern_dense(vgpu::Device& dev, real alpha,
-                                const la::DenseMatrix& X,
-                                std::span<const real> v,
-                                std::span<const real> y, real beta,
-                                std::span<const real> z, DenseFlavor flavor) {
-  const auto opts = flavor_options(flavor);
-  OpResult out;
-  auto p = gemv_n(dev, X, y, opts);
-  out.absorb_timing(p);
-  std::span<const real> t = p.value;
-  OpResult vp;
-  if (!v.empty()) {
-    vp = dev_ewise_mul(dev, v, p.value);
-    out.absorb_timing(vp);
-    t = vp.value;
-  }
-  auto w = gemv_t(dev, X, t, opts);
-  out.absorb_timing(w);
-  if (alpha != real{1}) {
-    auto s = dev_scal(dev, alpha, w.value);
-    out.absorb_timing(s);
-  }
-  if (!z.empty() && beta != real{0}) {
     auto a = dev_axpy(dev, beta, z, w.value);
     out.absorb_timing(a);
   }

@@ -4,65 +4,35 @@
 //
 // Each evaluation launches one device kernel per primitive operator and
 // materializes every intermediate in global memory — precisely the costs
-// the fused kernels remove.
+// the fused kernels remove. Each composition has one body for both
+// storages; the storage and the library pick only the product kernel
+// (csrmv or gemv_n) and the transposed-product kernel(s) (explicit
+// transpose, atomic scatter or gemv_t).
 #pragma once
 
 #include <span>
 
+#include "kernels/gemv.h"
 #include "kernels/op_result.h"
-#include "la/csr_matrix.h"
-#include "la/dense_matrix.h"
+#include "la/matrix_ref.h"
 #include "vgpu/device.h"
 
 namespace fusedml::kernels {
 
-/// How a baseline computes the transposed sparse product X^T * p.
-enum class SparseTransposeStrategy {
-  /// cuSPARSE-style: explicit csr2csc per call, then csrmv on X^T (§3.1:
-  /// "NVIDIA suggests an explicit transposition ... followed by a standard
-  /// sparse matrix-vector multiplication").
-  kExplicitTranspose,
-  /// BIDMat-style custom kernel: single pass with global atomic scatter.
-  kAtomicScatter,
-};
-
-// --- Sparse baselines ------------------------------------------------------
-
-/// w = X^T * y (one pattern-instantiation of Table 1).
-OpResult baseline_xty_sparse(vgpu::Device& dev, const la::CsrMatrix& X,
-                             std::span<const real> y,
-                             SparseTransposeStrategy strategy);
+/// w = X^T * p with the library's transposed-product kernel(s).
+OpResult baseline_transposed_product(vgpu::Device& dev, la::MatrixRef X,
+                                     std::span<const real> p,
+                                     BaselineLibrary library);
 
 /// w = X^T * (X * y): two chained products, intermediate in global memory.
-OpResult baseline_xtxy_sparse(vgpu::Device& dev, const la::CsrMatrix& X,
-                              std::span<const real> y,
-                              SparseTransposeStrategy strategy);
+OpResult baseline_xtxy(vgpu::Device& dev, la::MatrixRef X,
+                       std::span<const real> y, BaselineLibrary library);
 
-/// Full pattern w = alpha * X^T * (v ⊙ (X*y)) + beta*z via csrmv + BLAS-1
-/// kernels (ewise, scale) + the transposed product.
-OpResult baseline_pattern_sparse(vgpu::Device& dev, real alpha,
-                                 const la::CsrMatrix& X,
-                                 std::span<const real> v,
-                                 std::span<const real> y, real beta,
-                                 std::span<const real> z,
-                                 SparseTransposeStrategy strategy);
-
-// --- Dense baselines -------------------------------------------------------
-
-enum class DenseFlavor {
-  kCublas,  ///< unpadded smem tiles in gemv_t (bank conflicts)
-  kBidmat,  ///< padded tiles, conflict-free
-};
-
-/// w = X^T * (X * y) via two gemv launches.
-OpResult baseline_xtxy_dense(vgpu::Device& dev, const la::DenseMatrix& X,
-                             std::span<const real> y, DenseFlavor flavor);
-
-/// Full dense pattern via gemv + BLAS-1 + gemv_t.
-OpResult baseline_pattern_dense(vgpu::Device& dev, real alpha,
-                                const la::DenseMatrix& X,
-                                std::span<const real> v,
-                                std::span<const real> y, real beta,
-                                std::span<const real> z, DenseFlavor flavor);
+/// Full pattern w = alpha * X^T * (v ⊙ (X*y)) + beta*z via the product,
+/// BLAS-1 kernels (ewise, scale, axpy) and the transposed product.
+OpResult baseline_pattern(vgpu::Device& dev, real alpha, la::MatrixRef X,
+                          std::span<const real> v, std::span<const real> y,
+                          real beta, std::span<const real> z,
+                          BaselineLibrary library);
 
 }  // namespace fusedml::kernels

@@ -1,6 +1,5 @@
 #include "kernels/fused_row.h"
 
-#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -177,38 +176,24 @@ OpResult dev_masked_gemv(vgpu::Device& dev, const la::DenseMatrix& X,
   LaunchConfig cfg = dense_config(dev, X.rows());
   cfg.label = "masked_gemv";
   const bool z_resident = tex_resident(dev.spec(), n * sizeof(real));
-  const MemPath z_path = MemPath::kTexture;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
+  const auto per_row = [&](BlockCtx& ctx, index_t r) {
+    const auto row0 = static_cast<usize>(r) * n;
+    ctx.mem().load_stream(row0, n, sizeof(real));
+    if (!z_resident) {
+      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);
+    }
+    out.value[static_cast<usize>(r)] =
+        detail::dense_row_dot(ctx, vals.subspan(row0, n), z);
+  };
+
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && z_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), n * sizeof(real));
     }
-    for (long long w = ctx.block_id() * warps_per_block; w < X.rows();
-         w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                              sizeof(real));
-        if (!z_resident) ctx.mem().load_stream(0, n, sizeof(real), z_path);
-        ctx.mem().add_flops(2ull * n);
-        ctx.counters().shuffle_ops += 31;
-        real s = 0;
-        for (usize c = 0; c < n; ++c) {
-          s += vals[static_cast<usize>(r) * n + c] * z[c];
-        }
-        out.value[static_cast<usize>(r)] = s;
-      }
-      ctx.mem().store_contiguous(
-          static_cast<std::uint64_t>(w),
-          static_cast<int>(std::min<long long>(warps_per_block, X.rows() - w)),
-          sizeof(real));
-    }
+    detail::sweep_dense_rows(ctx, X.rows(), per_row);
   }));
   return out;
 }
@@ -286,50 +271,36 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::DenseMatrix& X,
   LaunchConfig cfg = dense_config(dev, X.rows());
   cfg.label = "fused_row_dense";
   const bool y_resident = tex_resident(dev.spec(), n * sizeof(real));
-  const MemPath y_path = MemPath::kTexture;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
   const std::uint64_t epilogue_flops = program.flops_per_element();
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
+  // Blocks run one at a time, so one set of epilogue slots serves them all.
+  std::vector<real> slots(static_cast<usize>(program.num_inputs) +
+                          program.steps.size());
+  const auto per_row = [&](BlockCtx& ctx, index_t r) {
+    ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n, sizeof(real));
+    if (!y_resident) {
+      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);
+    }
+    for (usize e = 0; e < ext.size(); ++e) {
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
+                                sizeof(real));
+    }
+    ctx.mem().add_flops(epilogue_flops);
+    // gemv_n's row product, then the epilogue.
+    slots[0] = detail::dense_row_dot(ctx, X.row(r), y);
+    for (usize e = 0; e < ext.size(); ++e) {
+      slots[e + 1] = ext[e][static_cast<usize>(r)];
+    }
+    out.value[static_cast<usize>(r)] = eval_program_element(program, slots);
+  };
+
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), n * sizeof(real));
     }
-    std::vector<real> slots(static_cast<usize>(program.num_inputs) +
-                            program.steps.size());
-    for (long long w = ctx.block_id() * warps_per_block; w < X.rows();
-         w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        const auto row = X.row(static_cast<index_t>(r));
-        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                              sizeof(real));
-        if (!y_resident) ctx.mem().load_stream(0, n, sizeof(real), y_path);
-        for (usize e = 0; e < ext.size(); ++e) {
-          ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
-                                    sizeof(real));
-        }
-        ctx.mem().add_flops(2ull * n + epilogue_flops);
-        ctx.counters().shuffle_ops += 31;
-        // gemv_n's row product: sequential accumulation over columns.
-        real s = 0;
-        for (usize c = 0; c < n; ++c) s += row[c] * y[c];
-        slots[0] = s;
-        for (usize e = 0; e < ext.size(); ++e) {
-          slots[e + 1] = ext[e][static_cast<usize>(r)];
-        }
-        out.value[static_cast<usize>(r)] =
-            eval_program_element(program, slots);
-      }
-      ctx.mem().store_contiguous(
-          static_cast<std::uint64_t>(w),
-          static_cast<int>(std::min<long long>(warps_per_block, X.rows() - w)),
-          sizeof(real));
-    }
+    detail::sweep_dense_rows(ctx, X.rows(), per_row);
   }));
   return out;
 }
@@ -404,47 +375,34 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::DenseMatrix& X,
   cfg.label = "fused_sddmm_dense";
   const bool vz_resident =
       tex_resident(dev.spec(), (v.size() + z.size()) * sizeof(real));
-  const MemPath stream_path = MemPath::kTexture;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
+  const auto per_row = [&](BlockCtx& ctx, index_t r) {
+    ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n, sizeof(real));
+    ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
+                              sizeof(real));  // u[r]
+    if (!vz_resident) {
+      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // v
+      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // z
+    }
+    const auto row = X.row(r);
+    const real ur = u[static_cast<usize>(r)];
+    // 2 mul + map + mul-add per column: masked_gemv over mask_values'
+    // expression, term for term.
+    out.value[static_cast<usize>(r)] = detail::dense_row_sum(
+        ctx, n, 7, [row, ur, v, z, f](usize c) {
+          const real masked = row[c] * f(ur * v[c]);
+          return masked * z[c];
+        });
+  };
+
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && vz_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(),
                       (v.size() + z.size()) * sizeof(real));
     }
-    for (long long w = ctx.block_id() * warps_per_block; w < X.rows();
-         w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        const auto row = X.row(static_cast<index_t>(r));
-        ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                              sizeof(real));
-        ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
-                                  sizeof(real));  // u[r]
-        if (!vz_resident) {
-          ctx.mem().load_stream(0, n, sizeof(real), stream_path);  // v
-          ctx.mem().load_stream(0, n, sizeof(real), stream_path);  // z
-        }
-        ctx.mem().add_flops(7ull * n);
-        ctx.counters().shuffle_ops += 31;
-        real s = 0;
-        for (usize c = 0; c < n; ++c) {
-          // masked_gemv over mask_values' expression, term for term.
-          const real masked = row[c] * f(u[static_cast<usize>(r)] * v[c]);
-          s += masked * z[c];
-        }
-        out.value[static_cast<usize>(r)] = s;
-      }
-      ctx.mem().store_contiguous(
-          static_cast<std::uint64_t>(w),
-          static_cast<int>(std::min<long long>(warps_per_block, X.rows() - w)),
-          sizeof(real));
-    }
+    detail::sweep_dense_rows(ctx, X.rows(), per_row);
   }));
   return out;
 }

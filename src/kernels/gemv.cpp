@@ -12,6 +12,15 @@ namespace {
 using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
+
+/// Typical serialization of cuBLAS's unpadded 32-wide tile column walk.
+constexpr int kCublasConflictWays = 8;
+
+/// Passes each row's X stream costs: cuBLAS's column-major kernels read
+/// row-major X strided, at about half the coalesced bandwidth.
+int transaction_inflation(BaselineLibrary library) {
+  return library == BaselineLibrary::kVendor ? 2 : 1;
+}
 }  // namespace
 
 LaunchConfig detail::dense_config(const vgpu::Device& dev, index_t rows) {
@@ -29,55 +38,39 @@ LaunchConfig detail::dense_config(const vgpu::Device& dev, index_t rows) {
 }
 
 OpResult gemv_n(vgpu::Device& dev, const la::DenseMatrix& X,
-                std::span<const real> y, GemvOptions opts) {
+                std::span<const real> y, BaselineLibrary library) {
   FUSEDML_CHECK(y.size() == static_cast<usize>(X.cols()),
                 "gemv_n dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
   LaunchConfig cfg = detail::dense_config(dev, X.rows());
   cfg.label = "gemv_n";
-  const bool y_resident =
-      opts.texture_y && tex_resident(dev.spec(), n * sizeof(real));
-  const MemPath y_path = opts.texture_y ? MemPath::kTexture : MemPath::kDram;
-  const int warps_per_block = cfg.block_size / 32;
-  const long long warps_total =
-      static_cast<long long>(cfg.grid_size) * warps_per_block;
+  const bool y_resident = tex_resident(dev.spec(), n * sizeof(real));
+  const int passes = transaction_inflation(library);
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
+  const auto per_row = [&](BlockCtx& ctx, index_t r) {
+    for (int rep = 0; rep < passes; ++rep) {
+      ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
+                            sizeof(real));
+    }
+    if (!y_resident) {
+      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);
+    }
+    out.value[static_cast<usize>(r)] = detail::dense_row_dot(ctx, X.row(r), y);
+  };
+
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     if (ctx.block_id() == 0 && y_resident) {
       charge_tex_fill(ctx.mem(), dev.spec(), n * sizeof(real));
     }
-    // One warp per row, rows strided across the grid.
-    for (long long w = ctx.block_id() * warps_per_block;
-         w < X.rows(); w += warps_total) {
-      for (int ww = 0; ww < warps_per_block; ++ww) {
-        const long long r = w + ww;
-        if (r >= X.rows()) break;
-        const auto row = X.row(static_cast<index_t>(r));
-        for (int rep = 0; rep < opts.transaction_inflation; ++rep) {
-          ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
-                                sizeof(real));
-        }
-        if (!y_resident) ctx.mem().load_stream(0, n, sizeof(real), y_path);
-        ctx.mem().add_flops(2ull * n);
-        ctx.counters().shuffle_ops += 31;  // warp reduction of partials
-        real s = 0;
-        for (usize c = 0; c < n; ++c) s += row[c] * y[c];
-        out.value[static_cast<usize>(r)] = s;
-      }
-      // Coalesced store of the warp group's outputs.
-      ctx.mem().store_contiguous(static_cast<std::uint64_t>(w),
-                                 std::min<long long>(warps_per_block,
-                                                     X.rows() - w),
-                                 sizeof(real));
-    }
+    detail::sweep_dense_rows(ctx, X.rows(), per_row);
   }));
   return out;
 }
 
 OpResult gemv_t(vgpu::Device& dev, const la::DenseMatrix& X,
-                std::span<const real> p, GemvOptions opts) {
+                std::span<const real> p, BaselineLibrary library) {
   FUSEDML_CHECK(p.size() == static_cast<usize>(X.rows()),
                 "gemv_t dimension mismatch");
   const auto n = static_cast<usize>(X.cols());
@@ -86,13 +79,16 @@ OpResult gemv_t(vgpu::Device& dev, const la::DenseMatrix& X,
   const int warps_per_block = cfg.block_size / 32;
   const long long rows_per_block_step =
       static_cast<long long>(warps_per_block) * 32;
+  const int passes = transaction_inflation(library);
+  const int conflict_ways =
+      library == BaselineLibrary::kVendor ? kCublasConflictWays : 0;
 
   OpResult out;
   out.value.assign(n, real{0});
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
     // Tile scheme: each block owns a slab of 32-row tiles; rows are read
     // coalesced, partial column sums staged through shared memory (bank
-    // conflicts per opts), and flushed with one atomic per column per block.
+    // conflicts per library), and flushed with one atomic per column per block.
     std::vector<real> partial(n, real{0});
     const long long slab_stride =
         static_cast<long long>(ctx.grid_size()) * rows_per_block_step;
@@ -109,16 +105,16 @@ OpResult gemv_t(vgpu::Device& dev, const la::DenseMatrix& X,
         touched = true;
         const real pr = p[static_cast<usize>(r)];
         const auto row = X.row(static_cast<index_t>(r));
-        for (int rep = 0; rep < opts.transaction_inflation; ++rep) {
+        for (int rep = 0; rep < passes; ++rep) {
           ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
                                 sizeof(real));
         }
         ctx.mem().add_flops(2ull * n);
         // Column accumulation through shared-memory tiles.
         ctx.counters().smem_accesses += 2ull * n;
-        if (opts.smem_conflict_ways > 1) {
+        if (conflict_ways > 1) {
           ctx.counters().smem_bank_conflicts +=
-              (2ull * n / 32) * (opts.smem_conflict_ways - 1);
+              (2ull * n / 32) * (conflict_ways - 1);
         }
         if (pr != real{0}) {
           for (usize c = 0; c < n; ++c) partial[c] += row[c] * pr;

@@ -25,6 +25,16 @@ std::string to_string(Backend backend) {
   return "?";
 }
 
+namespace {
+/// The library whose kernels a GPU backend's unfused compositions stitch
+/// together. The fused backend's unfused paths (dense X^T * y and the wide
+/// dense fallback) run BIDMat's padded-tile kernels.
+BaselineLibrary library_of(Backend backend) {
+  return backend == Backend::kCusparse ? BaselineLibrary::kVendor
+                                       : BaselineLibrary::kBidmat;
+}
+}  // namespace
+
 std::optional<Backend> fallback_backend(Backend backend) {
   switch (backend) {
     case Backend::kFused: return Backend::kCusparse;
@@ -210,47 +220,28 @@ KernelOutcome OpRegistry::transposed_product(Backend b, la::MatrixRef X,
     }
     return from_cpu(std::move(op), X.sparse() ? "cpu spmv_t" : "cpu gemv_t");
   }
-  // alpha != 1 costs the operator-at-a-time kernels a scal launch; the
-  // fused sparse kernel applies it per term.
-  const auto scaled = [&](OpResult op, const char* kernel) {
-    if (alpha != real{1}) {
-      auto s = dev_scal(dev_, alpha, op.value);
-      op.absorb_timing(s);
-    }
-    return from_op(std::move(op), kernel);
-  };
   return on_device(
       [&] {
-        if (const auto* Xd = X.dense()) {
-          // The paper does not fuse dense X^T x y ("we do not consider
-          // X^T x y, when X is dense" — cuBLAS is already near-optimal), so
-          // every GPU backend runs the gemv_t kernel, differing only in
-          // tile modeling.
-          GemvOptions opts;
-          if (b == Backend::kCusparse) {
-            opts.smem_conflict_ways = kCublasConflictWays;
-            opts.transaction_inflation = kCublasTransactionInflation;
-          }
-          return scaled(gemv_t(dev_, *Xd, y, opts), "gemv_t");
+        if (b == Backend::kFused && X.sparse()) {
+          return from_op(fused_spmv_t(dev_, *X.csr(), y, alpha, sparse_opts_),
+                         "fused_spmv_t (Alg. 1)");
         }
-        const la::CsrMatrix& Xs = *X.csr();
-        switch (b) {
-          case Backend::kFused:
-            return from_op(fused_spmv_t(dev_, Xs, y, alpha, sparse_opts_),
-                           "fused_spmv_t (Alg. 1)");
-          case Backend::kCusparse:
-            return scaled(baseline_xty_sparse(
-                              dev_, Xs, y,
-                              SparseTransposeStrategy::kExplicitTranspose),
-                          "csr2csc + csrmv");
-          case Backend::kBidmatGpu:
-            return scaled(
-                baseline_xty_sparse(dev_, Xs, y,
-                                    SparseTransposeStrategy::kAtomicScatter),
-                "atomic-scatter spmv_t");
-          default:
-            throw Error("unknown backend");
+        // The paper does not fuse dense X^T x y ("we do not consider
+        // X^T x y, when X is dense" — cuBLAS is already near-optimal), so
+        // the fused backend runs the padded-tile gemv_t there. alpha != 1
+        // costs these operator-at-a-time kernels a scal launch; the fused
+        // sparse kernel applies it per term.
+        const BaselineLibrary library = library_of(b);
+        OpResult op = baseline_transposed_product(dev_, X, y, library);
+        if (alpha != real{1}) {
+          auto s = dev_scal(dev_, alpha, op.value);
+          op.absorb_timing(s);
         }
+        return from_op(std::move(op),
+                       !X.sparse() ? "gemv_t"
+                       : library == BaselineLibrary::kVendor
+                           ? "csr2csc + csrmv"
+                           : "atomic-scatter spmv_t");
       },
       [&](std::span<const real> w) {
         return sdc_.check_transposed_product(w, X, y, alpha);
@@ -264,8 +255,11 @@ KernelOutcome OpRegistry::product(Backend b, la::MatrixRef X,
   }
   return on_device(
       [&] {
-        return X.sparse() ? from_op(spmv_csr_vector(dev_, *X.csr(), y), "csrmv")
-                          : from_op(gemv_n(dev_, *X.dense(), y), "gemv");
+        if (const auto* Xs = X.csr()) {
+          return from_op(spmv_csr_vector(dev_, *Xs, y), "csrmv");
+        }
+        return from_op(gemv_n(dev_, *X.dense(), y, BaselineLibrary::kBidmat),
+                       "gemv");
       },
       [&](std::span<const real> p) { return sdc_.check_product(p, X, y); });
 }
@@ -277,64 +271,44 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha, la::MatrixRef X,
   if (b == Backend::kCpu) {
     return from_cpu(cpu_.pattern(alpha, X, v, y, beta, z), "cpu pattern");
   }
+  const BaselineLibrary library = library_of(b);
+  const auto baseline = [&](const char* kernel) {
+    return from_op(baseline_pattern(dev_, alpha, X, v, y, beta, z, library),
+                   kernel);
+  };
   return on_device(
       [&] {
-        if (const auto* Xs = X.csr()) {
-          switch (b) {
-            case Backend::kFused:
-              return from_op(fused_pattern_sparse(dev_, alpha, *Xs, v, y, beta,
-                                                  z, sparse_opts_),
-                             "fused_pattern_sparse (Alg. 2)");
-            case Backend::kCusparse:
-              return from_op(baseline_pattern_sparse(
-                                 dev_, alpha, *Xs, v, y, beta, z,
-                                 SparseTransposeStrategy::kExplicitTranspose),
-                             "csrmv + blas1 + csr2csc + csrmv");
-            case Backend::kBidmatGpu:
-              return from_op(baseline_pattern_sparse(
-                                 dev_, alpha, *Xs, v, y, beta, z,
-                                 SparseTransposeStrategy::kAtomicScatter),
-                             "csrmv + blas1 + atomic-scatter");
-            default:
-              throw Error("unknown backend");
+        if (b != Backend::kFused) {
+          const bool vendor = library == BaselineLibrary::kVendor;
+          if (X.sparse()) {
+            return baseline(vendor ? "csrmv + blas1 + csr2csc + csrmv"
+                                   : "csrmv + blas1 + atomic-scatter");
           }
+          return baseline(vendor ? "gemv + blas1 + gemv_t (cuBLAS tiles)"
+                                 : "gemv + blas1 + gemv_t (padded tiles)");
+        }
+        if (const auto* Xs = X.csr()) {
+          return from_op(fused_pattern_sparse(dev_, alpha, *Xs, v, y, beta, z,
+                                              sparse_opts_),
+                         "fused_pattern_sparse (Alg. 2)");
         }
         const la::DenseMatrix& Xd = *X.dense();
-        switch (b) {
-          case Backend::kFused: {
-            if (!dense_fused_feasible(dev_.spec(), Xd.cols())) {
-              // §3.2: very wide dense rows exceed the register file — fall
-              // back to two separate Level-2 kernels instead of fusing.
-              return from_op(
-                  baseline_pattern_dense(dev_, alpha, Xd, v, y, beta, z,
-                                         DenseFlavor::kBidmat),
-                  "gemv + gemv_t (fused infeasible: n too large, §3.2)");
-            }
-            if (dense_opts_.use_codegen) {
-              // §3.2 lifecycle: the kernel for this (n, VS, TL, options)
-              // shape is generated once and reused on every subsequent
-              // iteration.
-              const auto params = fused_dense_params(dev_, Xd, dense_opts_);
-              codegen_cache_.dense_kernel(
-                  {Xd.cols(), params.config.vector_size,
-                   params.config.thread_load, !v.empty(),
-                   !z.empty() && beta != real{0}});
-            }
-            return from_op(fused_pattern_dense(dev_, alpha, Xd, v, y, beta, z,
-                                               dense_opts_),
-                           "fused_pattern_dense (Alg. 3, codegen)");
-          }
-          case Backend::kCusparse:
-            return from_op(baseline_pattern_dense(dev_, alpha, Xd, v, y, beta,
-                                                  z, DenseFlavor::kCublas),
-                           "gemv + blas1 + gemv_t (cuBLAS tiles)");
-          case Backend::kBidmatGpu:
-            return from_op(baseline_pattern_dense(dev_, alpha, Xd, v, y, beta,
-                                                  z, DenseFlavor::kBidmat),
-                           "gemv + blas1 + gemv_t (padded tiles)");
-          default:
-            throw Error("unknown backend");
+        if (!dense_fused_feasible(dev_.spec(), Xd.cols())) {
+          // §3.2: very wide dense rows exceed the register file — fall back
+          // to two separate Level-2 kernels instead of fusing.
+          return baseline("gemv + gemv_t (fused infeasible: n too large, §3.2)");
         }
+        if (dense_opts_.use_codegen) {
+          // §3.2 lifecycle: the kernel for this (n, VS, TL, options) shape
+          // is generated once and reused on every subsequent iteration.
+          const auto params = fused_dense_params(dev_, Xd, dense_opts_);
+          codegen_cache_.dense_kernel({Xd.cols(), params.config.vector_size,
+                                       params.config.thread_load, !v.empty(),
+                                       !z.empty() && beta != real{0}});
+        }
+        return from_op(
+            fused_pattern_dense(dev_, alpha, Xd, v, y, beta, z, dense_opts_),
+            "fused_pattern_dense (Alg. 3, codegen)");
       },
       [&](std::span<const real> w) {
         return sdc_.check_pattern(w, alpha, X, v, y, beta, z);

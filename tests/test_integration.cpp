@@ -29,10 +29,10 @@ struct FigureFixture : ::testing::Test {
 TEST_F(FigureFixture, HeadlineOrderingFusedBidmatCusparse) {
   const auto fused =
       kernels::fused_pattern_sparse(dev, 1, X, {}, y, 0, {});
-  const auto bidmat = kernels::baseline_xtxy_sparse(
-      dev, X, y, kernels::SparseTransposeStrategy::kAtomicScatter);
-  const auto cusparse = kernels::baseline_xtxy_sparse(
-      dev, X, y, kernels::SparseTransposeStrategy::kExplicitTranspose);
+  const auto bidmat = kernels::baseline_xtxy(
+      dev, X, y, kernels::BaselineLibrary::kBidmat);
+  const auto cusparse = kernels::baseline_xtxy(
+      dev, X, y, kernels::BaselineLibrary::kVendor);
   const kernels::CpuBackend cpu;
   const auto host = cpu.pattern(1, X, {}, y, 0, {});
 
@@ -53,9 +53,8 @@ TEST_F(FigureFixture, FusedIsOneKernelBaselineIsMany) {
   const auto z = la::random_vector(1000, 3);
   const auto fused =
       kernels::fused_pattern_sparse(dev, 0.5, X, v, y, 2.0, z);
-  const auto baseline = kernels::baseline_pattern_sparse(
-      dev, 0.5, X, v, y, 2.0, z,
-      kernels::SparseTransposeStrategy::kExplicitTranspose);
+  const auto baseline = kernels::baseline_pattern(
+      dev, 0.5, X, v, y, 2.0, z, kernels::BaselineLibrary::kVendor);
   EXPECT_EQ(fused.launches, 1u);
   EXPECT_GE(baseline.launches, 6u);
   expect_vectors_near(fused.value, baseline.value, 1e-7);

@@ -172,10 +172,8 @@ TEST_P(SpmvSweep, BaselinePipelinesMatchReference) {
   const auto v = random_vector(static_cast<usize>(m), 20);
   const auto z = random_vector(static_cast<usize>(n), 21);
   const auto expect = la::reference::pattern(0.5, X, v, y, 2.0, z);
-  for (auto strategy : {SparseTransposeStrategy::kExplicitTranspose,
-                        SparseTransposeStrategy::kAtomicScatter}) {
-    const auto got =
-        baseline_pattern_sparse(dev, 0.5, X, v, y, 2.0, z, strategy);
+  for (auto library : {BaselineLibrary::kVendor, BaselineLibrary::kBidmat}) {
+    const auto got = baseline_pattern(dev, 0.5, X, v, y, 2.0, z, library);
     expect_vectors_near(expect, got.value);
     EXPECT_GE(got.launches, 4u) << "baseline is operator-at-a-time";
   }
@@ -207,18 +205,19 @@ TEST_P(DenseSweep, GemvMatchesReference) {
   const auto [m, n] = GetParam();
   const auto X = la::dense_random(m, n, 201);
   const auto y = random_vector(static_cast<usize>(n), 22);
-  expect_vectors_near(la::reference::gemv(X, y), gemv_n(dev, X, y).value);
+  for (auto library : {BaselineLibrary::kVendor, BaselineLibrary::kBidmat}) {
+    expect_vectors_near(la::reference::gemv(X, y),
+                        gemv_n(dev, X, y, library).value);
+  }
 }
 
 TEST_P(DenseSweep, GemvTMatchesReference) {
   const auto [m, n] = GetParam();
   const auto X = la::dense_random(m, n, 202);
   const auto p = random_vector(static_cast<usize>(m), 23);
-  for (int ways : {0, kCublasConflictWays}) {
-    GemvOptions opts;
-    opts.smem_conflict_ways = ways;
+  for (auto library : {BaselineLibrary::kVendor, BaselineLibrary::kBidmat}) {
     expect_vectors_near(la::reference::gemv_transposed(X, p),
-                        gemv_t(dev, X, p, opts).value);
+                        gemv_t(dev, X, p, library).value);
   }
 }
 
@@ -252,8 +251,8 @@ TEST_P(DenseSweep, BaselineDensePipelinesMatch) {
   const auto X = la::dense_random(m, n, 205);
   const auto y = random_vector(static_cast<usize>(n), 28);
   const auto expect = la::reference::pattern(1, X, {}, y, 0, {});
-  for (auto flavor : {DenseFlavor::kCublas, DenseFlavor::kBidmat}) {
-    expect_vectors_near(expect, baseline_xtxy_dense(dev, X, y, flavor).value);
+  for (auto library : {BaselineLibrary::kVendor, BaselineLibrary::kBidmat}) {
+    expect_vectors_near(expect, baseline_xtxy(dev, X, y, library).value);
   }
 }
 
@@ -303,7 +302,7 @@ TEST(Counters, DenseFusedLoadsXOnce) {
   const auto X = la::dense_random(2000, 256, 303);
   const auto y = random_vector(256, 32);
   const auto fused = fused_pattern_dense(dev, 1, X, {}, y, 0, {});
-  const auto baseline = baseline_xtxy_dense(dev, X, y, DenseFlavor::kBidmat);
+  const auto baseline = baseline_xtxy(dev, X, y, BaselineLibrary::kBidmat);
   // Baseline streams X twice; fused once (§4.2: "most of the gain ... comes
   // from loading X only once").
   const double x_bytes = static_cast<double>(X.bytes());

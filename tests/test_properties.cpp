@@ -726,7 +726,9 @@ TEST(DenseWarpCounters, RowProductsMatchAnAccessByAccessRecount) {
 
     for (const int inflation : {1, 2}) {
       const auto got = kernels::gemv_n(
-          dev, X, y, kernels::GemvOptions{.transaction_inflation = inflation});
+          dev, X, y,
+          inflation == 1 ? kernels::BaselineLibrary::kBidmat
+                         : kernels::BaselineLibrary::kVendor);
       expect_counters_eq(recount(y_bytes, 2 * nu, row_streams(inflation, 1)),
                          got.counters,
                          name + " gemv_n inflation " +
