@@ -4,12 +4,37 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 
 #include "common/error.h"
 
 namespace fusedml {
+
+namespace {
+/// `text` as a base-10 integer, or nullopt unless all of it parses and the
+/// value fits a long long.
+std::optional<long long> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno != 0) return std::nullopt;
+  return v;
+}
+
+/// `text` as a finite double, or nullopt unless all of it parses without a
+/// range error.
+std::optional<double> parse_double(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno != 0 || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "program";
@@ -51,7 +76,8 @@ long long Cli::get_int(const std::string& name, long long def,
   declare(name, std::to_string(def), help);
   const auto it = args_.find(name);
   if (it == args_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  if (const auto v = parse_int(it->second)) return *v;
+  throw Error("--" + name + " must be an integer, got " + it->second);
 }
 
 double Cli::get_double(const std::string& name, double def,
@@ -59,7 +85,8 @@ double Cli::get_double(const std::string& name, double def,
   declare(name, std::to_string(def), help);
   const auto it = args_.find(name);
   if (it == args_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  if (const auto v = parse_double(it->second)) return *v;
+  throw Error("--" + name + " must be a finite number, got " + it->second);
 }
 
 bool Cli::get_bool(const std::string& name, bool def,
@@ -67,7 +94,10 @@ bool Cli::get_bool(const std::string& name, bool def,
   declare(name, def ? "true" : "false", help);
   const auto it = args_.find(name);
   if (it == args_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw Error("--" + name + " must be true/false/1/0/yes/no, got " + v);
 }
 
 template <typename T>
@@ -76,20 +106,15 @@ T Cli::get_positive(const std::string& name, T def, const std::string& help) {
   declare(name, std::to_string(def), help);
   const auto it = args_.find(name);
   if (it == args_.end()) return def;
-  const char* text = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
   if constexpr (std::is_same_v<T, double>) {
-    const double v = std::strtod(text, &end);
-    if (end != text && *end == '\0' && std::isfinite(v) && v > 0.0) return v;
+    const auto v = parse_double(it->second);
+    if (v && *v > 0.0) return *v;
     throw Error("--" + name + " must be a finite number > 0, got " +
                 it->second);
   } else {
     constexpr long long kMax = std::numeric_limits<T>::max();
-    const long long v = std::strtoll(text, &end, 10);
-    if (end != text && *end == '\0' && errno == 0 && v >= 1 && v <= kMax) {
-      return static_cast<T>(v);
-    }
+    const auto v = parse_int(it->second);
+    if (v && *v >= 1 && *v <= kMax) return static_cast<T>(*v);
     throw Error("--" + name + " must be an integer in [1, " +
                 std::to_string(kMax) + "], got " + it->second);
   }

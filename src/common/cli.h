@@ -18,7 +18,9 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   /// Declare a flag with a default; returns the parsed value. Call all
-  /// declarations, then finish() to reject unknown flags.
+  /// declarations, then finish() to reject unknown flags. A value that does
+  /// not parse whole — an integer, a finite number, or one of
+  /// true/false/1/0/yes/no — raises an Error naming the flag.
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& help = "");
   long long get_int(const std::string& name, long long def,

@@ -209,6 +209,42 @@ TEST(Cli, PositiveFlagsRejectBadValuesByName) {
   cli.finish();
 }
 
+TEST(Cli, IntDoubleAndBoolFlagsRejectBadValuesByName) {
+  const char* argv[] = {"prog",
+                        "--seed", "abc",
+                        "--offset", "9223372036854775808",
+                        "--sparsity", "0.0x1",
+                        "--ratio", "nan",
+                        "--tiny", "1e-400",
+                        "--metrics", "flase",
+                        "--count", "-3",
+                        "--rate", "2.5e-3",
+                        "--dump", "no",
+                        "--json", "yes"};
+  Cli cli(21, argv);
+  const auto rejects = [&](const std::string& flag, const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "--" << flag << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("seed", [&] { return cli.get_int("seed", 1); });  // not a number
+  rejects("offset", [&] { return cli.get_int("offset", 0); });  // overflows
+  rejects("sparsity", [&] { return cli.get_double("sparsity", 0.01); });
+  rejects("ratio", [&] { return cli.get_double("ratio", 1.0); });  // not finite
+  rejects("tiny", [&] { return cli.get_double("tiny", 1.0); });    // underflows
+  rejects("metrics", [&] { return cli.get_bool("metrics", false); });
+  EXPECT_EQ(cli.get_int("count", 0), -3);
+  EXPECT_EQ(cli.get_double("rate", 0.0), 2.5e-3);
+  EXPECT_FALSE(cli.get_bool("dump", true));
+  EXPECT_TRUE(cli.get_bool("json", false));
+  EXPECT_EQ(cli.get_int("absent", 5), 5);
+  cli.finish();
+}
+
 TEST(Cli, ScaledExtentIsCheckedBeforeTheNarrowingCast) {
   EXPECT_EQ(scaled_extent(15009374, 100.0), 150093);  // truncates
   EXPECT_EQ(scaled_extent(28, 28.0), 1);
