@@ -11,15 +11,23 @@
 //   - exact overlap resolution (within candidate_budget) never loses to
 //     the greedy fallback, and a fixed oracle DAG shows it strictly
 //     winning — the case greedy's one-step lookahead cannot see.
+// PlannerGolden freezes every number the planner reports over the library
+// scripts' DAGs and these seeds (see its own comment below).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "la/convert.h"
 #include "la/generate.h"
+#include "ml/script_library.h"
 #include "sysml/dag.h"
 #include "sysml/fusion_planner.h"
 #include "sysml/runtime.h"
@@ -248,6 +256,222 @@ TEST(PlannerProperties, ExactSelectionBeatsGreedyOnOverlapOracle) {
     }
     EXPECT_LE(diff, 1e-9 * (1.0 + scale_ref)) << plan->explain();
   }
+}
+
+// --- The frozen plan costs ---------------------------------------------------
+//
+// PlannerGolden.CostsAreFrozen plans the DAG of every planner and
+// hardcoded-pass library script (the expressions of ml/script_library.cpp,
+// rebuilt here over leaves of the same shapes) on both storages of a
+// 300x150 KDD-like and a 500x28 HIGGS-like matrix, plus the 24 random DAGs
+// above on CSR and on the dense copy of the same matrix. Every plan's
+// launch and modeled-ms totals, candidate counts, groups and losers are
+// printed with %a and must match tests/golden/plans.golden line for line.
+// To move a number on purpose, regenerate the file in the same diff and
+// explain the move: run
+//
+//   ./build/tests/test_planner_properties --gtest_filter='PlannerGolden.*'
+//
+// with FUSEDML_GOLDEN_OUT=/tmp/plans.golden in the environment, then copy
+// /tmp/plans.golden over tests/golden/plans.golden.
+
+void append_plan(std::vector<std::string>& lines, const std::string& name,
+                 const sysml::FusionPlan& plan) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "%s | launches %llu -> %llu, modeled %a -> %a, "
+                "enumerated %d, lost %d",
+                name.c_str(),
+                static_cast<unsigned long long>(plan.launches_unfused),
+                static_cast<unsigned long long>(plan.launches_planned),
+                plan.modeled_unfused_ms, plan.modeled_planned_ms,
+                plan.candidates_enumerated, plan.candidates_lost);
+  lines.emplace_back(buf);
+  for (const auto& g : plan.groups) {
+    std::snprintf(buf, sizeof buf, "%s | group %s {%s}: %llu %a -> %llu %a",
+                  name.c_str(), g.kind.c_str(), g.detail.c_str(),
+                  static_cast<unsigned long long>(g.launches_before),
+                  g.modeled_before_ms,
+                  static_cast<unsigned long long>(g.launches_after),
+                  g.modeled_after_ms);
+    lines.emplace_back(buf);
+  }
+  for (const auto& l : plan.losers) {
+    std::snprintf(buf, sizeof buf, "%s | lost %s {%s}: forgone %a",
+                  name.c_str(), l.kind.c_str(), l.detail.c_str(),
+                  l.forgone_benefit_ms);
+    lines.emplace_back(buf);
+  }
+}
+
+/// The matrix leaves one storage of one shape offers the scripts: X, its
+/// transpose (ALS's Rt / Mt) and a square matrix (PageRank's Pt).
+struct ScriptLeaves {
+  sysml::TensorId X = 0, Xt = 0, S = 0;
+  usize m = 0, n = 0, k = 0;
+};
+
+/// (script/output, root) for every output of every library script's
+/// programs, built as ml/script_library.cpp builds them.
+std::vector<std::pair<std::string, NodePtr>> script_dags(
+    sysml::Runtime& rt, const ScriptLeaves& L) {
+  using namespace sysml;
+  const auto vec = [&](usize n) { return input_vector(rt.new_vector(n, "v")); };
+  const auto X = [&] { return input_matrix(L.X); };
+  real (*const sigmoid)(real) = ml::stable_sigmoid;
+  real (*const inv_link)(real) = ml::glm_inverse_link(ml::GlmFamily::kPoisson);
+  real (*const var_weight)(real) =
+      ml::glm_variance_weight(ml::GlmFamily::kPoisson);
+  std::vector<std::pair<std::string, NodePtr>> out;
+
+  {  // lr-cg
+    const auto V = X();
+    const auto p = vec(L.n);
+    out.emplace_back("lr-cg q", add(mvt(V, mv(V, p)), scale(0.001, p)));
+  }
+  // logreg-gd and minibatch-logreg share the gradient expression.
+  for (const char* name : {"logreg-gd g", "minibatch-logreg g"}) {
+    const auto Xe = X();
+    const auto w = vec(L.n);
+    const auto ny = vec(L.m);
+    const auto margins = map(ewise_mul(ny, mv(Xe, w)), sigmoid, "sigmoid");
+    out.emplace_back(name, add(mvt(Xe, ewise_mul(margins, ny)),
+                               scale(0.01, w)));
+  }
+  {  // glm
+    const auto eta = vec(L.m);
+    out.emplace_back("glm wdiag",
+                     map(map(eta, inv_link, "inv_link"), var_weight,
+                         "variance"));
+    out.emplace_back("glm resid", add(map(eta, inv_link, "inv_link"),
+                                      scale(real{-1}, vec(L.m))));
+    out.emplace_back("glm grad",
+                     add(mvt(X(), vec(L.m)), scale(1e-6, vec(L.n))));
+    const auto p = vec(L.n);
+    out.emplace_back("glm Fp",
+                     pattern_expression(real{1}, X(), vec(L.m), p, 1e-6, p));
+    out.emplace_back("glm eta", mv(X(), vec(L.n)));
+  }
+  {  // svm: the gradient's 2C rides inside the transposed product
+    out.emplace_back("svm grad",
+                     add(mvt(X(), vec(L.m), real{2}), vec(L.n)));
+    const auto p = vec(L.n);
+    out.emplace_back("svm Hp",
+                     pattern_expression(real{2}, X(), nullptr, p, real{1}, p));
+    out.emplace_back("svm margins", mv(X(), vec(L.n)));
+  }
+  {  // hits
+    const auto Xr = X();
+    const auto a = vec(L.n);
+    out.emplace_back("hits a_next", mvt(Xr, mv(Xr, a)));
+    out.emplace_back("hits h", mv(X(), vec(L.n)));
+  }
+  {  // als: both half-steps' Hessian products and right-hand sides
+    const auto p = vec(L.m);
+    const auto v = vec(L.n);
+    out.emplace_back(
+        "als Hp(u)",
+        add(mv(sparse_mask(X(), outer_map(p, v, identity_map, "id")), v),
+            scale(0.1, p)));
+    const auto q = vec(L.n);
+    const auto u = vec(L.m);
+    out.emplace_back(
+        "als Hp(v)",
+        add(mv(sparse_mask(input_matrix(L.Xt),
+                           outer_map(q, u, identity_map, "id")),
+               u),
+            scale(0.1, q)));
+    out.emplace_back("als b(u)", mv(X(), vec(L.n)));
+    out.emplace_back("als b(v)", mv(input_matrix(L.Xt), vec(L.m)));
+  }
+  out.emplace_back("kmeans cross", scale(real{-2}, mv(X(), vec(L.n))));
+  out.emplace_back("pagerank r_next",
+                   add(scale(0.85, mv(input_matrix(L.S), vec(L.k))),
+                       vec(L.k)));
+  return out;
+}
+
+std::vector<std::string> golden_plan_lines() {
+  std::vector<std::string> lines;
+  const std::pair<const char*, sysml::PlannerOptions> kModes[] = {
+      {"planner", sysml::PlannerOptions{}},
+      {"hardcoded-pass", sysml::equation1_only()}};
+  for (const char* shape : {"300x150", "500x28"}) {
+    la::CsrMatrix csr;
+    la::DenseMatrix dense;
+    if (std::string(shape) == "300x150") {
+      csr = la::kdd_like(300, 150, 10.0, 1.5, 1);
+      dense = la::csr_to_dense(csr);
+    } else {
+      dense = la::higgs_like(500, 28, 2);
+      csr = la::dense_to_csr(dense);
+    }
+    const index_t k = std::min(csr.rows(), csr.cols());
+    const auto square = la::uniform_sparse(k, k, 0.1, 3);
+    for (const bool is_dense : {false, true}) {
+      vgpu::Device dev;
+      sysml::Runtime rt(dev, forced_gpu());
+      ScriptLeaves L;
+      L.m = static_cast<usize>(csr.rows());
+      L.n = static_cast<usize>(csr.cols());
+      L.k = static_cast<usize>(k);
+      if (is_dense) {
+        L.X = rt.add_dense(dense, "X");
+        L.Xt = rt.add_dense(la::transpose(dense), "Xt");
+        L.S = rt.add_dense(la::csr_to_dense(square), "S");
+      } else {
+        L.X = rt.add_sparse(csr, "X");
+        L.Xt = rt.add_sparse(la::transpose(csr), "Xt");
+        L.S = rt.add_sparse(square, "S");
+      }
+      const auto dags = script_dags(rt, L);
+      for (const auto& [mode, opts] : kModes) {
+        for (const auto& [output, root] : dags) {
+          append_plan(lines,
+                      output + " " + (is_dense ? "dense" : "csr") + " " +
+                          shape + " " + mode,
+                      sysml::plan_fusion(rt, root, opts));
+        }
+      }
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    vgpu::Device dev;
+    sysml::Runtime rt(dev, forced_gpu());
+    const auto X = la::uniform_sparse(120, 40, 0.15, 7000 + seed);
+    const sysml::TensorId ids[] = {rt.add_sparse(X, "X"),
+                                   rt.add_dense(la::csr_to_dense(X), "Xd")};
+    for (int d = 0; d < 2; ++d) {
+      Rng rng(seed);
+      const NodePtr root = random_dag(rt, X, ids[d], rng);
+      append_plan(lines,
+                  "random seed=" + std::to_string(seed) +
+                      (d == 0 ? " csr" : " dense"),
+                  sysml::plan_fusion(rt, root));
+    }
+  }
+  return lines;
+}
+
+TEST(PlannerGolden, CostsAreFrozen) {
+  const auto actual = golden_plan_lines();
+  if (const char* path = std::getenv("FUSEDML_GOLDEN_OUT")) {
+    std::ofstream out(path);
+    for (const auto& line : actual) out << line << "\n";
+  }
+  std::vector<std::string> expected;
+  std::ifstream in(FUSEDML_GOLDEN_DIR "/plans.golden");
+  for (std::string line; std::getline(in, line);) expected.push_back(line);
+  ASSERT_FALSE(expected.empty()) << "tests/golden/plans.golden is missing";
+  EXPECT_EQ(expected.size(), actual.size());
+  int mismatches = 0;
+  for (usize i = 0; i < std::min(expected.size(), actual.size()); ++i) {
+    if (expected[i] != actual[i] && ++mismatches <= 10) {
+      ADD_FAILURE() << "line " << i + 1 << "\n  golden: " << expected[i]
+                    << "\n  actual: " << actual[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace
