@@ -152,17 +152,6 @@ inline std::vector<index_t> paper_column_sweep() {
   return {200, 400, 800, 1024, 2048, 4096};
 }
 
-/// Parses "a,b,c" into a list of ints.
-inline std::vector<index_t> parse_cols(const std::string& csv) {
-  std::vector<index_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<index_t>(std::stoll(item)));
-  }
-  return out;
-}
-
 /// Exit-with-usage helper shared by all benches.
 inline bool handle_help(const Cli& cli) {
   if (cli.help_requested()) {

@@ -32,8 +32,8 @@ static int run_bench(int argc, char** argv) {
   const auto rows =
       cli.get_positive("rows", 100000, "rows in X (paper: 500000)");
   const double sparsity = cli.get_double("sparsity", 0.01, "nnz fraction");
-  const auto cols = bench::parse_cols(cli.get_string(
-      "cols", "200,400,800,1024,2048,4096", "column sweep"));
+  const auto cols = cli.get_positive_list<index_t>(
+      "cols", bench::paper_column_sweep(), "column sweep");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);
   bench::JsonReport json(cli, "fig2");

@@ -27,8 +27,8 @@ static int run_bench(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto rows =
       cli.get_positive("rows", 20000, "rows in X (paper: 500000)");
-  const auto cols = bench::parse_cols(
-      cli.get_string("cols", "64,128,256,512,1024,2048", "column sweep"));
+  const auto cols = cli.get_positive_list<index_t>(
+      "cols", {64, 128, 256, 512, 1024, 2048}, "column sweep");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
   obs::apply_standard_flags(cli);
   bench::JsonReport json(cli, "fig5");

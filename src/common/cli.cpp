@@ -125,6 +125,39 @@ template index_t Cli::get_positive(const std::string&, index_t,
 template double Cli::get_positive(const std::string&, double,
                                   const std::string&);
 
+template <typename T>
+std::vector<T> Cli::get_positive_list(const std::string& name,
+                                      const std::vector<T>& def,
+                                      const std::string& help) {
+  static_assert(std::is_same_v<T, index_t>);
+  std::string def_text;
+  for (const T v : def) {
+    if (!def_text.empty()) def_text += ',';
+    def_text += std::to_string(v);
+  }
+  declare(name, def_text, help);
+  const auto it = args_.find(name);
+  if (it == args_.end()) return def;
+  constexpr long long kMax = std::numeric_limits<T>::max();
+  const std::string& text = it->second;
+  std::vector<T> out;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = text.find(',', start);
+    const auto v = parse_int(text.substr(start, comma - start));
+    if (!v || *v < 1 || *v > kMax) {
+      throw Error("--" + name +
+                  " must be a comma-separated list of integers in [1, " +
+                  std::to_string(kMax) + "], got " + text);
+    }
+    out.push_back(static_cast<T>(*v));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+template std::vector<index_t> Cli::get_positive_list(
+    const std::string&, const std::vector<index_t>&, const std::string&);
+
 index_t scaled_extent(double full_extent, double scale) {
   const double extent = full_extent / scale;
   constexpr double kMax = std::numeric_limits<index_t>::max();

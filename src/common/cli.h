@@ -38,6 +38,14 @@ class Cli {
   template <typename T>
   T get_positive(const std::string& name, T def, const std::string& help = "");
 
+  /// A comma-separated list of get_positive<index_t> values, e.g.
+  /// `--cols 200,400`. An empty list, an empty item, or an item that does
+  /// not parse whole into [1, INT32_MAX] raises an Error naming the flag.
+  template <typename T>
+  std::vector<T> get_positive_list(const std::string& name,
+                                   const std::vector<T>& def,
+                                   const std::string& help = "");
+
   /// True when --help was passed; callers should print usage() and exit 0.
   bool help_requested() const { return help_requested_; }
 

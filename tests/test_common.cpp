@@ -245,6 +245,27 @@ TEST(Cli, IntDoubleAndBoolFlagsRejectBadValuesByName) {
   cli.finish();
 }
 
+TEST(Cli, PositiveListRejectsMalformedItemsByName) {
+  for (const char* bad : {"12x", "4294967297", "abc", "200,,400", "",
+                          "200,", "0,5"}) {
+    const char* argv[] = {"prog", "--cols", bad};
+    Cli cli(3, argv);
+    try {
+      cli.get_positive_list<index_t>("cols", {1});
+      ADD_FAILURE() << "--cols " << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--cols"), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* argv[] = {"prog", "--cols", "200,400"};
+  Cli cli(3, argv);
+  EXPECT_EQ(cli.get_positive_list<index_t>("cols", {1}),
+            (std::vector<index_t>{200, 400}));
+  EXPECT_EQ(cli.get_positive_list<index_t>("rows", {3, 4}),
+            (std::vector<index_t>{3, 4}));
+}
+
 TEST(Cli, ScaledExtentIsCheckedBeforeTheNarrowingCast) {
   EXPECT_EQ(scaled_extent(15009374, 100.0), 150093);  // truncates
   EXPECT_EQ(scaled_extent(28, 28.0), 1);
