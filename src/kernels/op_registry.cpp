@@ -45,84 +45,6 @@ std::optional<Backend> fallback_backend(Backend backend) {
   return std::nullopt;
 }
 
-const char* to_string(RegistryOp op) {
-  switch (op) {
-    case RegistryOp::kPattern: return "pattern";
-    case RegistryOp::kTransposedProduct: return "transposed_product";
-    case RegistryOp::kProduct: return "product";
-    case RegistryOp::kAxpy: return "axpy";
-    case RegistryOp::kScal: return "scal";
-    case RegistryOp::kDot: return "dot";
-    case RegistryOp::kNrm2: return "nrm2";
-    case RegistryOp::kEwiseMul: return "ewise_mul";
-    case RegistryOp::kMap: return "map";
-    case RegistryOp::kFusedEwise: return "fused_ewise";
-    case RegistryOp::kOuterMap: return "outer_map";
-    case RegistryOp::kSparseMask: return "sparse_mask";
-    case RegistryOp::kMaskedProduct: return "masked_product";
-    case RegistryOp::kFusedRow: return "fused_row";
-    case RegistryOp::kFusedSddmm: return "fused_sddmm";
-  }
-  return "?";
-}
-
-OpProfile op_profile(RegistryOp op, bool sparse) {
-  OpProfile p;
-  switch (op) {
-    case RegistryOp::kPattern:
-      // ONE launch, one product pass + one (cached) transpose pass.
-      p.matrix_passes = sparse ? 1.25 : 1.0;  // second pass mostly cached
-      p.vector_words_per_elem = 4;            // y in, v in, z in, w out
-      break;
-    case RegistryOp::kTransposedProduct:
-    case RegistryOp::kProduct:
-      p.matrix_passes = 1.0;
-      p.vector_words_per_elem = 2;
-      break;
-    case RegistryOp::kAxpy:
-    case RegistryOp::kEwiseMul:
-      p.vector_words_per_elem = 3;
-      break;
-    case RegistryOp::kScal:
-    case RegistryOp::kDot:
-    case RegistryOp::kMap:
-      p.vector_words_per_elem = 2;
-      break;
-    case RegistryOp::kNrm2:
-      p.vector_words_per_elem = 1;
-      break;
-    case RegistryOp::kFusedEwise:
-      // Per stream: the planner adds (num_inputs + 1) * n words itself.
-      p.vector_words_per_elem = 1;
-      break;
-    case RegistryOp::kOuterMap:
-      // Streaming over the m*n outer-map values; u/v are tiny next to them.
-      p.vector_words_per_elem = 2;
-      break;
-    case RegistryOp::kSparseMask:
-      // Per stored element: matrix value in, outer-map gather, value out.
-      p.vector_words_per_elem = 3;
-      break;
-    case RegistryOp::kMaskedProduct:
-      // Structure pass over X with substituted values — same shape as kProduct.
-      p.matrix_passes = 1.0;
-      p.vector_words_per_elem = 2;
-      break;
-    case RegistryOp::kFusedRow:
-      // One matrix pass plus per-stream words: the planner adds
-      // (num_inputs + 1) * rows words itself, like kFusedEwise.
-      p.matrix_passes = 1.0;
-      p.vector_words_per_elem = 1;
-      break;
-    case RegistryOp::kFusedSddmm:
-      // One pass over nnz(X); u contiguous, v and z gathered, result out.
-      p.matrix_passes = 1.0;
-      p.vector_words_per_elem = 4;
-      break;
-  }
-  return p;
-}
-
 namespace {
 KernelOutcome from_op(OpResult op, std::string kernel) {
   KernelOutcome out;

@@ -1,6 +1,5 @@
 // The unified operator registry — one place that knows, for every logical
-// operation, which kernel implements it on which backend and what that
-// implementation costs.
+// operation, which kernel implements it on which backend.
 //
 // Every caller routes through this registry: sysml::Runtime's op_* bodies
 // (the one executor whole solvers run on), and the single-op callers that
@@ -13,12 +12,9 @@
 // out around their input sums.
 // Each matrix op has one body for both storages: it takes a la::MatrixRef,
 // and only the device kernel it launches (and the kernel name a trace
-// shows) is chosen by storage.
-//
-// The registry also *declares* what each fused-backend op costs — kernel
-// launches, passes over the matrix, vector words moved per element — via
-// op_profile(). The fusion planner scores candidate plans from these
-// profiles instead of re-deriving per-op constants in a second place.
+// shows) is chosen by storage. What a plan of these ops costs is the
+// fusion planner's concern: its cost table is keyed by sysml::OpKind
+// (sysml/fusion_planner.cpp).
 #pragma once
 
 #include <cstdint>
@@ -104,44 +100,6 @@ class DispatchObserver {
   virtual ~DispatchObserver() = default;
   virtual void on_dispatch_event(const DispatchEvent& event) = 0;
 };
-
-/// The logical operations the registry dispatches. Mirrors the vocabulary
-/// of sysml's expression-DAG OpKinds and Runtime's op_* bodies.
-enum class RegistryOp {
-  kPattern,            ///< w = alpha*X^T(v ⊙ (X*y)) + beta*z  (Equation 1)
-  kTransposedProduct,  ///< w = alpha * X^T * y
-  kProduct,            ///< p = X * y
-  kAxpy,
-  kScal,
-  kDot,
-  kNrm2,
-  kEwiseMul,
-  kMap,                ///< out[i] = f(x[i])
-  kFusedEwise,         ///< generated streaming kernel for an ewise chain
-  kOuterMap,           ///< the m*n values of f(u v^T), row-major
-  kSparseMask,         ///< X's values scaled by an outer-map (X ⊙ O)
-  kMaskedProduct,      ///< M * z, M = X's structure with substituted values
-  kFusedRow,           ///< row product + elementwise epilogue, one kernel
-  kFusedSddmm,         ///< (X ⊙ f(u v^T)) * z at nnz(X), one kernel
-};
-
-const char* to_string(RegistryOp op);
-
-/// Declared cost shape of one op on the fused backend — the planner's
-/// costing vocabulary. Traffic splits into matrix passes (scaled by the
-/// operand's byte size) and vector words per output element (scaled by
-/// 8 * n); launches each pay the device's launch overhead.
-struct OpProfile {
-  std::uint64_t launches = 1;        ///< kernel launches per invocation
-  double matrix_passes = 0.0;        ///< streaming passes over the matrix
-  double vector_words_per_elem = 0;  ///< vector words moved per element
-};
-
-/// Profile for `op` on Backend::kFused; `sparse` selects the CSR-vs-dense
-/// entry for the matrix ops (ignored elsewhere). kFusedEwise and kFusedRow
-/// report traffic per program stream — the planner adds the program shape
-/// itself.
-OpProfile op_profile(RegistryOp op, bool sparse);
 
 /// Everything one registry dispatch produces. Identical accounting across
 /// backends so callers book CPU and GPU outcomes through the same code.

@@ -102,11 +102,8 @@ int count_nodes(const NodePtr& root) {
     const Node* node = stack.back();
     stack.pop_back();
     if (!node || !seen.insert(node).second) continue;
-    for (const auto& in : node->inputs) stack.push_back(in.get());
-    for (const auto& in :
-         {node->fused_matrix, node->fused_v, node->fused_y, node->fused_z}) {
-      stack.push_back(in.get());
-    }
+    for_each_operand(*node,
+                     [&](const NodePtr& in) { stack.push_back(in.get()); });
   }
   return static_cast<int>(seen.size());
 }

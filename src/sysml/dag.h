@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -106,6 +107,20 @@ NodePtr sparse_mask(NodePtr X, NodePtr om);
 ///   alpha * X^T (v ⊙ (X*y)) + beta*z     (pass nullptr for absent v / z)
 NodePtr pattern_expression(real alpha, NodePtr X, NodePtr v, NodePtr y,
                            real beta, NodePtr z);
+
+/// Calls `f` on every operand slot of `node` in the order every DAG walk
+/// uses: inputs[], then fused_matrix, fused_v, fused_y and fused_z. Empty
+/// slots are visited too. N is Node or const Node, so a rewriter reassigns
+/// the slots through the same walk that readers use.
+template <typename N, typename F>
+void for_each_operand(N& node, F&& f) {
+  static_assert(std::is_same_v<std::remove_const_t<N>, Node>);
+  for (auto& in : node.inputs) f(in);
+  f(node.fused_matrix);
+  f(node.fused_v);
+  f(node.fused_y);
+  f(node.fused_z);
+}
 
 /// Number of distinct nodes reachable from root.
 int count_nodes(const NodePtr& root);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "kernels/op_registry.h"
 #include "vgpu/cost_model.h"
 
 namespace fusedml::sysml {
@@ -21,8 +20,6 @@ namespace {
 using kernels::EwiseOp;
 using kernels::EwiseProgram;
 using kernels::EwiseStep;
-using kernels::op_profile;
-using kernels::RegistryOp;
 
 using ConsumerMap =
     std::unordered_map<const Node*, std::vector<const Node*>>;
@@ -170,16 +167,11 @@ ConsumerMap consumer_map(const NodePtr& root) {
     const Node* node = stack.back();
     stack.pop_back();
     if (node == nullptr || !seen.insert(node).second) continue;
-    auto visit = [&](const NodePtr& in) {
+    for_each_operand(*node, [&](const NodePtr& in) {
       if (!in) return;
       consumers[in.get()].push_back(node);
       stack.push_back(in.get());
-    };
-    for (const auto& in : node->inputs) visit(in);
-    for (const auto& in :
-         {node->fused_matrix, node->fused_v, node->fused_y, node->fused_z}) {
-      visit(in);
-    }
+    });
   }
   return consumers;
 }
@@ -212,9 +204,53 @@ bool fusion_is_materialization_safe(const Equation1Match& m,
   return true;
 }
 
+/// Cost shape of one op on the fused backend: kernel launches, streaming
+/// passes over the matrix operand, and vector words moved per output
+/// element. The generated kernels (kFusedEwise, kFusedRow) declare words
+/// per program stream; node_cost multiplies by their stream count.
+struct OpCost {
+  std::uint64_t launches = 1;
+  double matrix_passes = 0.0;
+  double words_per_elem = 0.0;
+};
+
+/// The planner's per-op cost table, keyed by the op kinds the DAG, the
+/// interpreter and the planner share. `sparse` selects the CSR-vs-dense
+/// entry where the two differ.
+OpCost op_cost(OpKind kind, bool sparse) {
+  switch (kind) {
+    case OpKind::kInputMatrix:
+    case OpKind::kInputVector:
+      return {0, 0.0, 0.0};  // free: node_cost returns before the formula
+    case OpKind::kMv:   // y in, result out; a masked product also streams
+    case OpKind::kMvT:  // its substituted values (node_cost adds them)
+      return {1, 1.0, 2.0};
+    case OpKind::kEwiseMul:
+    case OpKind::kAdd:  // axpy: x in, y in, y out
+      return {1, 0.0, 3.0};
+    case OpKind::kScale:
+    case OpKind::kMap:
+    case OpKind::kOuterMap:  // the m*n outer-map values; u/v are tiny
+      return {1, 0.0, 2.0};
+    case OpKind::kSparseMask:  // matrix value in, outer-map gather, out
+      return {1, 0.0, 3.0};
+    case OpKind::kFusedPattern:
+      // ONE launch, one product pass + one (mostly cached) transpose pass;
+      // y in, v in, z in, w out.
+      return {1, sparse ? 1.25 : 1.0, 4.0};
+    case OpKind::kFusedEwise:  // per stream: inputs + the output
+      return {1, 0.0, 1.0};
+    case OpKind::kFusedRow:  // one matrix pass + per-stream words
+      return {1, 1.0, 1.0};
+    case OpKind::kFusedSddmm:  // one pass over nnz(X); u, v, z in, out
+      return {1, 1.0, 4.0};
+  }
+  return {};
+}
+
 /// Shape + cost oracle over one DAG: leaf shapes come from the runtime's
 /// tensor registry, device constants from the vgpu cost model, per-op
-/// traffic shapes from the registry's declared profiles.
+/// traffic shapes from op_cost.
 class CostOracle {
  public:
   explicit CostOracle(Runtime& rt) : rt_(rt) {
@@ -223,10 +259,6 @@ class CostOracle {
     effective_gbs_ =
         rt.device().spec().mem_bandwidth_gbs * params.dram_efficiency;
   }
-
-  double launch_ms() const { return launch_ms_; }
-
-  double bw_ms(double bytes) const { return bytes / (effective_gbs_ * 1e6); }
 
   /// Output vector length of a vector-valued node (0 for matrices).
   index_t length(const Node* n) {
@@ -240,16 +272,11 @@ class CostOracle {
         out = rt_.tensor_info(n->tensor).rows;
         break;
       case OpKind::kMv:
-        // A masked product (Mv over a kSparseMask value node) has the mask's
-        // underlying matrix shape.
-        if (n->inputs[0]->kind == OpKind::kSparseMask) {
-          out = matrix_info(n->inputs[0]->inputs[0].get()).rows;
-        } else {
-          out = matrix_info(n->inputs[0].get()).rows;
-        }
+        out = matrix_info(matrix_operand(n)).rows;
         break;
       case OpKind::kMvT:
-        out = matrix_info(n->inputs[0].get()).cols;
+      case OpKind::kFusedPattern:
+        out = matrix_info(matrix_operand(n)).cols;
         break;
       case OpKind::kEwiseMul:
       case OpKind::kScale:
@@ -267,12 +294,9 @@ class CostOracle {
                              : info.rows * info.cols;
         break;
       }
-      case OpKind::kFusedPattern:
-        out = matrix_info(n->fused_matrix.get()).cols;
-        break;
       case OpKind::kFusedRow:
       case OpKind::kFusedSddmm:
-        out = matrix_info(n->fused_matrix.get()).rows;
+        out = matrix_info(matrix_operand(n)).rows;
         break;
     }
     len_.emplace(n, out);
@@ -285,143 +309,50 @@ class CostOracle {
     return rt_.tensor_info(n->tensor);
   }
 
-  /// Cost of the fused Equation-1 kernel over matrix `info`.
-  NodeCost pattern_cost(const TensorInfo& info) {
-    const auto p = op_profile(RegistryOp::kPattern, info.is_sparse);
-    const double bytes =
-        p.matrix_passes * static_cast<double>(info.bytes) +
-        p.vector_words_per_elem * static_cast<double>(info.cols) *
-            sizeof(real);
-    return {p.launches,
-            static_cast<double>(p.launches) * launch_ms_ + bw_ms(bytes)};
-  }
-
-  /// Cost of one generated elementwise kernel: `num_inputs` streams in,
-  /// one out, `n_elems` elements each.
-  NodeCost fused_ewise_cost(index_t n_elems, int num_inputs) {
-    const auto p = op_profile(RegistryOp::kFusedEwise, false);
-    const double words = p.vector_words_per_elem *
-                         static_cast<double>(num_inputs + 1) *
-                         static_cast<double>(n_elems);
-    return {p.launches, static_cast<double>(p.launches) * launch_ms_ +
-                            bw_ms(words * sizeof(real))};
-  }
-
-  /// Cost of the fused row kernel: one matrix pass plus the epilogue's
-  /// streams (program inputs + the output, `rows` elements each).
-  NodeCost fused_row_cost(const TensorInfo& info, int num_inputs) {
-    const auto p = op_profile(RegistryOp::kFusedRow, info.is_sparse);
-    const double words = p.vector_words_per_elem *
-                         static_cast<double>(num_inputs + 1) *
-                         static_cast<double>(info.rows);
-    const double bytes = p.matrix_passes * static_cast<double>(info.bytes) +
-                         words * sizeof(real);
-    return {p.launches,
-            static_cast<double>(p.launches) * launch_ms_ + bw_ms(bytes)};
-  }
-
-  /// Cost of the fused sddmm kernel: one pass over X plus the u/v/z/out
-  /// vector traffic the profile declares.
-  NodeCost fused_sddmm_cost(const TensorInfo& info) {
-    const auto p = op_profile(RegistryOp::kFusedSddmm, info.is_sparse);
-    const double bytes = p.matrix_passes * static_cast<double>(info.bytes) +
-                         p.vector_words_per_elem *
-                             static_cast<double>(info.rows) * sizeof(real);
-    return {p.launches,
-            static_cast<double>(p.launches) * launch_ms_ + bw_ms(bytes)};
-  }
-
   /// Modeled GPU cost of executing `n` as its own operator (leaves are
-  /// free). Uses the registry-declared profile of the op's fused-backend
-  /// implementation: launches * overhead + DRAM traffic at effective BW.
+  /// free): launches * overhead + the op_cost traffic at effective
+  /// bandwidth — matrix passes over the operand's bytes plus vector words.
   NodeCost node_cost(const Node* n) {
-    double mat_bytes = 0;
-    bool sparse = false;
-    RegistryOp op;
-    switch (n->kind) {
-      case OpKind::kInputMatrix:
-      case OpKind::kInputVector:
-        return {};
-      case OpKind::kMv: {
-        if (n->inputs[0]->kind == OpKind::kSparseMask) {
-          // Masked product: streams X's structure, the substituted values
-          // and z in, one row-length result out.
-          const Node* mask = n->inputs[0].get();
-          const auto info = matrix_info(mask->inputs[0].get());
-          const auto p = op_profile(RegistryOp::kMaskedProduct, info.is_sparse);
-          const double bytes =
-              p.matrix_passes * static_cast<double>(info.bytes) +
-              p.vector_words_per_elem * static_cast<double>(length(n)) *
-                  sizeof(real) +
-              static_cast<double>(length(mask)) * sizeof(real);
-          return {p.launches, static_cast<double>(p.launches) * launch_ms_ +
-                                  bw_ms(bytes)};
-        }
-        const auto info = matrix_info(n->inputs[0].get());
-        mat_bytes = static_cast<double>(info.bytes);
-        sparse = info.is_sparse;
-        op = RegistryOp::kProduct;
-        break;
-      }
-      case OpKind::kMvT: {
-        const auto info = matrix_info(n->inputs[0].get());
-        mat_bytes = static_cast<double>(info.bytes);
-        sparse = info.is_sparse;
-        op = RegistryOp::kTransposedProduct;
-        if (!sparse && n->scalar != real{1}) {
-          // Dense X^T*y runs gemv_t and then a separate scal launch for
-          // alpha (OpRegistry::transposed_product); the sparse kernel
-          // applies alpha per term inside its single launch.
-          NodeCost out = profile_cost(op, sparse, mat_bytes, length(n));
-          out += profile_cost(RegistryOp::kScal, false, 0, length(n));
-          return out;
-        }
-        break;
-      }
-      case OpKind::kEwiseMul:
-        op = RegistryOp::kEwiseMul;
-        break;
-      case OpKind::kScale:
-        op = RegistryOp::kScal;
-        break;
-      case OpKind::kAdd:
-        op = RegistryOp::kAxpy;
-        break;
-      case OpKind::kMap:
-        op = RegistryOp::kMap;
-        break;
-      case OpKind::kOuterMap:
-        op = RegistryOp::kOuterMap;
-        break;
-      case OpKind::kSparseMask:
-        op = RegistryOp::kSparseMask;
-        break;
-      case OpKind::kFusedPattern:
-        return pattern_cost(matrix_info(n->fused_matrix.get()));
-      case OpKind::kFusedEwise:
-        return fused_ewise_cost(length(n), n->program.num_inputs);
-      case OpKind::kFusedRow:
-        return fused_row_cost(matrix_info(n->fused_matrix.get()),
-                              n->program.num_inputs);
-      case OpKind::kFusedSddmm:
-        return fused_sddmm_cost(matrix_info(n->fused_matrix.get()));
-      default:
-        return {};
+    if (n->kind == OpKind::kInputMatrix || n->kind == OpKind::kInputVector) {
+      return {};
     }
-    return profile_cost(op, sparse, mat_bytes, length(n));
+    const Node* matrix = matrix_operand(n);
+    const TensorInfo info = matrix != nullptr ? matrix_info(matrix)
+                                              : TensorInfo{};
+    const auto cost = [&](const OpCost& c, double mat_bytes, double words) {
+      const double bytes = c.matrix_passes * mat_bytes + words * sizeof(real);
+      return NodeCost{
+          c.launches,
+          static_cast<double>(c.launches) * launch_ms_ + bw_ms(bytes)};
+    };
+    const OpCost c = op_cost(n->kind, info.is_sparse);
+    const auto elems = static_cast<double>(length(n));
+    double words = c.words_per_elem * elems;
+    if (n->kind == OpKind::kFusedEwise || n->kind == OpKind::kFusedRow) {
+      words = c.words_per_elem *
+              static_cast<double>(n->program.num_inputs + 1) * elems;
+    } else if (n->kind == OpKind::kMv &&
+               n->inputs[0]->kind == OpKind::kSparseMask) {
+      words += static_cast<double>(length(n->inputs[0].get()));
+    }
+    NodeCost out = cost(c, static_cast<double>(info.bytes), words);
+    if (n->kind == OpKind::kMvT && !info.is_sparse && n->scalar != real{1}) {
+      // Dense X^T*y runs gemv_t and then a separate scal launch for alpha
+      // (OpRegistry::transposed_product); the sparse kernel applies alpha
+      // per term inside its single launch.
+      const OpCost scal = op_cost(OpKind::kScale, false);
+      out += cost(scal, 0.0, scal.words_per_elem * elems);
+    }
+    return out;
   }
 
-  /// Cost of one registry op from its declared fused-backend profile:
-  /// launches * overhead + matrix passes and `n_elems`-long vector streams
-  /// at effective bandwidth.
-  NodeCost profile_cost(RegistryOp op, bool sparse, double mat_bytes,
-                        index_t n_elems) {
-    const auto p = op_profile(op, sparse);
-    const double bytes = p.matrix_passes * mat_bytes +
-                         p.vector_words_per_elem *
-                             static_cast<double>(n_elems) * sizeof(real);
-    return {p.launches,
-            static_cast<double>(p.launches) * launch_ms_ + bw_ms(bytes)};
+  /// Cost of a candidate's prototype fused node. The oracle keeps every
+  /// prototype alive until planning ends: len_ is keyed by address, so a
+  /// freed prototype whose address a later node reused would hand that
+  /// node a stale length.
+  NodeCost prototype_cost(const NodePtr& fused) {
+    prototypes_.push_back(fused);
+    return node_cost(fused.get());
   }
 
   /// Total modeled cost of the whole DAG — distinct reachable operator
@@ -435,11 +366,8 @@ class CostOracle {
       stack.pop_back();
       if (n == nullptr || !seen.insert(n).second) continue;
       total += node_cost(n);
-      for (const auto& in : n->inputs) stack.push_back(in.get());
-      for (const auto& in :
-           {n->fused_matrix, n->fused_v, n->fused_y, n->fused_z}) {
-        stack.push_back(in.get());
-      }
+      for_each_operand(*n,
+                       [&](const NodePtr& in) { stack.push_back(in.get()); });
     }
     return total;
   }
@@ -449,6 +377,28 @@ class CostOracle {
   double launch_ms_ = 0;
   double effective_gbs_ = 1;
   std::unordered_map<const Node*, index_t> len_;
+  std::vector<NodePtr> prototypes_;
+
+  double bw_ms(double bytes) const { return bytes / (effective_gbs_ * 1e6); }
+
+  /// The matrix leaf `n` streams, or null: a product's X (under a masked
+  /// product, the mask's X) or a fused node's fused_matrix.
+  static const Node* matrix_operand(const Node* n) {
+    switch (n->kind) {
+      case OpKind::kMv: {
+        const Node* X = n->inputs[0].get();
+        return X->kind == OpKind::kSparseMask ? X->inputs[0].get() : X;
+      }
+      case OpKind::kMvT:
+        return n->inputs[0].get();
+      case OpKind::kFusedPattern:
+      case OpKind::kFusedRow:
+      case OpKind::kFusedSddmm:
+        return n->fused_matrix.get();
+      default:
+        return nullptr;
+    }
+  }
 };
 
 /// Producers-first (post-order) list of distinct reachable nodes.
@@ -467,22 +417,31 @@ std::vector<const Node*> topo_order(const NodePtr& root) {
       continue;
     }
     stack.push_back({n, true});
-    for (const auto& in : n->inputs) stack.push_back({in.get(), false});
-    for (const auto& in :
-         {n->fused_matrix, n->fused_v, n->fused_y, n->fused_z}) {
+    for_each_operand(*n, [&](const NodePtr& in) {
       stack.push_back({in.get(), false});
-    }
+    });
   }
   return order;
+}
+
+/// The plan-group kind of a fused node.
+const char* group_kind(OpKind fused) {
+  switch (fused) {
+    case OpKind::kFusedPattern: return "equation1";
+    case OpKind::kFusedEwise: return "ewise_chain";
+    case OpKind::kFusedRow: return "row_template";
+    case OpKind::kFusedSddmm: return "sddmm";
+    default: return "?";
+  }
 }
 
 /// One explored fusion opportunity — any template family. Candidates may
 /// OVERLAP; the selection stage resolves overlaps by benefit.
 struct Candidate {
-  enum class Family { kEq1 = 0, kEwise, kRow, kSddmm };
-
-  Family family = Family::kEq1;
-  const char* kind = "";           ///< PlannedGroup::kind string
+  /// The fused node that replaces `sink`: its kind, scalars, program, map
+  /// and operand slots, which point at the original DAG's nodes. Costing
+  /// reads it through node_cost; the rewriter copies it.
+  NodePtr fused;
   std::string detail;
   const Node* sink = nullptr;      ///< the node the fused node replaces
   std::vector<const Node*> members;  ///< producers first; sink last
@@ -491,15 +450,7 @@ struct Candidate {
   NodeCost fused_after;  ///< the single fused kernel
   NodeCost kept_cost;    ///< members re-materialized for outside consumers
 
-  // Family payloads (only the matching family's fields are set).
-  Equation1Match match;               // eq1
-  std::vector<NodePtr> ext_inputs;    // ewise / row: program input slots
-  EwiseProgram program;               // ewise / row
-  NodePtr row_matrix, row_y;          // row: the product's operands
-  NodePtr sd_X, sd_u, sd_v, sd_z;     // sddmm operands
-  real (*sd_f)(real) = nullptr;       // sddmm map
-  std::string sd_fname;
-
+  const char* kind() const { return group_kind(fused->kind); }
   NodeCost after() const {
     NodeCost out = fused_after;
     out += kept_cost;
@@ -507,6 +458,19 @@ struct Candidate {
   }
   double benefit_ms() const { return before.ms - after().ms; }
 };
+
+/// A candidate replacing `sink` by `fused`, with its members' unfused cost
+/// and the fused node's cost.
+Candidate make_candidate(CostOracle& oracle, NodePtr fused, const Node* sink,
+                         std::vector<const Node*> members) {
+  Candidate cand;
+  cand.fused = std::move(fused);
+  cand.sink = sink;
+  cand.members = std::move(members);
+  for (const Node* m : cand.members) cand.before += oracle.node_cost(m);
+  cand.fused_after = oracle.prototype_cost(cand.fused);
+  return cand;
+}
 
 /// CSE-aware costing: members with a consumer OUTSIDE the candidate must
 /// stay materialized (the rewriter's memoized clone keeps them for those
@@ -545,30 +509,37 @@ void apply_cse(Candidate& cand, const ConsumerMap& consumers,
   for (const Node* k : kept) cand.kept_cost += oracle.node_cost(k);
 }
 
-/// Builds the EwiseProgram for an elementwise region (members in
-/// producers-first order); external inputs become the program's slots.
-void build_ewise_program(Candidate& cand) {
-  std::unordered_set<const Node*> member_set(cand.members.begin(),
-                                             cand.members.end());
+/// Builds the elementwise program of `members` (producers first) into
+/// `fused`. The first `first_step` members are values the kernel computes
+/// itself and take slots 0.. (the row family's product: first_step = 1);
+/// inputs from outside the members take the next slots, in first-use
+/// order, and become fused->inputs; the remaining members become the steps.
+void build_program(Node& fused, const std::vector<const Node*>& members,
+                   std::size_t first_step) {
+  const std::unordered_set<const Node*> member_set(members.begin(),
+                                                   members.end());
+  std::unordered_map<const Node*, int> slot;
+  for (std::size_t i = 0; i < first_step; ++i) {
+    slot.emplace(members[i], static_cast<int>(i));
+  }
   std::unordered_map<const Node*, int> ext_slot;
-  for (const Node* m : cand.members) {
-    for (const auto& in : m->inputs) {
+  for (std::size_t i = first_step; i < members.size(); ++i) {
+    for (const auto& in : members[i]->inputs) {
       if (member_set.count(in.get()) != 0) continue;
-      if (ext_slot.emplace(in.get(), static_cast<int>(cand.ext_inputs.size()))
-              .second) {
-        cand.ext_inputs.push_back(in);
-      }
+      const int next = static_cast<int>(first_step + fused.inputs.size());
+      if (ext_slot.emplace(in.get(), next).second) fused.inputs.push_back(in);
     }
   }
-  cand.program.num_inputs = static_cast<int>(cand.ext_inputs.size());
+  EwiseProgram& program = fused.program;
+  program.num_inputs = static_cast<int>(first_step + fused.inputs.size());
 
-  std::unordered_map<const Node*, int> step_slot;
   auto slot_of = [&](const NodePtr& in) {
-    const auto it = step_slot.find(in.get());
-    if (it != step_slot.end()) return it->second;
+    const auto it = slot.find(in.get());
+    if (it != slot.end()) return it->second;
     return ext_slot.at(in.get());
   };
-  for (const Node* m : cand.members) {
+  for (std::size_t i = first_step; i < members.size(); ++i) {
+    const Node* m = members[i];
     EwiseStep step;
     switch (m->kind) {
       case OpKind::kScale:
@@ -593,79 +564,13 @@ void build_ewise_program(Candidate& cand) {
         step.map_name = m->map_name;
         break;
       default:
-        FUSEDML_CHECK(false, "planner: non-elementwise node in ewise region");
+        FUSEDML_CHECK(false, "planner: non-elementwise node in a program");
     }
-    step_slot.emplace(
-        m, cand.program.num_inputs +
-               static_cast<int>(cand.program.steps.size()));
-    cand.program.steps.push_back(std::move(step));
+    slot.emplace(m, program.num_inputs +
+                        static_cast<int>(program.steps.size()));
+    program.steps.push_back(std::move(step));
   }
-  FUSEDML_CHECK(cand.program.valid(), "planner built an invalid program");
-}
-
-/// Builds the epilogue program for a row candidate: slot 0 is the row
-/// product (members.front()), external vectors take slots 1.., and the
-/// chain members after the product become the steps.
-void build_row_program(Candidate& cand) {
-  const Node* product = cand.members.front();
-  std::unordered_set<const Node*> member_set(cand.members.begin(),
-                                             cand.members.end());
-  std::unordered_map<const Node*, int> ext_slot;
-  for (std::size_t i = 1; i < cand.members.size(); ++i) {
-    for (const auto& in : cand.members[i]->inputs) {
-      if (member_set.count(in.get()) != 0) continue;
-      if (ext_slot
-              .emplace(in.get(),
-                       1 + static_cast<int>(cand.ext_inputs.size()))
-              .second) {
-        cand.ext_inputs.push_back(in);
-      }
-    }
-  }
-  cand.program.num_inputs = 1 + static_cast<int>(cand.ext_inputs.size());
-
-  std::unordered_map<const Node*, int> value_slot;
-  value_slot.emplace(product, 0);
-  auto slot_of = [&](const NodePtr& in) {
-    const auto it = value_slot.find(in.get());
-    if (it != value_slot.end()) return it->second;
-    return ext_slot.at(in.get());
-  };
-  for (std::size_t i = 1; i < cand.members.size(); ++i) {
-    const Node* m = cand.members[i];
-    EwiseStep step;
-    switch (m->kind) {
-      case OpKind::kScale:
-        step.op = EwiseOp::kScale;
-        step.a = slot_of(m->inputs[0]);
-        step.scalar = m->scalar;
-        break;
-      case OpKind::kAdd:
-        step.op = EwiseOp::kAdd;
-        step.a = slot_of(m->inputs[0]);
-        step.b = slot_of(m->inputs[1]);
-        break;
-      case OpKind::kEwiseMul:
-        step.op = EwiseOp::kMul;
-        step.a = slot_of(m->inputs[0]);
-        step.b = slot_of(m->inputs[1]);
-        break;
-      case OpKind::kMap:
-        step.op = EwiseOp::kMap;
-        step.a = slot_of(m->inputs[0]);
-        step.map_fn = m->map_f;
-        step.map_name = m->map_name;
-        break;
-      default:
-        FUSEDML_CHECK(false, "planner: non-elementwise node in row epilogue");
-    }
-    value_slot.emplace(
-        m, cand.program.num_inputs +
-               static_cast<int>(cand.program.steps.size()));
-    cand.program.steps.push_back(std::move(step));
-  }
-  FUSEDML_CHECK(cand.program.valid(),
-                "planner built an invalid row program");
+  FUSEDML_CHECK(program.valid(), "planner built an invalid program");
 }
 
 /// EXPLORE, family 1: Equation-1 / Table-1 matches (largest extent at each
@@ -689,33 +594,30 @@ void explore_equation1(const NodePtr& root, const ConsumerMap& consumers,
                       [&](const Node* c) { return claimed.count(c) != 0; });
       if (!overlaps_claimed) {
         if (fusion_is_materialization_safe(*m, n, consumers)) {
-          Candidate cand;
-          cand.family = Candidate::Family::kEq1;
-          cand.kind = "equation1";
-          cand.sink = n.get();
-          cand.members = m->covered;
-          for (const Node* c : m->covered) cand.before += oracle.node_cost(c);
-          cand.fused_after =
-              oracle.pattern_cost(oracle.matrix_info(m->X.get()));
+          auto fused = std::make_shared<Node>();
+          fused->kind = OpKind::kFusedPattern;
+          fused->scalar = m->alpha;
+          fused->scalar2 = m->beta;
+          fused->fused_matrix = m->X;
+          fused->fused_v = m->v;
+          fused->fused_y = m->y;
+          fused->fused_z = m->z;
           // Materialization safety guarantees no member is consumed outside
           // the match, so nothing is kept.
+          Candidate cand =
+              make_candidate(oracle, std::move(fused), n.get(), m->covered);
           std::ostringstream detail;
           detail << "alpha=" << m->alpha;
           if (m->z) detail << " beta=" << m->beta;
           if (!m->v) detail << " (no v)";
           cand.detail = detail.str();
-          cand.match = std::move(*m);
           out.push_back(std::move(cand));
         } else if (rejected != nullptr) {
           ++*rejected;
         }
       }
     }
-    for (const auto& in : n->inputs) stack.push_back(in);
-    for (const auto& in :
-         {n->fused_matrix, n->fused_v, n->fused_y, n->fused_z}) {
-      if (in) stack.push_back(in);
-    }
+    for_each_operand(*n, [&](const NodePtr& in) { stack.push_back(in); });
   }
 }
 
@@ -761,22 +663,19 @@ void explore_ewise(const std::vector<const Node*>& topo,
     }
     if (region.size() < 2) continue;
 
-    Candidate cand;
-    cand.family = Candidate::Family::kEwise;
-    cand.kind = "ewise_chain";
-    cand.sink = sink;
+    std::vector<const Node*> members;
     for (const Node* n : topo) {
       if (region.count(n) != 0) {
-        cand.members.push_back(n);
+        members.push_back(n);
         absorbed.insert(n);
       }
     }
-    build_ewise_program(cand);
-    for (const Node* m : cand.members) cand.before += oracle.node_cost(m);
-    cand.fused_after =
-        oracle.fused_ewise_cost(oracle.length(sink),
-                                cand.program.num_inputs);
-    cand.detail = cand.program.signature();
+    auto fused = std::make_shared<Node>();
+    fused->kind = OpKind::kFusedEwise;
+    build_program(*fused, members, 0);
+    Candidate cand =
+        make_candidate(oracle, std::move(fused), sink, std::move(members));
+    cand.detail = cand.fused->program.signature();
     out.push_back(std::move(cand));
   }
 }
@@ -841,19 +740,16 @@ void explore_row(const std::vector<const Node*>& topo,
     }
     if (chain.size() < 2) continue;
 
-    Candidate cand;
-    cand.family = Candidate::Family::kRow;
-    cand.kind = "row_template";
-    cand.sink = chain.back();
-    cand.members = chain;
-    cand.row_matrix = n->inputs[0];
-    cand.row_y = n->inputs[1];
-    build_row_program(cand);
-    for (const Node* m : cand.members) cand.before += oracle.node_cost(m);
-    cand.fused_after = oracle.fused_row_cost(
-        oracle.matrix_info(cand.row_matrix.get()), cand.program.num_inputs);
+    auto fused = std::make_shared<Node>();
+    fused->kind = OpKind::kFusedRow;
+    fused->fused_matrix = n->inputs[0];
+    fused->fused_y = n->inputs[1];
+    build_program(*fused, chain, 1);
+    const Node* sink = chain.back();
+    Candidate cand =
+        make_candidate(oracle, std::move(fused), sink, std::move(chain));
     apply_cse(cand, consumers, oracle);
-    cand.detail = cand.program.signature();
+    cand.detail = cand.fused->program.signature();
     out.push_back(std::move(cand));
   }
 }
@@ -874,22 +770,18 @@ void explore_sddmm(const std::vector<const Node*>& topo,
     const Node* om = mask->inputs[1].get();
     if (claimed.count(mask) != 0 || claimed.count(om) != 0) continue;
 
-    Candidate cand;
-    cand.family = Candidate::Family::kSddmm;
-    cand.kind = "sddmm";
-    cand.sink = n;
-    cand.members = {om, mask, n};
-    cand.sd_X = mask->inputs[0];
-    cand.sd_u = om->inputs[0];
-    cand.sd_v = om->inputs[1];
-    cand.sd_z = n->inputs[1];
-    cand.sd_f = om->map_f;
-    cand.sd_fname = om->map_name;
-    for (const Node* m : cand.members) cand.before += oracle.node_cost(m);
-    cand.fused_after =
-        oracle.fused_sddmm_cost(oracle.matrix_info(cand.sd_X.get()));
+    auto fused = std::make_shared<Node>();
+    fused->kind = OpKind::kFusedSddmm;
+    fused->fused_matrix = mask->inputs[0];
+    fused->fused_v = om->inputs[0];
+    fused->fused_y = om->inputs[1];
+    fused->fused_z = n->inputs[1];
+    fused->map_f = om->map_f;
+    fused->map_name = om->map_name;
+    Candidate cand =
+        make_candidate(oracle, std::move(fused), n, {om, mask, n});
     apply_cse(cand, consumers, oracle);
-    cand.detail = "f=" + cand.sd_fname;
+    cand.detail = "f=" + om->map_name;
     out.push_back(std::move(cand));
   }
 }
@@ -962,8 +854,9 @@ std::vector<int> select_greedy(const std::vector<Candidate>& cands,
 }
 
 /// REWRITE: memoized clone-with-replacement — each selected candidate's
-/// sink becomes its fused node, every other interior node is cloned fresh,
-/// input leaves are shared. Kept members materialize naturally: their
+/// sink becomes a copy of its fused node, every other interior node is
+/// cloned fresh, input leaves are shared; copies and clones rebuild their
+/// operand slots the same way. Kept members materialize naturally: their
 /// outside consumers rebuild them as ordinary nodes.
 class Rewriter {
  public:
@@ -978,58 +871,15 @@ class Rewriter {
 
     NodePtr out;
     if (const auto cit = chosen_.find(node.get()); cit != chosen_.end()) {
-      const Candidate& cand = *cit->second;
-      out = std::make_shared<Node>();
-      switch (cand.family) {
-        case Candidate::Family::kEq1: {
-          const Equation1Match& m = cand.match;
-          out->kind = OpKind::kFusedPattern;
-          out->scalar = m.alpha;
-          out->scalar2 = m.beta;
-          out->fused_matrix = rebuild(m.X);
-          out->fused_v = rebuild(m.v);
-          out->fused_y = rebuild(m.y);
-          out->fused_z = rebuild(m.z);
-          break;
-        }
-        case Candidate::Family::kEwise:
-          out->kind = OpKind::kFusedEwise;
-          out->program = cand.program;
-          out->inputs.reserve(cand.ext_inputs.size());
-          for (const auto& in : cand.ext_inputs) {
-            out->inputs.push_back(rebuild(in));
-          }
-          break;
-        case Candidate::Family::kRow:
-          out->kind = OpKind::kFusedRow;
-          out->program = cand.program;
-          out->fused_matrix = rebuild(cand.row_matrix);
-          out->fused_y = rebuild(cand.row_y);
-          out->inputs.reserve(cand.ext_inputs.size());
-          for (const auto& in : cand.ext_inputs) {
-            out->inputs.push_back(rebuild(in));
-          }
-          break;
-        case Candidate::Family::kSddmm:
-          out->kind = OpKind::kFusedSddmm;
-          out->fused_matrix = rebuild(cand.sd_X);
-          out->fused_v = rebuild(cand.sd_u);
-          out->fused_y = rebuild(cand.sd_v);
-          out->fused_z = rebuild(cand.sd_z);
-          out->map_f = cand.sd_f;
-          out->map_name = cand.sd_fname;
-          break;
-      }
+      out = std::make_shared<Node>(*cit->second->fused);
     } else if (node->kind == OpKind::kInputMatrix ||
                node->kind == OpKind::kInputVector) {
       out = node;  // leaves carry no rewritable structure — share them
     } else {
       out = std::make_shared<Node>(*node);
-      for (auto& in : out->inputs) in = rebuild(in);
-      out->fused_matrix = rebuild(out->fused_matrix);
-      out->fused_v = rebuild(out->fused_v);
-      out->fused_y = rebuild(out->fused_y);
-      out->fused_z = rebuild(out->fused_z);
+    }
+    if (out != node) {
+      for_each_operand(*out, [&](NodePtr& in) { in = rebuild(in); });
     }
     memo_.emplace(node.get(), out);
     return out;
@@ -1096,7 +946,7 @@ FusionPlan plan_fusion(Runtime& rt, const NodePtr& root,
   // left behind when a larger overlapping candidate lost selection.
   std::vector<Candidate> chosen;
   std::unordered_set<const Node*> claimed;
-  std::map<std::pair<const Node*, int>, LostCandidate> loser_map;
+  std::map<std::pair<const Node*, OpKind>, LostCandidate> loser_map;
   bool first = true;
   while (true) {
     std::vector<Candidate> cands;
@@ -1165,14 +1015,13 @@ FusionPlan plan_fusion(Runtime& rt, const NodePtr& root,
     std::vector<char> is_picked(viable.size(), 0);
     for (int i : picked) is_picked[static_cast<std::size_t>(i)] = 1;
     for (std::size_t i = 0; i < viable.size(); ++i) {
-      const auto key = std::make_pair(
-          viable[i].sink, static_cast<int>(viable[i].family));
+      const auto key = std::make_pair(viable[i].sink, viable[i].fused->kind);
       if (is_picked[i] != 0) {
         loser_map.erase(key);
         for (const Node* m : viable[i].members) claimed.insert(m);
         chosen.push_back(std::move(viable[i]));
       } else {
-        loser_map[key] = LostCandidate{viable[i].kind, viable[i].detail,
+        loser_map[key] = LostCandidate{viable[i].kind(), viable[i].detail,
                                        viable[i].benefit_ms()};
       }
     }
@@ -1180,7 +1029,7 @@ FusionPlan plan_fusion(Runtime& rt, const NodePtr& root,
 
   for (const auto& cand : chosen) {
     PlannedGroup g;
-    g.kind = cand.kind;
+    g.kind = cand.kind();
     g.detail = cand.detail;
     g.nodes_covered = static_cast<int>(cand.members.size());
     g.launches_before = cand.before.launches;

@@ -31,8 +31,10 @@
 //
 // Every candidate is scored with the vgpu cost model (kernel launches at
 // launch_overhead_us each, DRAM traffic at the device's effective
-// bandwidth) using the per-op cost profiles the operator registry declares
-// (kernels::op_profile).
+// bandwidth) from one per-OpKind table of launches, matrix passes and
+// vector words. A candidate carries the fused node that would replace it,
+// and exploration costs that node with the same node cost the whole-DAG
+// totals use on the rewritten DAG.
 #pragma once
 
 #include <cstdint>
