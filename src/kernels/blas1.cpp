@@ -192,18 +192,7 @@ OpResult dev_ewise_chain(vgpu::Device& dev, const EwiseProgram& program,
     for (int l = 0; l < lanes; ++l) {
       const usize i = i0 + l;
       for (usize k = 0; k < inputs.size(); ++k) slots[k] = inputs[k][i];
-      for (usize j = 0; j < program.steps.size(); ++j) {
-        const EwiseStep& s = program.steps[j];
-        real r = 0;
-        switch (s.op) {
-          case EwiseOp::kScale: r = s.scalar * slots[s.a]; break;
-          case EwiseOp::kAdd: r = slots[s.a] + slots[s.b]; break;
-          case EwiseOp::kMul: r = slots[s.a] * slots[s.b]; break;
-          case EwiseOp::kMap: r = s.map_fn(slots[s.a]); break;
-        }
-        slots[static_cast<usize>(program.num_inputs) + j] = r;
-      }
-      out.value[i] = slots.back();
+      out.value[i] = eval_device_element(program, slots);
     }
   }));
   return out;

@@ -60,4 +60,27 @@ struct EwiseProgram {
   bool valid() const;
 };
 
+/// One element of `program` on the device. Slots [0, num_inputs) hold the
+/// element's inputs; each step writes its own slot, and the last step's
+/// value is returned. dev_ewise_chain and the fused row epilogues both run
+/// this body, so a fused epilogue is bit-exact with the generated chain
+/// kernel. EwiseProgram::evaluate stays separate: it is the CPU backend
+/// and the ABFT host reference, and an oracle must not share code with
+/// what it checks.
+inline real eval_device_element(const EwiseProgram& program,
+                                std::span<real> slots) {
+  real* result = slots.data() + program.num_inputs;
+  for (const EwiseStep& s : program.steps) {
+    real r = 0;
+    switch (s.op) {
+      case EwiseOp::kScale: r = s.scalar * slots[s.a]; break;
+      case EwiseOp::kAdd: r = slots[s.a] + slots[s.b]; break;
+      case EwiseOp::kMul: r = slots[s.a] * slots[s.b]; break;
+      case EwiseOp::kMap: r = s.map_fn(slots[s.a]); break;
+    }
+    *result++ = r;
+  }
+  return slots.back();
+}
+
 }  // namespace fusedml::kernels

@@ -21,29 +21,6 @@ using vgpu::BlockCtx;
 using vgpu::LaunchConfig;
 using vgpu::MemPath;
 
-/// Per-element evaluation of an EwiseProgram with slots preloaded — the
-/// same SSA switch as dev_ewise_chain, so fused epilogues stay bit-exact
-/// with the operator-at-a-time chain.
-real eval_program_element(const EwiseProgram& program,
-                          std::span<real> slots) {
-  for (usize j = 0; j < program.steps.size(); ++j) {
-    const EwiseStep& s = program.steps[j];
-    real r = 0;
-    switch (s.op) {
-      case EwiseOp::kScale: r = s.scalar * slots[static_cast<usize>(s.a)]; break;
-      case EwiseOp::kAdd:
-        r = slots[static_cast<usize>(s.a)] + slots[static_cast<usize>(s.b)];
-        break;
-      case EwiseOp::kMul:
-        r = slots[static_cast<usize>(s.a)] * slots[static_cast<usize>(s.b)];
-        break;
-      case EwiseOp::kMap: r = s.map_fn(slots[static_cast<usize>(s.a)]); break;
-    }
-    slots[static_cast<usize>(program.num_inputs) + j] = r;
-  }
-  return slots.back();
-}
-
 /// Row index of every nonzero — host-side helper for the mask kernel.
 std::vector<index_t> row_of_nnz(const la::CsrMatrix& X) {
   std::vector<index_t> row_of(static_cast<usize>(X.nnz()));
@@ -240,7 +217,7 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::CsrMatrix& X,
       for (usize e = 0; e < ext.size(); ++e) {
         slots[e + 1] = ext[e][static_cast<usize>(r)];
       }
-      out.value[static_cast<usize>(r)] = eval_program_element(program, slots);
+      out.value[static_cast<usize>(r)] = eval_device_element(program, slots);
     }
     ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
                                rows_here, sizeof(real));
@@ -293,7 +270,7 @@ OpResult dev_fused_row(vgpu::Device& dev, const la::DenseMatrix& X,
     for (usize e = 0; e < ext.size(); ++e) {
       slots[e + 1] = ext[e][static_cast<usize>(r)];
     }
-    out.value[static_cast<usize>(r)] = eval_program_element(program, slots);
+    out.value[static_cast<usize>(r)] = eval_device_element(program, slots);
   };
 
   out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
