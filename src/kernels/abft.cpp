@@ -19,17 +19,12 @@ const char* to_string(VerifyPolicy policy) {
   return "?";
 }
 
-void AbftVerifier::set_spot_interval(int n) {
-  FUSEDML_CHECK(n >= 1, "spot interval must be at least 1");
-  spot_interval_ = n;
-}
-
 bool AbftVerifier::arm() {
   switch (policy_) {
     case VerifyPolicy::kOff: return false;
     case VerifyPolicy::kFull: return true;
     case VerifyPolicy::kSpot:
-      return ++spot_counter_ % static_cast<std::uint64_t>(spot_interval_) == 0;
+      return ++spot_counter_ % static_cast<std::uint64_t>(kSpotInterval) == 0;
   }
   return false;
 }

@@ -89,8 +89,7 @@ class AbftVerifier {
   VerifyPolicy policy() const { return policy_; }
 
   /// Spot-mode sampling period: every Nth GPU dispatch is verified.
-  void set_spot_interval(int n);
-  int spot_interval() const { return spot_interval_; }
+  int spot_interval() const { return kSpotInterval; }
 
   /// Called once per GPU dispatch: advances the spot counter and returns
   /// whether THIS dispatch must be verified under the current policy.
@@ -177,7 +176,7 @@ class AbftVerifier {
   vgpu::Device& dev_;
   const CpuBackend& cpu_;
   VerifyPolicy policy_ = VerifyPolicy::kOff;
-  int spot_interval_ = 8;
+  static constexpr int kSpotInterval = 8;
   std::uint64_t spot_counter_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t mismatches_ = 0;

@@ -18,6 +18,11 @@
 // device only where that is bit-exact by construction. That is what keeps
 // them equal to the frozen weights in tests/golden/legacy_oracles.golden;
 // see each port's comments for the venue decisions.
+//
+// Every script discards each run() output, and each leaf it registers per
+// iteration, after its last read, and a loop-carried tensor when its
+// successor replaces it (sysml/runtime.h, tensor lifetime). A solver's
+// live tensors therefore do not grow with its iteration count.
 
 namespace fusedml::ml {
 
@@ -102,12 +107,14 @@ void track_host(sysml::SolverCheckpoint& ckpt, std::vector<real>& v) {
                     [&v](const std::vector<real>& saved) { v = saved; });
 }
 
+/// Registers X; pass a matrix the script no longer needs as an rvalue so
+/// the runtime takes it over instead of holding a second host copy.
 template <typename Matrix>
-TensorId add_matrix(Runtime& rt, const Matrix& X, std::string name) {
+TensorId add_matrix(Runtime& rt, Matrix X, std::string name) {
   if constexpr (std::is_same_v<Matrix, la::CsrMatrix>) {
-    return rt.add_sparse(X, std::move(name));
+    return rt.add_sparse(std::move(X), std::move(name));
   } else {
-    return rt.add_dense(X, std::move(name));
+    return rt.add_dense(std::move(X), std::move(name));
   }
 }
 
@@ -199,6 +206,7 @@ ScriptResult lr_cg_impl(Runtime& rt, const Matrix& X,
       const real alpha = nr2 / rt.op_dot(pid, qid);
       rt.op_axpy(alpha, pid, wid);
       rt.op_axpy(alpha, qid, rid);
+      rt.discard(qid);
       const real old_nr2 = nr2;
       nr2 = rt.op_dot(rid, rid);
       const real beta = nr2 / old_nr2;
@@ -260,6 +268,7 @@ ScriptResult logreg_gd_impl(Runtime& rt, const Matrix& X,
     try {
       const TensorId gid = rt.run(prog, "g");
       rt.op_axpy(-config.step, gid, wid);
+      rt.discard(gid);
       ++it;
     } catch (const Error& e) {
       it = ckpt.rollback(e);
@@ -367,11 +376,16 @@ ScriptResult glm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
     gradp.bind("resid", resid_id);
     gradp.prepare(rt, mode);
     const TensorId grad_id = rt.run(gradp, "grad");
+    rt.discard(resid_id);
     const auto grad_view = rt.read_vector(grad_id);
     const std::vector<real> grad(grad_view.begin(), grad_view.end());
+    rt.discard(grad_id);
 
     const real gnorm = la::nrm2(grad);
-    if (gnorm <= config.gradient_tolerance) break;
+    if (gnorm <= config.gradient_tolerance) {
+      rt.discard(wdiag_id);
+      break;
+    }
 
     // CG on (X^T W X + ridge I) d = -g; recurrences on the host, the
     // Fisher product through the planned pattern.
@@ -390,6 +404,7 @@ ScriptResult glm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
       const TensorId fp_id = rt.run(fisher, "Fp");
       const auto fp_view = rt.read_vector(fp_id);
       const std::vector<real> fp(fp_view.begin(), fp_view.end());
+      rt.discard(fp_id);
       const real pfp = la::dot(p, fp);
       if (pfp <= 0) break;
       const real alpha = rr / pfp;
@@ -400,6 +415,7 @@ ScriptResult glm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
       rr = rr_new;
       for (usize j = 0; j < n; ++j) p[j] = -r[j] + beta * p[j];
     }
+    rt.discard(wdiag_id);
 
     // Damped update: halve until eta = X*(w + step*d) stays finite.
     real step = 1.0;
@@ -419,10 +435,12 @@ ScriptResult glm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
       }
       if (finite) {
         w = std::move(w_new);
-        eta_id = trial_eta;  // loop-carried: next prep reads this eta
+        // Loop-carried: the next prep reads this eta; the old one is dead.
+        rt.discard(std::exchange(eta_id, trial_eta));
         prep.bind("eta", eta_id);
         break;
       }
+      rt.discard(trial_eta);
       step *= real{0.5};
     }
     iterations = it + 1;
@@ -517,8 +535,7 @@ ScriptResult svm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
       if (y[i] * margins[i] < real{1}) sv.push_back(static_cast<index_t>(i));
     }
     if (sv.empty()) break;
-    const Matrix Xi = take_rows(X, sv);
-    const TensorId Xi_id = add_matrix(rt, Xi, "Xi");
+    const TensorId Xi_id = add_matrix(rt, take_rows(X, sv), "Xi");
 
     std::vector<real> resid(sv.size());
     for (usize k = 0; k < sv.size(); ++k) {
@@ -533,11 +550,16 @@ ScriptResult svm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
     gradp.bind("resid", resid_id);
     gradp.prepare(rt, mode);
     const TensorId grad_id = rt.run(gradp, "grad");
+    rt.discard(resid_id);
     const auto grad_view = rt.read_vector(grad_id);
     const std::vector<real> grad(grad_view.begin(), grad_view.end());
+    rt.discard(grad_id);
 
     const real gnorm = la::nrm2(grad);
-    if (gnorm <= config.gradient_tolerance) break;
+    if (gnorm <= config.gradient_tolerance) {
+      rt.discard(Xi_id);
+      break;
+    }
 
     // CG on (I + 2C X_I^T X_I) d = -g.
     std::vector<real> d(n, real{0});
@@ -554,6 +576,7 @@ ScriptResult svm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
       const TensorId hp_id = rt.run(hess, "Hp");
       const auto hp_view = rt.read_vector(hp_id);
       const std::vector<real> hp(hp_view.begin(), hp_view.end());
+      rt.discard(hp_id);
       const real php = la::dot(p, hp);
       if (php <= 0) break;
       const real alpha = rr / php;
@@ -564,6 +587,7 @@ ScriptResult svm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
       rr = rr_new;
       for (usize j = 0; j < n; ++j) p[j] = -r[j] + beta * p[j];
     }
+    rt.discard(Xi_id);
 
     // Backtracking line search on the squared-hinge objective.
     const real f_old = svm_objective(config.C, w, margins, y);
@@ -581,8 +605,9 @@ ScriptResult svm_impl(Runtime& rt, const Matrix& X, std::span<const real> y,
         w = std::move(w_new);
         margins.assign(margins_view.begin(), margins_view.end());
         improved = true;
-        break;
       }
+      rt.discard(margins_id);
+      if (improved) break;
       step *= real{0.5};
     }
     iterations = newton + 1;
@@ -646,7 +671,10 @@ ScriptResult hits_impl(Runtime& rt, const Matrix& X, PlanMode mode,
       refresh.prepare(rt, mode);
       const TensorId a_new = rt.run(refresh, "a_next");
       const real norm = rt.op_nrm2(a_new);
-      if (norm <= 0) break;  // no links at all
+      if (norm <= 0) {  // no links at all
+        rt.discard(a_new);
+        break;
+      }
       rt.op_scal(real{1} / norm, a_new);
 
       const auto view = rt.read_vector(a_new);
@@ -656,7 +684,7 @@ ScriptResult hits_impl(Runtime& rt, const Matrix& X, PlanMode mode,
         delta += dj * dj;
       }
       a.assign(view.begin(), view.end());
-      aid = a_new;
+      rt.discard(std::exchange(aid, a_new));
       iterations = it + 1;
       converged = std::sqrt(delta) <= config.tolerance;
       ++it;
@@ -673,6 +701,7 @@ ScriptResult hits_impl(Runtime& rt, const Matrix& X, PlanMode mode,
   const TensorId hid = rt.run(hubs, "h");
   const auto h_view = rt.read_vector(hid);
   std::vector<real> h(h_view.begin(), h_view.end());
+  rt.discard(hid);
   const real hn = la::nrm2(h);
   if (hn > 0) la::scal(real{1} / hn, h);
 
@@ -718,14 +747,12 @@ ScriptResult als_impl(Runtime& rt, const Matrix& R, PlanMode mode,
   const auto n = static_cast<usize>(R.cols());
   ScriptResult out;
 
-  const Matrix Rt = la::transpose(R);
-  const Matrix M = pattern_mask(R);
-  const Matrix Mt = la::transpose(M);
-
+  Matrix M = pattern_mask(R);
+  Matrix Mt = la::transpose(M);
   const TensorId Rid = add_matrix(rt, R, "R");
-  const TensorId Rtid = add_matrix(rt, Rt, "Rt");
-  const TensorId Mid = add_matrix(rt, M, "M");
-  const TensorId Mtid = add_matrix(rt, Mt, "Mt");
+  const TensorId Rtid = add_matrix(rt, la::transpose(R), "Rt");
+  const TensorId Mid = add_matrix(rt, std::move(M), "M");
+  const TensorId Mtid = add_matrix(rt, std::move(Mt), "Mt");
 
   std::vector<real> u(m, real{1});
   std::vector<real> v(n, real{1});
@@ -787,8 +814,10 @@ ScriptResult als_impl(Runtime& rt, const Matrix& R, PlanMode mode,
   auto half_step = [&](Program& bprog, Program& hprog, TensorId dir_id,
                        std::vector<real>& x) {
     bprog.prepare(rt, mode);
-    const auto b_view = rt.read_vector(rt.run(bprog, "b"));
+    const TensorId b_id = rt.run(bprog, "b");
+    const auto b_view = rt.read_vector(b_id);
     std::vector<real> p(b_view.begin(), b_view.end());
+    rt.discard(b_id);
     std::vector<real> r(p.size());
     for (usize j = 0; j < p.size(); ++j) r[j] = -p[j];
     std::vector<real> xv(p.size(), real{0});
@@ -796,8 +825,10 @@ ScriptResult als_impl(Runtime& rt, const Matrix& R, PlanMode mode,
     hprog.prepare(rt, mode);
     for (int cg = 0; cg < config.max_cg_iterations && rr > real{0}; ++cg) {
       rt.write_vector(dir_id, p);
-      const auto hp_view = rt.read_vector(rt.run(hprog, "Hp"));
+      const TensorId hp_id = rt.run(hprog, "Hp");
+      const auto hp_view = rt.read_vector(hp_id);
       const std::vector<real> hp(hp_view.begin(), hp_view.end());
+      rt.discard(hp_id);
       const real php = la::dot(p, hp);
       if (php <= 0) break;
       const real alpha = rr / php;
@@ -930,7 +961,8 @@ ScriptResult kmeans_impl(Runtime& rt, const Matrix& X, PlanMode mode,
                 static_cast<usize>(c) * n, n);
         rt.write_vector(cid, centroid);
         cross.prepare(rt, mode);
-        const auto xc = rt.read_vector(rt.run(cross, "cross"));
+        const TensorId xc_id = rt.run(cross, "cross");
+        const auto xc = rt.read_vector(xc_id);
         real cnorm = 0;
         for (const real x : centroid) cnorm += x * x;
         for (usize i = 0; i < m; ++i) {
@@ -940,6 +972,7 @@ ScriptResult kmeans_impl(Runtime& rt, const Matrix& X, PlanMode mode,
             next_assign[i] = c;
           }
         }
+        rt.discard(xc_id);
       }
       const bool changed = next_assign != assign;
       assign = std::move(next_assign);
@@ -1048,8 +1081,8 @@ ScriptResult pagerank_impl(Runtime& rt, const Matrix& X, PlanMode mode,
   const auto n = static_cast<usize>(k);
   ScriptResult out;
 
-  const Matrix Pt = la::transpose(row_normalized(leading_square(X, k)));
-  const TensorId Ptid = add_matrix(rt, Pt, "Pt");
+  const TensorId Ptid = add_matrix(
+      rt, la::transpose(row_normalized(leading_square(X, k))), "Pt");
   std::vector<real> r(n, real{1} / static_cast<real>(n));
   TensorId rid = rt.add_vector(r, "r");
   const TensorId tid = rt.add_vector(
@@ -1088,7 +1121,7 @@ ScriptResult pagerank_impl(Runtime& rt, const Matrix& X, PlanMode mode,
       real delta = 0;
       for (usize j = 0; j < n; ++j) delta += std::abs(view[j] - r[j]);
       r.assign(view.begin(), view.end());
-      rid = r_new;
+      rt.discard(std::exchange(rid, r_new));
       iterations = it + 1;
       converged = delta <= config.tolerance;
       ++it;
@@ -1155,8 +1188,7 @@ ScriptResult minibatch_logreg_impl(Runtime& rt, const Matrix& X,
         rows[j] = static_cast<index_t>((start + j) % m);
       }
       std::sort(rows.begin(), rows.end());
-      const Matrix Xb = take_rows(X, rows);
-      const TensorId Xbid = add_matrix(rt, Xb, "Xb");
+      const TensorId Xbid = add_matrix(rt, take_rows(X, rows), "Xb");
       std::vector<real> nyb(bs);
       for (usize j = 0; j < bs; ++j) {
         nyb[j] = -y[static_cast<usize>(rows[j])];
@@ -1167,7 +1199,10 @@ ScriptResult minibatch_logreg_impl(Runtime& rt, const Matrix& X,
       prog.bind("neg_yb", nybid);
       prog.prepare(rt, mode);
       const TensorId gid = rt.run(prog, "g");
+      rt.discard(Xbid);
+      rt.discard(nybid);
       rt.op_axpy(-config.step, gid, wid);
+      rt.discard(gid);
       ++it;
     } catch (const Error& e) {
       it = ckpt.rollback(e);

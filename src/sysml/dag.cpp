@@ -203,6 +203,28 @@ TensorId eval(Runtime& rt, const NodePtr& node,
   memo.emplace(node.get(), out);
   return out;
 }
+
+bool is_leaf(const Node& node) {
+  return node.kind == OpKind::kInputMatrix ||
+         node.kind == OpKind::kInputVector;
+}
+
+/// Discards every tensor the evaluation created except `keep`. Leaves are
+/// the caller's tensors and are never discarded.
+void discard_intermediates(
+    Runtime& rt, const std::unordered_map<const Node*, TensorId>& memo,
+    TensorId keep) {
+  std::unordered_set<TensorId> seen;  // the leaves, then each discard
+  for (const auto& [node, id] : memo) {
+    if (is_leaf(*node)) seen.insert(id);
+  }
+  for (const auto& [node, id] : memo) {
+    if (is_leaf(*node) || id == keep) continue;
+    FUSEDML_CHECK(seen.insert(id).second,
+                  "DAG intermediate is a leaf or was already discarded");
+    rt.discard(id);
+  }
+}
 }  // namespace
 
 TensorId execute(Runtime& rt, const NodePtr& root) {
@@ -211,7 +233,15 @@ TensorId execute(Runtime& rt, const NodePtr& root) {
   // cost against the planner's per-execution prediction.
   const RuntimeStats before = rt.stats();
   std::unordered_map<const Node*, TensorId> memo;
-  const TensorId out = eval(rt, root, memo);
+  TensorId out = 0;
+  try {
+    out = eval(rt, root, memo);
+  } catch (...) {
+    discard_intermediates(rt, memo, 0);
+    throw;
+  }
+  // Only the root outlives the execution.
+  discard_intermediates(rt, memo, out);
   const RuntimeStats& after = rt.stats();
   // ABFT verification launches/time ride inside the kernel books (the
   // device really issued them) but are not part of the PLAN — subtract

@@ -129,7 +129,9 @@ int count_nodes(const NodePtr& root);
 
 /// Interprets the DAG over the runtime; returns the root's result tensor.
 /// Each non-leaf node costs one runtime op (kFusedPattern = one fused
-/// kernel; the unfused operators run operator-at-a-time).
+/// kernel; the unfused operators run operator-at-a-time). Every
+/// intermediate tensor is discarded once the root is computed (or the
+/// evaluation throws); leaf tensors belong to the caller and stay.
 TensorId execute(Runtime& rt, const NodePtr& root);
 
 }  // namespace fusedml::sysml

@@ -93,7 +93,8 @@ class MemoryManager {
   /// the allocation slot is remembered for reuse accounting.
   double release(TensorId id);
 
-  /// Drops the tensor entirely.
+  /// Task (c) for a dead tensor: drops it entirely, with no write-back and
+  /// no modeled charge (Runtime::discard).
   void unregister(TensorId id);
 
   bool on_device(TensorId id) const;

@@ -43,10 +43,16 @@ Runtime::Runtime(vgpu::Device& dev, RuntimeOptions opts)
 
 TensorId Runtime::store(Value v, usize bytes, std::string name) {
   const TensorId id = next_id_++;
-  values_.emplace(id, std::move(v));
-  native_[id] = false;
+  tensors_.emplace(id, Tensor{std::move(v)});
   mm_.register_tensor(id, bytes, std::move(name));
   return id;
+}
+
+void Runtime::discard(TensorId id) {
+  FUSEDML_CHECK(tensors_.erase(id) == 1, "unknown tensor id");
+  // No write-back and no modeled charge: the value is dead, so neither
+  // copy needs to be current.
+  mm_.unregister(id);
 }
 
 TensorId Runtime::add_sparse(la::CsrMatrix X, std::string name) {
@@ -68,20 +74,20 @@ TensorId Runtime::new_vector(usize n, std::string name) {
   return add_vector(std::vector<real>(n, real{0}), std::move(name));
 }
 
-Runtime::Value& Runtime::value(TensorId id) {
-  const auto it = values_.find(id);
-  FUSEDML_CHECK(it != values_.end(), "unknown tensor id");
+Runtime::Tensor& Runtime::tensor(TensorId id) {
+  const auto it = tensors_.find(id);
+  FUSEDML_CHECK(it != tensors_.end(), "unknown tensor id");
   return it->second;
 }
 
 std::vector<real>& Runtime::vec(TensorId id) {
-  auto* v = std::get_if<std::vector<real>>(&value(id));
+  auto* v = std::get_if<std::vector<real>>(&tensor(id).value);
   FUSEDML_CHECK(v != nullptr, "tensor is not a vector");
   return *v;
 }
 
 la::MatrixRef Runtime::matrix(TensorId id) {
-  Value& v = value(id);
+  Value& v = tensor(id).value;
   if (const auto* s = std::get_if<la::CsrMatrix>(&v)) return *s;
   const auto* d = std::get_if<la::DenseMatrix>(&v);
   FUSEDML_CHECK(d != nullptr, "tensor is not a matrix");
@@ -89,7 +95,7 @@ la::MatrixRef Runtime::matrix(TensorId id) {
 }
 
 usize Runtime::tensor_bytes(TensorId id) {
-  const Value& v = value(id);
+  const Value& v = tensor(id).value;
   if (const auto* s = std::get_if<la::CsrMatrix>(&v)) return s->bytes();
   if (const auto* d = std::get_if<la::DenseMatrix>(&v)) return d->bytes();
   return std::get<std::vector<real>>(v).size() * sizeof(real);
@@ -97,7 +103,7 @@ usize Runtime::tensor_bytes(TensorId id) {
 
 TensorInfo Runtime::tensor_info(TensorId id) {
   TensorInfo info;
-  const Value& v = value(id);
+  const Value& v = tensor(id).value;
   info.bytes = tensor_bytes(id);
   if (const auto* s = std::get_if<la::CsrMatrix>(&v)) {
     info.is_matrix = true;
@@ -117,9 +123,10 @@ TensorInfo Runtime::tensor_info(TensorId id) {
 }
 
 void Runtime::stage_on_device(TensorId id) {
-  if (!native_[id]) {
+  Tensor& t = tensor(id);
+  if (!t.native) {
     // First device contact: pay the JNI representation change + heap copy.
-    const Value& v = value(id);
+    const Value& v = t.value;
     JniCharge charge;
     if (const auto* s = std::get_if<la::CsrMatrix>(&v)) {
       charge = jni_.sparse_to_native(*s);
@@ -142,7 +149,7 @@ void Runtime::stage_on_device(TensorId id) {
       obs::metrics().counter("runtime.jni_conversions").add();
       obs::metrics().gauge("runtime.jni_ms").add(charge.total_ms());
     }
-    native_[id] = true;
+    t.native = true;
   }
   stats_.transfer_ms += mm_.ensure_on_device(id);
 }
@@ -266,7 +273,7 @@ void Runtime::note_plan_prepare(double host_ms, bool cache_hit) {
 TensorId Runtime::emit(kernels::KernelOutcome&& outcome, std::string name) {
   const TensorId out = add_vector(std::move(outcome.value), std::move(name));
   if (outcome.backend_used != kernels::Backend::kCpu) {
-    native_[out] = true;  // born in native/device space
+    tensor(out).native = true;  // born in native/device space
     stats_.transfer_ms += mm_.allocate_on_device(out);
   }
   return out;

@@ -19,6 +19,14 @@
 // fallback chain to the CPU (the dispatch switch and the resilience loop
 // exist once, in the registry). Whole solvers reach this runtime through
 // the script library (ml/script_library.h); there is no second stack.
+//
+// Tensor lifetime: a tensor lives until discard() — the runtime's rmvar —
+// drops its host value and its memory-manager entry (task (c), without a
+// write-back or a modeled charge). The DAG interpreter (dag.h execute())
+// discards every intermediate of a DAG once its root is computed, and a
+// script discards each run() output and per-iteration leaf after its last
+// read, so a solver's footprint does not grow with its iteration count.
+// A read_vector() span dies with its tensor: read it before the discard.
 #pragma once
 
 #include <cstdint>
@@ -196,8 +204,18 @@ class Runtime {
   TensorId op_fused_sddmm(TensorId X, TensorId u, TensorId v, TensorId z,
                           real (*f)(real), const std::string& name);
 
-  /// Host view of a vector (synchronizes from the device if needed).
+  /// Host view of a vector (synchronizes from the device if needed). The
+  /// span is valid until `id` is discarded.
   std::span<const real> read_vector(TensorId id);
+
+  /// Ends tensor `id`'s lifetime: drops its host value and its device copy
+  /// (no write-back, no modeled charge). Throws on an unknown id; any later
+  /// use of the id throws "unknown tensor id".
+  void discard(TensorId id);
+  /// Tensors currently registered (not yet discarded).
+  usize live_tensors() const { return tensors_.size(); }
+  /// Device bytes the memory manager holds for live tensors.
+  usize device_bytes_in_use() const { return mm_.device_bytes_in_use(); }
 
   /// Overwrites a vector tensor's host values in place (sizes must match).
   /// The device copy, if any, is invalidated — the next device op re-uploads.
@@ -313,14 +331,17 @@ class Runtime {
  private:
   using Value =
       std::variant<la::CsrMatrix, la::DenseMatrix, std::vector<real>>;
+  struct Tensor {
+    Value value;
+    bool native = false;  ///< JNI conversion done?
+  };
 
   vgpu::Device& dev_;
   RuntimeOptions opts_;
   MemoryManager mm_;
   JniBridge jni_;
   kernels::OpRegistry registry_;
-  std::unordered_map<TensorId, Value> values_;
-  std::unordered_map<TensorId, bool> native_;  ///< JNI conversion done?
+  std::unordered_map<TensorId, Tensor> tensors_;
   TensorId next_id_ = 1;
   RuntimeStats stats_;
   PlannerOptions planner_opts_;
@@ -339,7 +360,7 @@ class Runtime {
   const kernels::CpuBackend& cpu() const { return registry_.cpu(); }
 
   TensorId store(Value v, usize bytes, std::string name);
-  Value& value(TensorId id);
+  Tensor& tensor(TensorId id);
   std::vector<real>& vec(TensorId id);
   /// The matrix tensor `id`, whichever its storage; throws if it is a
   /// vector.

@@ -11,23 +11,6 @@ void MemTracker::load_gather(std::span<const std::uint64_t> byte_addrs,
   charge_load(tx, byte_addrs.size() * sizeof(real), path);
 }
 
-void MemTracker::load_strided(std::uint64_t first_byte, int active,
-                              std::uint64_t stride_bytes, usize elem_bytes,
-                              MemPath path) {
-  if (active <= 0) return;
-  const std::uint64_t tx =
-      strided_transactions(first_byte, active, stride_bytes, elem_bytes);
-  charge_load(tx, static_cast<std::uint64_t>(active) * elem_bytes, path);
-}
-
-void MemTracker::store_stream(std::uint64_t first_elem, std::uint64_t count,
-                              usize elem_bytes) {
-  const std::uint64_t bytes = count * elem_bytes;
-  counters_.gst_transactions +=
-      stream_transactions(first_elem * elem_bytes, bytes);
-  counters_.gst_bytes += bytes;
-}
-
 void MemTracker::store_contiguous(std::uint64_t first_elem, int active,
                                   usize elem_bytes) {
   if (active <= 0) return;

@@ -46,12 +46,6 @@ class MemTracker {
   void load_gather(std::span<const std::uint64_t> byte_addrs,
                    MemPath path = MemPath::kDram);
 
-  /// Strided warp load (dense column walks): lane i reads at
-  /// first_byte + i * stride_bytes.
-  void load_strided(std::uint64_t first_byte, int active,
-                    std::uint64_t stride_bytes, usize elem_bytes,
-                    MemPath path = MemPath::kDram);
-
   /// Pre-computed warp-level traffic (e.g. the sparse kernels' cross-vector
   /// coalescing helper already counted the distinct segments).
   void load_precomputed(std::uint64_t transactions, std::uint64_t bytes,
@@ -68,8 +62,6 @@ class MemTracker {
     charge_load(stream_transactions(first_elem * elem_bytes, bytes), bytes,
                 path);
   }
-  void store_stream(std::uint64_t first_elem, std::uint64_t count,
-                    usize elem_bytes);
 
   /// Warp-contiguous store.
   void store_contiguous(std::uint64_t first_elem, int active, usize elem_bytes);

@@ -18,16 +18,4 @@ real shuffle_reduce_sum(std::span<const real> lanes, MemCounters& counters) {
   return buf[0];
 }
 
-void shuffle_reduce_inplace(std::span<real> lanes, MemCounters& counters) {
-  FUSEDML_CHECK(valid_reduce_width(static_cast<int>(lanes.size())),
-                "reduce width must be a power of two <= 32");
-  const int n = static_cast<int>(lanes.size());
-  for (int offset = n / 2; offset > 0; offset /= 2) {
-    for (int lane = 0; lane < offset; ++lane) {
-      lanes[lane] += lanes[lane + offset];
-    }
-    counters.shuffle_ops += static_cast<std::uint64_t>(offset);
-  }
-}
-
 }  // namespace fusedml::vgpu

@@ -27,9 +27,4 @@ inline bool valid_reduce_width(int width) {
 /// that lane 0 would hold. Charges one shuffle op per lane per step.
 real shuffle_reduce_sum(std::span<const real> lanes, MemCounters& counters);
 
-/// Segmented variant used by CSR-vector: reduces `lanes` in place so that
-/// the caller can observe intermediate tree levels if needed.
-/// lanes.size() must be a valid reduce width.
-void shuffle_reduce_inplace(std::span<real> lanes, MemCounters& counters);
-
 }  // namespace fusedml::vgpu

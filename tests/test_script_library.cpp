@@ -336,6 +336,36 @@ TEST(ScriptModes, PlannerMatchesHardcodedPassBitExactly) {
   }
 }
 
+// --- Tensor lifetime: a solver's live tensors do not grow with iterations ---
+
+TEST(TensorLifetime, LiveTensorsDoNotGrowWithTheIterationCap) {
+  const auto X = la::uniform_sparse(200, 30, 0.1, 616);
+  const auto Xd = la::csr_to_dense(X);
+  const auto y_reg = la::regression_labels(X, 616, 0.1);
+  const auto y_cls = la::classification_labels(X, 616, 0.1);
+
+  for (const ml::ScriptSpec& spec : ml::script_library()) {
+    const bool cls = spec.algorithm == Algorithm::kLogregGd ||
+                     spec.algorithm == Algorithm::kSvm ||
+                     spec.algorithm == Algorithm::kMinibatchLogreg;
+    const std::span<const real> labels =
+        cls ? std::span<const real>(y_cls) : std::span<const real>(y_reg);
+    usize live[2] = {0, 0};
+    const int caps[2] = {1, 6};
+    for (int i = 0; i < 2; ++i) {
+      vgpu::Device dev;
+      sysml::Runtime rt(dev, forced_gpu());
+      if (spec.dense) {
+        spec.run_dense(rt, Xd, labels, caps[i]);
+      } else {
+        spec.run_sparse(rt, X, labels, caps[i]);
+      }
+      live[i] = rt.live_tensors();
+    }
+    EXPECT_EQ(live[0], live[1]) << spec.name;
+  }
+}
+
 // --- Plan caching: planning cost is paid once per solver, not per iteration --
 
 TEST(ScriptCache, HitsAmortizesPlanningAcrossIterations) {

@@ -9,6 +9,7 @@
 #include "la/convert.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
+#include "sysml/dag.h"
 #include "sysml/expr.h"
 #include "sysml/jni_bridge.h"
 #include "ml/script_library.h"
@@ -254,6 +255,62 @@ TEST(Runtime, Blas1OnHostDataStaysOnCpu) {
   rt.op_dot(a, b);
   EXPECT_EQ(rt.stats().gpu_ops, 0u);
   EXPECT_EQ(rt.stats().cpu_ops, 1u);
+}
+
+// --- Tensor lifetime ----------------------------------------------------------
+
+TEST(Runtime, DiscardDropsADeviceDirtyTensorWithoutAWriteBack) {
+  vgpu::Device dev;
+  Runtime rt(dev, {.gpu_cost_bias = 1e-4});
+  const auto X = la::uniform_sparse(2000, 100, 0.05, 614);
+  const auto Xid = rt.add_sparse(X, "X");
+  const auto yid = rt.add_vector(la::random_vector(100, 6), "y");
+  // Born on the device and never read back: the device copy is the only
+  // current one.
+  const auto pid = rt.op_product(Xid, yid);
+  ASSERT_EQ(rt.stats().gpu_ops, 1u);
+  ASSERT_EQ(rt.live_tensors(), 3u);
+
+  const auto d2h = rt.memory_stats().d2h_transfers;
+  const double total_ms = rt.stats().total_ms();
+  const usize device_bytes = rt.device_bytes_in_use();
+  rt.discard(pid);
+  EXPECT_EQ(rt.memory_stats().d2h_transfers, d2h);
+  EXPECT_EQ(rt.stats().total_ms(), total_ms);
+  EXPECT_EQ(rt.device_bytes_in_use(),
+            device_bytes - static_cast<usize>(X.rows()) * sizeof(real));
+  EXPECT_EQ(rt.live_tensors(), 2u);
+
+  EXPECT_THROW(rt.read_vector(pid), Error);
+  EXPECT_THROW(rt.discard(pid), Error);
+  EXPECT_THROW(rt.discard(9999), Error);
+}
+
+TEST(TensorLifetime, ExecuteKeepsOnlyLeavesAndTheRoot) {
+  vgpu::Device dev;
+  Runtime rt(dev, {.gpu_cost_bias = 1e-4});
+  const auto X = la::uniform_sparse(300, 40, 0.1, 615);
+  const auto Xid = rt.add_sparse(X, "X");
+  const auto vid = rt.add_vector(la::random_vector(300, 7), "v");
+  const auto yid = rt.add_vector(la::random_vector(40, 8), "y");
+  const auto zid = rt.add_vector(la::random_vector(40, 9), "z");
+  // Unfused Equation 1: mv, ewise_mul, mvt, two scales and an add, each a
+  // tensor of its own.
+  const auto root = pattern_expression(
+      real{0.5}, input_matrix(Xid), input_vector(vid), input_vector(yid),
+      real{2}, input_vector(zid));
+  const auto expect =
+      la::reference::pattern(0.5, X, la::random_vector(300, 7),
+                             la::random_vector(40, 8), 2,
+                             la::random_vector(40, 9));
+  for (int run = 0; run < 3; ++run) {
+    const auto out = execute(rt, root);
+    EXPECT_EQ(rt.live_tensors(), 5u + static_cast<usize>(run));
+    test::expect_vectors_near(expect, rt.read_vector(out));
+  }
+  // Leaves survive every execution.
+  EXPECT_EQ(rt.tensor_info(Xid).rows, 300);
+  EXPECT_EQ(rt.read_vector(zid).size(), 40u);
 }
 
 // --- End-to-end script (Table 6 shape) -----------------------------------------------
