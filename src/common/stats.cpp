@@ -56,10 +56,4 @@ double max_of(std::span<const double> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-Summary summarize(std::span<const double> xs) {
-  if (xs.empty()) return {};
-  return Summary{mean(xs), stddev(xs), min_of(xs), percentile(xs, 50.0),
-                 max_of(xs)};
-}
-
 }  // namespace fusedml

@@ -24,15 +24,4 @@ double percentile(std::span<const double> xs, double p);
 double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
 
-/// Summary of repeated measurements.
-struct Summary {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
-
 }  // namespace fusedml

@@ -83,22 +83,6 @@ std::string Table::str() const {
   return out;
 }
 
-std::string Table::markdown() const {
-  std::string out = "|";
-  for (const auto& h : headers_) out += " " + h + " |";
-  out += "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) out += "---|";
-  out += "\n";
-  for (const auto& row : rows_) {
-    out += "|";
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      out += " " + (c < row.size() ? row[c] : std::string{}) + " |";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 namespace {
 std::string csv_escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;

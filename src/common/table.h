@@ -30,8 +30,6 @@ class Table {
   /// Render with box-drawing separators.
   std::string str() const;
 
-  /// Render as '|'-separated GitHub markdown (for EXPERIMENTS.md capture).
-  std::string markdown() const;
 
   /// Render as RFC-4180-style CSV (cells containing commas/quotes/newlines
   /// are quoted) — for plotting the figure benches downstream.

@@ -1,7 +1,5 @@
 #include "common/timer.h"
 
-#include <algorithm>
-
 namespace fusedml {
 
 void Profiler::add(const std::string& name, double ms) { buckets_[name] += ms; }
@@ -12,25 +10,11 @@ double Profiler::total_ms() const {
   return total;
 }
 
-double Profiler::bucket_ms(const std::string& name) const {
-  const auto it = buckets_.find(name);
-  return it == buckets_.end() ? 0.0 : it->second;
-}
-
 double Profiler::percent(const std::string& name) const {
   const double total = total_ms();
-  return total <= 0.0 ? 0.0 : 100.0 * bucket_ms(name) / total;
-}
-
-std::vector<std::string> Profiler::buckets_by_time() const {
-  std::vector<std::string> names;
-  names.reserve(buckets_.size());
-  for (const auto& [name, _] : buckets_) names.push_back(name);
-  std::sort(names.begin(), names.end(),
-            [this](const std::string& a, const std::string& b) {
-              return bucket_ms(a) > bucket_ms(b);
-            });
-  return names;
+  const auto it = buckets_.find(name);
+  if (total <= 0.0 || it == buckets_.end()) return 0.0;
+  return 100.0 * it->second / total;
 }
 
 void Profiler::clear() { buckets_.clear(); }

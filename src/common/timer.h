@@ -4,7 +4,6 @@
 #include <chrono>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace fusedml {
 
@@ -38,14 +37,8 @@ class Profiler {
   /// Total across all buckets.
   double total_ms() const;
 
-  /// Time in a bucket (0 if absent).
-  double bucket_ms(const std::string& name) const;
-
   /// Bucket as a percentage of the total (0 if total is 0).
   double percent(const std::string& name) const;
-
-  /// All bucket names, sorted descending by time.
-  std::vector<std::string> buckets_by_time() const;
 
   void clear();
 

@@ -205,9 +205,11 @@ CpuOpResult CpuBackend::outer_map(std::span<const real> u,
   CpuOpResult out;
   const usize n = v.size();
   out.value.resize(u.size() * n);
-  for (usize i = 0; i < u.size(); ++i) {
-    for (usize j = 0; j < n; ++j) out.value[i * n + j] = f(u[i] * v[j]);
-  }
+  with_map(f, [&](auto fn) {
+    for (usize i = 0; i < u.size(); ++i) {
+      for (usize j = 0; j < n; ++j) out.value[i * n + j] = fn(u[i] * v[j]);
+    }
+  });
   out.wall_ms = t.elapsed_ms();
   out.modeled_ms = model_.op_time_ms(vec_bytes(out.value.size(), 2),
                                      5ull * out.value.size(), threads_);
@@ -288,12 +290,14 @@ CpuOpResult CpuBackend::fused_sddmm(la::MatrixRef X, std::span<const real> u,
   Timer t;
   CpuOpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  X.for_each_entry([&](index_t r, usize, index_t c, real x) {
-    const auto ri = static_cast<usize>(r);
-    const auto ci = static_cast<usize>(c);
-    // Term for term the unfused chain: mask then masked product.
-    const real masked = x * f(u[ri] * v[ci]);
-    out.value[ri] += masked * z[ci];
+  with_map(f, [&](auto fn) {
+    X.for_each_entry([&](index_t r, usize, index_t c, real x) {
+      const auto ri = static_cast<usize>(r);
+      const auto ci = static_cast<usize>(c);
+      // Term for term the unfused chain: mask then masked product.
+      const real masked = x * fn(u[ri] * v[ci]);
+      out.value[ri] += masked * z[ci];
+    });
   });
   out.wall_ms = t.elapsed_ms();
   const Footprint fp = footprint(X);

@@ -7,6 +7,8 @@
 
 namespace fusedml::kernels {
 
+real identity_map(real x) { return x; }
+
 const char* to_string(EwiseOp op) {
   switch (op) {
     case EwiseOp::kScale: return "scale";

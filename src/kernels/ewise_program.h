@@ -60,6 +60,21 @@ struct EwiseProgram {
   bool valid() const;
 };
 
+/// The library's one identity map: an outer map u v^T with no function
+/// applied (ALS's masked products). with_map recognizes it by address.
+real identity_map(real x);
+
+/// Runs `body(map)` once, with `map` an inline identity when `f` is
+/// identity_map and `f` itself otherwise. Each outer-map body writes its
+/// element term once, as a generic lambda; this instantiates it twice, so
+/// the identity costs no call per element and any other map keeps its
+/// pointer call. Both callables return f's value bit for bit.
+template <typename Body>
+decltype(auto) with_map(real (*f)(real), Body&& body) {
+  if (f == &identity_map) return body([](real x) { return x; });
+  return body(f);
+}
+
 /// One element of `program` on the device. Slots [0, num_inputs) hold the
 /// element's inputs; each step writes its own slot, and the last step's
 /// value is returned. dev_ewise_chain and the fused row epilogues both run

@@ -26,35 +26,27 @@ using vgpu::MemPath;
 // ---------------------------------------------------------------------------
 
 /// Phase 1 of Algorithm 3 (L11-13): the vector's dot product
-/// sum over lanes/TL of X[row, lane + t*VS] * y[...].
+/// sum over lanes/TL of X[row, lane + t*VS] * y[...]. Only the in-range
+/// (lane, t) pairs are visited: a lane past the row holds padding zeros,
+/// and its lane sum +0 leaves s unchanged, because s starts at +0 and a
+/// sum that starts at +0 is never -0. At TL 1 (VS >= n) lane j holds
+/// column j alone, so the walk is the row's column order.
 template <int TL>
 real codegen_dot(std::span<const real> row, std::span<const real> y, int vs) {
   const usize n = row.size();
+  const usize lanes = std::min(static_cast<usize>(vs), n);
   real s = 0;
-  for (int lane = 0; lane < vs; ++lane) {
+  for (usize lane = 0; lane < lanes; ++lane) {
     real lane_sum = 0;
 #pragma GCC unroll 40
     for (int t = 0; t < TL; ++t) {
-      const usize j = static_cast<usize>(lane) + static_cast<usize>(t) * vs;
-      if (j < n) lane_sum += row[j] * y[j];
+      const usize j = lane + static_cast<usize>(t) * static_cast<usize>(vs);
+      if (j >= n) break;
+      lane_sum += row[j] * y[j];
     }
     s += lane_sum;
   }
   return s;
-}
-
-/// Phase 2 of Algorithm 3 (L23-24): l_w[j] += l_X[j] * s, registers only.
-template <int TL>
-void codegen_axpy(std::span<const real> row, real s, std::span<real> l_w,
-                  int vs) {
-  const usize n = row.size();
-  for (int lane = 0; lane < vs; ++lane) {
-#pragma GCC unroll 40
-    for (int t = 0; t < TL; ++t) {
-      const usize j = static_cast<usize>(lane) + static_cast<usize>(t) * vs;
-      if (j < n) l_w[j] += row[j] * s;
-    }
-  }
 }
 
 /// Runtime-TL fallback (no codegen): identical math, but the register
@@ -64,7 +56,11 @@ real dynamic_dot(std::span<const real> row, std::span<const real> y) {
   for (usize j = 0; j < row.size(); ++j) s += row[j] * y[j];
   return s;
 }
-void dynamic_axpy(std::span<const real> row, real s, std::span<real> l_w) {
+
+/// Phase 2 of Algorithm 3 (L23-24): l_w[j] += l_X[j] * s. Each column is
+/// updated once and alone, so the lane order of the registers does not
+/// matter and every TL walks the row in column order.
+void row_axpy(std::span<const real> row, real s, std::span<real> l_w) {
   for (usize j = 0; j < row.size(); ++j) l_w[j] += row[j] * s;
 }
 
@@ -252,23 +248,17 @@ OpResult fused_pattern_dense(vgpu::Device& dev, real alpha,
           ctx.mem().add_flops(1);
         }
 
-        if (opts.use_codegen) {
-          dispatch_tl(cfg.thread_load, [&]<int TL>() {
-            codegen_axpy<TL>(row, s, l_w, cfg.vector_size);
-          });
-        } else {
-          dynamic_axpy(row, s, l_w);
-        }
+        row_axpy(row, s, l_w);
       }
 
       // Flush l_w with one atomic per element (Alg. 3 L26-27).
       ctx.mem().atomic_global(static_cast<std::uint64_t>(n_pad),
                               static_cast<std::uint64_t>(n));
       ctx.mem().add_flops(static_cast<std::uint64_t>(n));
+      real* const w = out.value.data();
+      const real* const lw = l_w.data();
       for (usize j = 0; j < n; ++j) {
-        if (l_w[j] != real{0}) {
-          vgpu::atomic_add(out.value[j], alpha * l_w[j]);
-        }
+        if (lw[j] != real{0}) vgpu::atomic_add(w[j], alpha * lw[j]);
       }
     }
   }));

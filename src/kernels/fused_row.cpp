@@ -41,17 +41,19 @@ OpResult dev_outer_map(vgpu::Device& dev, std::span<const real> u,
   const usize n = v.size();
   OpResult out;
   out.value.assign(m * n, real{0});
-  out.absorb(launch_streaming(dev, "outer_map", m * n,
-                              [&](BlockCtx& ctx, usize i0, int lanes) {
-    ctx.mem().load_contiguous(i0, lanes, sizeof(real));  // v slice
-    ctx.mem().load_contiguous(i0, lanes, sizeof(real));  // u broadcast
-    ctx.mem().store_contiguous(i0, lanes, sizeof(real));
-    ctx.mem().add_flops(5ull * lanes);  // mul + transcendental-class map
-    for (int l = 0; l < lanes; ++l) {
-      const usize i = i0 + static_cast<usize>(l);
-      out.value[i] = f(u[i / n] * v[i % n]);
-    }
-  }));
+  with_map(f, [&](auto fn) {
+    out.absorb(launch_streaming(dev, "outer_map", m * n,
+                                [&](BlockCtx& ctx, usize i0, int lanes) {
+      ctx.mem().load_contiguous(i0, lanes, sizeof(real));  // v slice
+      ctx.mem().load_contiguous(i0, lanes, sizeof(real));  // u broadcast
+      ctx.mem().store_contiguous(i0, lanes, sizeof(real));
+      ctx.mem().add_flops(5ull * lanes);  // mul + transcendental-class map
+      for (int l = 0; l < lanes; ++l) {
+        const usize i = i0 + static_cast<usize>(l);
+        out.value[i] = fn(u[i / n] * v[i % n]);
+      }
+    }));
+  });
   return out;
 }
 
@@ -302,39 +304,43 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::CsrMatrix& X,
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
   const detail::WarpTraffic traffic(X, vs);
-  const auto per_warp = [&](BlockCtx& ctx, long long first_row,
-                            int rows_here) {
-    // u for the warp's rows: one coalesced load.
-    ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
-                              rows_here, sizeof(real));
-    traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
-                   /*with_y=*/!vz_resident, gather_path);
-    if (!vz_resident) {
-      // Second gather stream (v AND z are fetched per nonzero).
-      traffic.charge_gather(ctx.mem(), first_row, rows_here, gather_path);
-    }
-    for (int vrow = 0; vrow < rows_here; ++vrow) {
-      const auto r = static_cast<index_t>(first_row + vrow);
-      const real ur = u[static_cast<usize>(r)];
-      // 2 mul + map + mul-add per lane. Term for term the unfused chain's
-      // expression: mask = X.values[k] * f(u[r] * v[col]); sum += mask * z[col]
-      out.value[static_cast<usize>(r)] = detail::vector_row_sum(
-          ctx, X, r, vs, 7, [&X, ur, v, z, f](usize k, usize col) {
-            const real masked = X.values()[k] * f(ur * v[col]);
-            return masked * z[col];
-          });
-    }
-    ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
-                               rows_here, sizeof(real));
-  };
+  with_map(f, [&](auto fn) {
+    const auto per_warp = [&](BlockCtx& ctx, long long first_row,
+                              int rows_here) {
+      // u for the warp's rows: one coalesced load.
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(first_row),
+                                rows_here, sizeof(real));
+      traffic.charge(ctx.mem(), first_row, rows_here, MemPath::kDram,
+                     /*with_y=*/!vz_resident, gather_path);
+      if (!vz_resident) {
+        // Second gather stream (v AND z are fetched per nonzero).
+        traffic.charge_gather(ctx.mem(), first_row, rows_here, gather_path);
+      }
+      for (int vrow = 0; vrow < rows_here; ++vrow) {
+        const auto r = static_cast<index_t>(first_row + vrow);
+        const real ur = u[static_cast<usize>(r)];
+        // 2 mul + map + mul-add per lane. Term for term the unfused chain's
+        // expression: mask = X.values[k] * f(u[r] * v[col]);
+        // sum += mask * z[col]
+        out.value[static_cast<usize>(r)] = detail::vector_row_sum(
+            ctx, X, r, vs, 7,
+            [vals = X.values(), ur, v, z, fn](usize k, usize col) {
+              const real masked = vals[k] * fn(ur * v[col]);
+              return masked * z[col];
+            });
+      }
+      ctx.mem().store_contiguous(static_cast<std::uint64_t>(first_row),
+                                 rows_here, sizeof(real));
+    };
 
-  out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
-    if (ctx.block_id() == 0 && vz_resident) {
-      charge_tex_fill(ctx.mem(), dev.spec(),
-                      (v.size() + z.size()) * sizeof(real));
-    }
-    detail::sweep_rows(ctx, X, per_warp);
-  }));
+    out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
+      if (ctx.block_id() == 0 && vz_resident) {
+        charge_tex_fill(ctx.mem(), dev.spec(),
+                        (v.size() + z.size()) * sizeof(real));
+      }
+      detail::sweep_rows(ctx, X, per_warp);
+    }));
+  });
   return out;
 }
 
@@ -355,32 +361,35 @@ OpResult dev_fused_sddmm(vgpu::Device& dev, const la::DenseMatrix& X,
 
   OpResult out;
   out.value.assign(static_cast<usize>(X.rows()), real{0});
-  const auto per_row = [&](BlockCtx& ctx, index_t r) {
-    ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n, sizeof(real));
-    ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
-                              sizeof(real));  // u[r]
-    if (!vz_resident) {
-      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // v
-      ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // z
-    }
-    const auto row = X.row(r);
-    const real ur = u[static_cast<usize>(r)];
-    // 2 mul + map + mul-add per column: masked_gemv over mask_values'
-    // expression, term for term.
-    out.value[static_cast<usize>(r)] = detail::dense_row_sum(
-        ctx, n, 7, [row, ur, v, z, f](usize c) {
-          const real masked = row[c] * f(ur * v[c]);
-          return masked * z[c];
-        });
-  };
+  with_map(f, [&](auto fn) {
+    const auto per_row = [&](BlockCtx& ctx, index_t r) {
+      ctx.mem().load_stream(static_cast<std::uint64_t>(r) * n, n,
+                            sizeof(real));
+      ctx.mem().load_contiguous(static_cast<std::uint64_t>(r), 1,
+                                sizeof(real));  // u[r]
+      if (!vz_resident) {
+        ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // v
+        ctx.mem().load_stream(0, n, sizeof(real), MemPath::kTexture);  // z
+      }
+      const auto row = X.row(r);
+      const real ur = u[static_cast<usize>(r)];
+      // 2 mul + map + mul-add per column: masked_gemv over mask_values'
+      // expression, term for term.
+      out.value[static_cast<usize>(r)] = detail::dense_row_sum(
+          ctx, n, 7, [row, ur, v, z, fn](usize c) {
+            const real masked = row[c] * fn(ur * v[c]);
+            return masked * z[c];
+          });
+    };
 
-  out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
-    if (ctx.block_id() == 0 && vz_resident) {
-      charge_tex_fill(ctx.mem(), dev.spec(),
-                      (v.size() + z.size()) * sizeof(real));
-    }
-    detail::sweep_dense_rows(ctx, X.rows(), per_row);
-  }));
+    out.absorb(dev.launch(cfg, [&](BlockCtx& ctx) {
+      if (ctx.block_id() == 0 && vz_resident) {
+        charge_tex_fill(ctx.mem(), dev.spec(),
+                        (v.size() + z.size()) * sizeof(real));
+      }
+      detail::sweep_dense_rows(ctx, X.rows(), per_row);
+    }));
+  });
   return out;
 }
 

@@ -28,23 +28,6 @@ const std::string& KernelCache::dense_kernel(const DenseKernelSpec& spec) {
   return dense_.emplace(key, std::move(src)).first->second;
 }
 
-const std::string& KernelCache::sparse_kernel(int vs,
-                                              bool shared_aggregation) {
-  const auto key = std::make_pair(vs, shared_aggregation);
-  const auto it = sparse_.find(key);
-  if (it != sparse_.end()) {
-    ++stats_.hits;
-    note_cache(true);
-    return it->second;
-  }
-  Timer t;
-  auto src = generate_sparse_fused_cuda(vs, shared_aggregation);
-  stats_.generation_ms += t.elapsed_ms();
-  ++stats_.misses;
-  note_cache(false);
-  return sparse_.emplace(key, std::move(src)).first->second;
-}
-
 const std::string& KernelCache::ewise_kernel(const EwiseProgram& program) {
   auto key = program.signature();
   const auto it = ewise_.find(key);
@@ -63,7 +46,6 @@ const std::string& KernelCache::ewise_kernel(const EwiseProgram& program) {
 
 void KernelCache::clear() {
   dense_.clear();
-  sparse_.clear();
   ewise_.clear();
   stats_ = Stats{};
 }

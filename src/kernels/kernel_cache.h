@@ -30,9 +30,6 @@ class KernelCache {
   /// Source of the dense fused kernel for this spec; generated on first use.
   const std::string& dense_kernel(const DenseKernelSpec& spec);
 
-  /// Source of the sparse fused kernel for (VS, aggregation variant).
-  const std::string& sparse_kernel(int vs, bool shared_aggregation);
-
   /// Source of the generated streaming kernel for a fused elementwise
   /// chain, keyed by the program's canonical signature. Iterative ML
   /// scripts re-plan the same chain every iteration, so this is a miss
@@ -40,13 +37,12 @@ class KernelCache {
   const std::string& ewise_kernel(const EwiseProgram& program);
 
   const Stats& stats() const { return stats_; }
-  usize size() const { return dense_.size() + sparse_.size() + ewise_.size(); }
+  usize size() const { return dense_.size() + ewise_.size(); }
   void clear();
 
  private:
   using DenseKey = std::tuple<index_t, int, int, bool, bool>;
   std::map<DenseKey, std::string> dense_;
-  std::map<std::pair<int, bool>, std::string> sparse_;
   std::map<std::string, std::string> ewise_;  ///< signature -> source
   Stats stats_;
 };

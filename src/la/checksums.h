@@ -1,5 +1,7 @@
 // Checksums of a matrix's values, owned by the matrix. The ABFT verifier
-// (kernels/abft.h) builds them on first use; this header only keeps them.
+// (kernels/abft.h) builds them on first use; this header only keeps them,
+// and, under the same ownership rule, any other value derived from the
+// matrix's values (a CSR matrix's transpose).
 #pragma once
 
 #include <algorithm>
@@ -76,6 +78,37 @@ class Checksums {
     std::mutex mutex;
     std::shared_ptr<const MatrixSums> sums;
     std::shared_ptr<const PatternSums> pattern;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
+/// One value derived from a matrix's values, kept under the Checksums rule:
+/// copies share it until one copy's values are reached mutably, and that
+/// copy's drop() forgets it. It is never keyed by address. Concurrent
+/// readers may call get(); the first builds the value under the lock.
+template <typename T>
+class DerivedSlot {
+ public:
+  template <typename Build>
+  std::shared_ptr<const T> get(Build&& build) const {
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    if (state_->value == nullptr) {
+      state_->value = std::make_shared<const T>(build());
+    }
+    return state_->value;
+  }
+
+  /// Forgets the value for this copy; allocates only like Checksums::drop.
+  void drop() {
+    if (state_.use_count() != 1 || state_->value != nullptr) {
+      state_ = std::make_shared<State>();
+    }
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::shared_ptr<const T> value;
   };
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };

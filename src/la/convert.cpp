@@ -29,7 +29,8 @@ CsrMatrix coo_to_csr(const CooMatrix& coo_in) {
                    std::move(values));
 }
 
-CsrMatrix transpose(const CsrMatrix& csr) {
+namespace {
+CsrMatrix scatter_transpose(const CsrMatrix& csr) {
   const usize nnz = static_cast<usize>(csr.nnz());
   // Histogram: row c of X^T holds column c's entries.
   std::vector<offset_t> row_off(static_cast<usize>(csr.cols()) + 1, 0);
@@ -56,6 +57,13 @@ CsrMatrix transpose(const CsrMatrix& csr) {
   return CsrMatrix(csr.cols(), csr.rows(), std::move(row_off),
                    std::move(col_idx), std::move(values));
 }
+}  // namespace
+
+std::shared_ptr<const CsrMatrix> kept_transpose(const CsrMatrix& csr) {
+  return csr.transposed([&] { return scatter_transpose(csr); });
+}
+
+CsrMatrix transpose(const CsrMatrix& csr) { return *kept_transpose(csr); }
 
 CsrMatrix select_rows(const CsrMatrix& csr, std::span<const index_t> rows) {
   std::vector<offset_t> row_off(rows.size() + 1, 0);

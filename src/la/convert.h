@@ -2,6 +2,8 @@
 // semantics of the csr2csc step the paper's cuSPARSE baseline relies on).
 #pragma once
 
+#include <memory>
+
 #include "la/coo_matrix.h"
 #include "la/csr_matrix.h"
 #include "la/dense_matrix.h"
@@ -13,7 +15,12 @@ CsrMatrix coo_to_csr(const CooMatrix& coo);
 
 /// Explicit transpose, the host-side semantics of cuSPARSE's csr2csc
 /// (X in CSC is X^T in CSR): histogram over columns, exclusive scan,
-/// scatter, written straight into X^T's CSR arrays.
+/// scatter, written straight into X^T's CSR arrays. The result is kept on
+/// csr (CsrMatrix::transposed), so later calls for the same values share
+/// it instead of scattering again.
+std::shared_ptr<const CsrMatrix> kept_transpose(const CsrMatrix& csr);
+
+/// A copy of kept_transpose(csr).
 CsrMatrix transpose(const CsrMatrix& csr);
 
 /// Row-subset extraction: the rows listed in `rows` (strictly increasing),

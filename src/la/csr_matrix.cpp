@@ -1,7 +1,5 @@
 #include "la/csr_matrix.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace fusedml::la {
@@ -33,12 +31,6 @@ CsrMatrix::CsrMatrix(index_t rows, index_t cols,
       }
     }
   }
-}
-
-index_t CsrMatrix::max_nnz_per_row() const {
-  index_t best = 0;
-  for (index_t r = 0; r < rows_; ++r) best = std::max(best, row_nnz(r));
-  return best;
 }
 
 }  // namespace fusedml::la

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -46,10 +47,11 @@ class CsrMatrix {
   std::span<const offset_t> row_off() const { return row_off_; }
   std::span<const index_t> col_idx() const { return col_idx_; }
   std::span<const real> values() const { return values_; }
-  /// Mutable values. Drops this copy's checksums, so take the span anew
-  /// for each change made between two uses of the matrix.
+  /// Mutable values. Drops this copy's checksums and transpose, so take
+  /// the span anew for each change made between two uses of the matrix.
   std::span<real> values_mut() {
     checksums_.drop();
+    transposed_.drop();
     return values_;
   }
 
@@ -65,8 +67,6 @@ class CsrMatrix {
     return rows_ == 0 ? 0.0
                       : static_cast<double>(nnz()) / static_cast<double>(rows_);
   }
-
-  index_t max_nnz_per_row() const;
 
   /// Device footprint: values (8B) + col_idx (4B) + row_off (8B each).
   usize bytes() const {
@@ -104,6 +104,14 @@ class CsrMatrix {
   /// The checksums of this copy's values (kernels/abft.h).
   const Checksums& checksums() const { return checksums_; }
 
+  /// X^T, made by `build()` on first use (la::transpose) and kept under
+  /// the checksum rule: copies share it and values_mut() drops it. X^T's
+  /// own warp tables then live as long as it does.
+  template <typename Build>
+  std::shared_ptr<const CsrMatrix> transposed(Build&& build) const {
+    return transposed_.get(std::forward<Build>(build));
+  }
+
  private:
   struct WarpTables {
     std::mutex mutex;
@@ -117,6 +125,7 @@ class CsrMatrix {
   std::vector<real> values_;
   std::shared_ptr<WarpTables> tables_ = std::make_shared<WarpTables>();
   Checksums checksums_;
+  DerivedSlot<CsrMatrix> transposed_;
 };
 
 }  // namespace fusedml::la

@@ -52,12 +52,6 @@ class DenseMatrix {
 
   usize bytes() const { return data_.size() * sizeof(real); }
 
-  /// Zero-pads the column count up to a multiple of `multiple` (§3.2:
-  /// "When n % VS != 0, we pad both matrix X and vector y with zero rows...
-  /// In the worst case, we pad by only VS - 1"). Returns the new matrix;
-  /// the original is untouched.
-  DenseMatrix padded_cols(index_t multiple) const;
-
   /// Equal shape and values; the checksums are not compared.
   bool operator==(const DenseMatrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;
@@ -79,8 +73,5 @@ class DenseMatrix {
            static_cast<usize>(c);
   }
 };
-
-/// Pads a vector with zeros up to a multiple of `multiple`.
-std::vector<real> padded_vector(std::span<const real> v, index_t multiple);
 
 }  // namespace fusedml::la

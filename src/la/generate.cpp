@@ -103,27 +103,6 @@ DenseMatrix dense_random(index_t rows, index_t cols, std::uint64_t seed) {
   return out;
 }
 
-CsrMatrix banded(index_t rows, index_t cols, index_t band) {
-  check_shape(rows, cols);
-  FUSEDML_CHECK(band >= 1, "band must be >= 1");
-  std::vector<offset_t> row_off(static_cast<usize>(rows) + 1, 0);
-  std::vector<index_t> col_idx;
-  std::vector<real> values;
-  for (index_t r = 0; r < rows; ++r) {
-    const index_t lo = std::max<index_t>(0, r - band / 2);
-    const index_t hi = std::min<index_t>(cols, lo + band);
-    for (index_t c = lo; c < hi; ++c) {
-      col_idx.push_back(c);
-      // Deterministic, diagonally dominant values: handy for CG tests.
-      values.push_back(c == r ? real{4} : real{1} / real(1 + std::abs(c - r)));
-    }
-    row_off[static_cast<usize>(r) + 1] =
-        static_cast<offset_t>(col_idx.size());
-  }
-  return CsrMatrix(rows, cols, std::move(row_off), std::move(col_idx),
-                   std::move(values));
-}
-
 std::vector<real> random_vector(usize n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<real> out(n);

@@ -38,10 +38,6 @@ DenseMatrix higgs_like(index_t rows, index_t cols, std::uint64_t seed);
 /// Dense uniform random matrix in [-1, 1).
 DenseMatrix dense_random(index_t rows, index_t cols, std::uint64_t seed);
 
-/// Banded sparse matrix (each row has up to `band` entries around the
-/// diagonal, clipped to the matrix) — a structured case for tests.
-CsrMatrix banded(index_t rows, index_t cols, index_t band);
-
 /// Random vector, uniform in [-1, 1).
 std::vector<real> random_vector(usize n, std::uint64_t seed);
 

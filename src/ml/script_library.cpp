@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "kernels/ewise_program.h"
 #include "la/convert.h"
 #include "la/vector_ops.h"
 #include "sysml/checkpoint.h"
@@ -724,8 +725,6 @@ ScriptResult hits_impl(Runtime& rt, const Matrix& X, PlanMode mode,
 // explain shows being saved. CG recurrences stay on the host (la::dot /
 // la::axpy), so planner vs unfused is bit-exact.
 
-real identity_map(real x) { return x; }
-
 la::CsrMatrix pattern_mask(const la::CsrMatrix& X) {
   return la::CsrMatrix(
       X.rows(), X.cols(), {X.row_off().begin(), X.row_off().end()},
@@ -769,7 +768,7 @@ ScriptResult als_impl(Runtime& rt, const Matrix& R, PlanMode mode,
     const Expr ph = hu.vector("p");
     const Expr masked = ExprBuilder::spmv(
         ExprBuilder::sparse_mask(
-            Mh, ExprBuilder::outer_map(ph, vh, identity_map, "id")),
+            Mh, ExprBuilder::outer_map(ph, vh, kernels::identity_map, "id")),
         vh);
     hu.output("Hp", ExprBuilder::add(masked,
                                      ExprBuilder::scale(config.lambda, ph)));
@@ -786,7 +785,7 @@ ScriptResult als_impl(Runtime& rt, const Matrix& R, PlanMode mode,
     const Expr qh = hv.vector("q");
     const Expr masked = ExprBuilder::spmv(
         ExprBuilder::sparse_mask(
-            Mh, ExprBuilder::outer_map(qh, uh, identity_map, "id")),
+            Mh, ExprBuilder::outer_map(qh, uh, kernels::identity_map, "id")),
         uh);
     hv.output("Hp", ExprBuilder::add(masked,
                                      ExprBuilder::scale(config.lambda, qh)));

@@ -15,12 +15,6 @@ namespace fusedml::vgpu {
 
 inline constexpr std::uint64_t kSegmentBytes = 128;
 
-/// Transactions for a strided warp access: lane i touches byte address
-/// first_byte + i * stride_bytes, for `active` lanes.
-std::uint64_t strided_transactions(std::uint64_t first_byte, int active,
-                                   std::uint64_t stride_bytes,
-                                   usize elem_bytes);
-
 /// Transactions for an arbitrary gather: one address per active lane.
 /// Distinct 128-byte segments are deduplicated, exactly like the hardware.
 std::uint64_t gather_transactions(std::span<const std::uint64_t> byte_addrs);

@@ -2,6 +2,7 @@
 // table rendering, CLI parsing, profiler accounting.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -120,12 +121,6 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 20);  // nearest rank: ceil(2) = 2
 }
 
-TEST(Stats, SummaryOfEmpty) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.max, 0.0);
-}
-
 TEST(Table, RendersAllCells) {
   Table t({"a", "bb"});
   t.row().add("x").add(1.5, 1);
@@ -135,14 +130,6 @@ TEST(Table, RendersAllCells) {
   EXPECT_NE(s.find("1.5"), std::string::npos);
   EXPECT_NE(s.find("42"), std::string::npos);
   EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(Table, MarkdownShape) {
-  Table t({"h1", "h2"});
-  t.row().add("a").add("b");
-  const std::string md = t.markdown();
-  EXPECT_NE(md.find("| h1 | h2 |"), std::string::npos);
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
 }
 
 TEST(Table, CsvEscapesSpecials) {
@@ -296,18 +283,17 @@ TEST(Profiler, PercentagesSumToHundred) {
   EXPECT_DOUBLE_EQ(p.total_ms(), 100.0);
   EXPECT_DOUBLE_EQ(p.percent("pattern"), 80.0);
   EXPECT_DOUBLE_EQ(p.percent("blas1"), 20.0);
-  const auto order = p.buckets_by_time();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "pattern");
+  EXPECT_DOUBLE_EQ(p.percent("absent"), 0.0);
 }
 
 TEST(Profiler, ScopedTimerAccumulates) {
   Profiler p;
   {
     ScopedTimer t(p, "work");
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(p.bucket_ms("work"), 0.0);
-  EXPECT_EQ(p.buckets_by_time().size(), 1u);
+  EXPECT_GE(p.total_ms(), 1.0);
+  EXPECT_DOUBLE_EQ(p.percent("work"), 100.0);
 }
 
 TEST(ErrorMacro, ThrowsWithContext) {
@@ -427,19 +413,6 @@ TEST(Stats, PercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(percentile(two, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(two, 50.0), 1.0);  // nearest rank, observed
   EXPECT_DOUBLE_EQ(percentile(two, 100.0), 3.0);
-}
-
-TEST(Stats, SummarizeEdgeCases) {
-  const Summary empty = summarize({});
-  EXPECT_DOUBLE_EQ(empty.mean, 0.0);
-  EXPECT_DOUBLE_EQ(empty.stddev, 0.0);
-  const std::vector<double> one{7.0};
-  const Summary single = summarize(one);
-  EXPECT_DOUBLE_EQ(single.mean, 7.0);
-  EXPECT_DOUBLE_EQ(single.stddev, 0.0);  // n-1 denominator guards n < 2
-  EXPECT_DOUBLE_EQ(single.min, 7.0);
-  EXPECT_DOUBLE_EQ(single.median, 7.0);
-  EXPECT_DOUBLE_EQ(single.max, 7.0);
 }
 
 TEST(Json, WriterProducesValidNestedOutput) {

@@ -3,13 +3,18 @@
 // counter sanity checks (the quantities the figures are built from).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "kernels/baselines.h"
 #include "kernels/blas1.h"
 #include "kernels/cpu_backend.h"
 #include "kernels/fused_dense.h"
+#include "kernels/fused_row.h"
 #include "kernels/fused_sparse.h"
 #include "kernels/gemv.h"
 #include "kernels/spmv.h"
@@ -514,6 +519,263 @@ TEST_F(WarpTableTest, MatrixBuiltAfterAnotherIsDestroyedGetsItsOwnTable) {
   EXPECT_EQ(hits(), 0u);
   expect_same_traffic(spmv_csr_vector(dev, rebuilt(X), y).counters,
                       got.counters);
+}
+
+// --- Transpose slot: X^T kept on the matrix, under the checksum rule ---------
+
+void expect_same_bits(std::span<const real> want, std::span<const real> got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (usize i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << "at index " << i;
+  }
+}
+
+using TransposeSlotTest = WarpTableTest;
+
+TEST_F(TransposeSlotTest, ValuesMutBetweenProductsGivesTheNewValuesResult) {
+  auto X = uniform_sparse(400, 200, 0.05, 412);
+  const auto y = random_vector(400, 60);
+  const auto before = spmv_t_explicit_transpose(dev, X, y);
+  const auto fresh = random_vector(static_cast<usize>(X.nnz()), 61);
+  const auto vals = X.values_mut();
+  std::copy(fresh.begin(), fresh.end(), vals.begin());
+  const auto after = spmv_t_explicit_transpose(dev, X, y);
+  // A twin that never had a transpose kept on it.
+  const auto want = spmv_t_explicit_transpose(dev, rebuilt(X), y);
+  expect_same_bits(want.multiply.value, after.multiply.value);
+  EXPECT_NE(before.multiply.value, after.multiply.value);
+  expect_vectors_near(la::reference::spmv_transposed(X, y),
+                      after.multiply.value, 1e-12);
+}
+
+TEST_F(TransposeSlotTest, CopiesShareOneTransposeAndEveryCallBillsCsr2csc) {
+  const auto X = uniform_sparse(400, 200, 0.05, 413);
+  const la::CsrMatrix copy = X;
+  const auto y = random_vector(400, 62);
+  const auto a = spmv_t_explicit_transpose(dev, X, y);
+  const std::uint64_t after_first = builds();
+  const auto b = spmv_t_explicit_transpose(dev, copy, y);
+  EXPECT_EQ(la::kept_transpose(X).get(), la::kept_transpose(copy).get());
+  EXPECT_EQ(builds(), after_first) << "X^T's warp table lives with X^T";
+  expect_same_bits(a.multiply.value, b.multiply.value);
+  EXPECT_EQ(a.transpose.launches, b.transpose.launches);
+  EXPECT_GT(b.transpose.launches, 0u);
+  EXPECT_EQ(a.transpose.modeled_ms, b.transpose.modeled_ms);
+  EXPECT_EQ(a.multiply.modeled_ms, b.multiply.modeled_ms);
+  EXPECT_TRUE(*la::kept_transpose(X) == la::transpose(X));
+}
+
+TEST_F(TransposeSlotTest, ValuesMutOnACopyLeavesTheOriginalsTranspose) {
+  const auto X = uniform_sparse(300, 150, 0.05, 414);
+  const auto kept = la::kept_transpose(X);
+  auto copy = X;
+  for (real& v : copy.values_mut()) v *= 2;
+  EXPECT_EQ(la::kept_transpose(X).get(), kept.get());
+  const auto mine = la::kept_transpose(copy);
+  EXPECT_NE(mine.get(), kept.get());
+  EXPECT_TRUE(*mine == la::transpose(rebuilt(copy)));
+}
+
+// Server workers share one dataset: concurrent transposed products on one
+// matrix build X^T once and all read that one.
+TEST_F(TransposeSlotTest, ConcurrentReadersShareOneBuild) {
+  const auto X = uniform_sparse(300, 150, 0.05, 415);
+  const auto y = random_vector(300, 63);
+  constexpr int kThreads = 4;
+  std::vector<const la::CsrMatrix*> seen(kThreads, nullptr);
+  std::vector<std::vector<real>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      vgpu::Device own;
+      got[static_cast<usize>(t)] =
+          spmv_t_explicit_transpose(own, X, y).multiply.value;
+      seen[static_cast<usize>(t)] = la::kept_transpose(X).get();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[0], seen[static_cast<usize>(t)]);
+    expect_same_bits(got[0], got[static_cast<usize>(t)]);
+  }
+}
+
+// --- Outer maps: the shared identity runs inline, any other map by pointer ---
+
+real local_identity(real x) { return x; }
+
+void expect_same_device_op(const OpResult& want, const OpResult& got) {
+  expect_same_bits(want.value, got.value);
+  EXPECT_EQ(want.modeled_ms, got.modeled_ms);
+  EXPECT_EQ(want.launches, got.launches);
+  const vgpu::MemCounters& a = want.counters;
+  const vgpu::MemCounters& b = got.counters;
+  EXPECT_EQ(a.gld_transactions, b.gld_transactions);
+  EXPECT_EQ(a.gst_transactions, b.gst_transactions);
+  EXPECT_EQ(a.gld_bytes, b.gld_bytes);
+  EXPECT_EQ(a.gst_bytes, b.gst_bytes);
+  EXPECT_EQ(a.l2_hit_transactions, b.l2_hit_transactions);
+  EXPECT_EQ(a.tex_transactions, b.tex_transactions);
+  EXPECT_EQ(a.atomic_global_ops, b.atomic_global_ops);
+  EXPECT_EQ(a.atomic_shared_ops, b.atomic_shared_ops);
+  EXPECT_EQ(a.atomic_global_targets, b.atomic_global_targets);
+  EXPECT_EQ(a.smem_accesses, b.smem_accesses);
+  EXPECT_EQ(a.smem_bank_conflicts, b.smem_bank_conflicts);
+  EXPECT_EQ(a.shuffle_ops, b.shuffle_ops);
+  EXPECT_EQ(a.local_spill_bytes, b.local_spill_bytes);
+  EXPECT_EQ(a.flops, b.flops);
+}
+
+void expect_same_cpu_op(const CpuOpResult& want, const CpuOpResult& got) {
+  expect_same_bits(want.value, got.value);
+  EXPECT_EQ(want.modeled_ms, got.modeled_ms);
+}
+
+class MapIdentity : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // The test's own identity must take the pointer instantiation.
+    ASSERT_NE(&local_identity, &identity_map);
+  }
+  vgpu::Device dev;
+  CpuBackend cpu;
+  // ALS's shapes: 300x150 CSR and 500x28 dense.
+  la::CsrMatrix Xs = uniform_sparse(300, 150, 0.05, 416);
+  la::DenseMatrix Xd = la::dense_random(500, 28, 417);
+  std::vector<real> us = random_vector(300, 64);
+  std::vector<real> vs = random_vector(150, 65);
+  std::vector<real> zs = random_vector(150, 66);
+  std::vector<real> ud = random_vector(500, 67);
+  std::vector<real> vd = random_vector(28, 68);
+  std::vector<real> zd = random_vector(28, 69);
+};
+
+TEST_F(MapIdentity, DeviceSddmmCsrIsBitEqualToThePointerPath) {
+  expect_same_device_op(dev_fused_sddmm(dev, Xs, us, vs, zs, local_identity),
+                        dev_fused_sddmm(dev, Xs, us, vs, zs, identity_map));
+}
+
+TEST_F(MapIdentity, DeviceSddmmDenseIsBitEqualToThePointerPath) {
+  expect_same_device_op(dev_fused_sddmm(dev, Xd, ud, vd, zd, local_identity),
+                        dev_fused_sddmm(dev, Xd, ud, vd, zd, identity_map));
+}
+
+TEST_F(MapIdentity, CpuSddmmIsBitEqualToThePointerPathOnBothStorages) {
+  expect_same_cpu_op(cpu.fused_sddmm(Xs, us, vs, zs, local_identity),
+                     cpu.fused_sddmm(Xs, us, vs, zs, identity_map));
+  expect_same_cpu_op(cpu.fused_sddmm(Xd, ud, vd, zd, local_identity),
+                     cpu.fused_sddmm(Xd, ud, vd, zd, identity_map));
+}
+
+TEST_F(MapIdentity, OuterMapsAreBitEqualToThePointerPath) {
+  expect_same_device_op(dev_outer_map(dev, us, vs, local_identity),
+                        dev_outer_map(dev, us, vs, identity_map));
+  expect_same_cpu_op(cpu.outer_map(ud, vd, local_identity),
+                     cpu.outer_map(ud, vd, identity_map));
+}
+
+// --- Algorithm 3's accumulation order, as a plain loop -----------------------
+
+/// w = alpha X^T (v ⊙ X y) + beta z in the order Algorithm 3 adds it under
+/// `cfg`: blocks in order, each first adding beta*z into its slice of w,
+/// then each of its vectors summing its coarsened rows into a private l_w
+/// (the dot lane by lane, each lane over its TL strided columns) and
+/// flushing l_w's non-zero entries into w.
+std::vector<real> algorithm3_order(const vgpu::LaunchConfig& cfg, real alpha,
+                                   const la::DenseMatrix& X,
+                                   std::span<const real> v,
+                                   std::span<const real> y, real beta,
+                                   std::span<const real> z) {
+  const auto n = static_cast<usize>(X.cols());
+  const long long m = X.rows();
+  const int nv = cfg.block_size / cfg.vector_size;
+  const long long vectors = static_cast<long long>(cfg.grid_size) * nv;
+  const auto bs = static_cast<usize>(cfg.block_size);
+  std::vector<real> w(n, real{0});
+  for (int b = 0; b < cfg.grid_size; ++b) {
+    if (!z.empty() && beta != 0) {
+      for (usize base = static_cast<usize>(b) * bs; base < n;
+           base += static_cast<usize>(cfg.grid_size) * bs) {
+        for (usize i = base; i < std::min(n, base + bs); ++i) {
+          w[i] += beta * z[i];
+        }
+      }
+    }
+    for (int vec = 0; vec < nv; ++vec) {
+      std::vector<real> l_w(n, real{0});
+      for (int c = 0; c < cfg.coarsening; ++c) {
+        const long long r = static_cast<long long>(b) * nv + vec + c * vectors;
+        if (r >= m) break;
+        const auto row = X.row(static_cast<index_t>(r));
+        real s = 0;
+        for (int lane = 0; lane < cfg.vector_size; ++lane) {
+          real lane_sum = 0;
+          for (int t = 0; t < cfg.thread_load; ++t) {
+            const auto j = static_cast<usize>(lane + t * cfg.vector_size);
+            if (j < n) lane_sum += row[j] * y[j];
+          }
+          s += lane_sum;
+        }
+        if (!v.empty()) s *= v[static_cast<usize>(r)];
+        for (usize j = 0; j < n; ++j) l_w[j] += row[j] * s;
+      }
+      for (usize j = 0; j < n; ++j) {
+        if (l_w[j] != real{0}) w[j] += alpha * l_w[j];
+      }
+    }
+  }
+  return w;
+}
+
+TEST(DenseAlgorithm3Order, FusedPatternDenseIsBitEqualToThePlainLoop) {
+  vgpu::Device dev;
+  int cases = 0;
+  for (index_t n : {1, 28, 32}) {
+    for (int thread_load : {0, 2}) {
+      for (int coarsening : {1, 3}) {
+        FusedDenseOptions opts;
+        opts.block_size = 64;
+        opts.thread_load = thread_load;
+        opts.coarsening = coarsening;
+        const la::DenseMatrix probe(1, n);
+        const auto geometry = fused_dense_params(dev, probe, opts).config;
+        const long long vectors =
+            static_cast<long long>(geometry.grid_size) *
+            geometry.num_vectors_per_block();
+        // A partial last block, and with coarsening a partial last pass.
+        const auto m = static_cast<index_t>(
+            coarsening == 1 ? vectors - 3 : coarsening * vectors - 5);
+        const auto X = la::dense_random(m, n, 418 + static_cast<int>(n));
+        const auto cfg = fused_dense_params(dev, X, opts).config;
+        ASSERT_EQ(cfg.coarsening, coarsening);
+        const auto y = random_vector(static_cast<usize>(n), 70);
+        const auto v = random_vector(static_cast<usize>(m), 71);
+        const auto z = random_vector(static_cast<usize>(n), 72);
+        for (bool with_v : {false, true}) {
+          for (bool with_z : {false, true}) {
+            SCOPED_TRACE("n=" + std::to_string(n) + " TL=" +
+                         std::to_string(cfg.thread_load) + " VS=" +
+                         std::to_string(cfg.vector_size) + " coarsening=" +
+                         std::to_string(coarsening) + " v=" +
+                         std::to_string(with_v) + " z=" +
+                         std::to_string(with_z));
+            const std::span<const real> vv =
+                with_v ? std::span<const real>(v) : std::span<const real>{};
+            const std::span<const real> zz =
+                with_z ? std::span<const real>(z) : std::span<const real>{};
+            const auto want = algorithm3_order(cfg, 0.75, X, vv, y, 1.5, zz);
+            expect_same_bits(
+                want,
+                fused_pattern_dense(dev, 0.75, X, vv, y, 1.5, zz, opts).value);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 48);
 }
 
 }  // namespace

@@ -34,7 +34,6 @@ TEST(CsrMatrix, BasicAccessors) {
   EXPECT_EQ(m.nnz(), 4);
   EXPECT_EQ(m.row_nnz(0), 2);
   EXPECT_EQ(m.row_nnz(1), 0);
-  EXPECT_EQ(m.max_nnz_per_row(), 2);
   EXPECT_NEAR(m.mean_nnz_per_row(), 4.0 / 3.0, 1e-12);
 }
 
@@ -51,26 +50,12 @@ TEST(CsrMatrix, ValidationRejectsBadStructures) {
   EXPECT_THROW(CsrMatrix(1, 3, {0, 5}, {0}, {1.0}), Error);
 }
 
-TEST(DenseMatrix, RowSpanAndPadding) {
+TEST(DenseMatrix, RowSpan) {
   DenseMatrix m(2, 3);
   m.at(0, 0) = 1;
   m.at(1, 2) = 5;
   EXPECT_EQ(m.row(1).size(), 3u);
   EXPECT_DOUBLE_EQ(m.row(1)[2], 5.0);
-
-  const auto padded = m.padded_cols(4);
-  EXPECT_EQ(padded.cols(), 4);
-  EXPECT_DOUBLE_EQ(padded.at(1, 2), 5.0);
-  EXPECT_DOUBLE_EQ(padded.at(1, 3), 0.0);
-  // Already a multiple: unchanged.
-  EXPECT_EQ(m.padded_cols(3).cols(), 3);
-}
-
-TEST(DenseMatrix, PaddedVector) {
-  const std::vector<real> v = {1, 2, 3};
-  const auto p = padded_vector(v, 4);
-  ASSERT_EQ(p.size(), 4u);
-  EXPECT_DOUBLE_EQ(p[3], 0.0);
 }
 
 TEST(Coo, NormalizeSortsAndMerges) {
@@ -220,14 +205,6 @@ TEST(Generate, HiggsLikeIsStandardNormalish) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Generate, BandedStructure) {
-  const auto X = banded(10, 10, 3);
-  EXPECT_LE(X.max_nnz_per_row(), 3);
-  // Diagonal dominance for CG-friendliness.
-  const auto d = csr_to_dense(X);
-  for (index_t i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(d.at(i, i), 4.0);
-}
-
 TEST(Generate, RejectsNonPositiveShapesNamingTheArgument) {
   // --rows / --cols flow straight into these generators; a bad size must be
   // a checked error naming the argument, not a std::length_error.
@@ -245,7 +222,6 @@ TEST(Generate, RejectsNonPositiveShapesNamingTheArgument) {
       [](index_t r, index_t c) { kdd_like(r, c, 4.0, 1.0, 1); },
       [](index_t r, index_t c) { higgs_like(r, c, 1); },
       [](index_t r, index_t c) { dense_random(r, c, 1); },
-      [](index_t r, index_t c) { banded(r, c, 3); },
   };
   for (const Generator gen : generators) {
     EXPECT_NE(message_of([&] { gen(-5, 4); }).find("rows"), std::string::npos);

@@ -41,15 +41,6 @@ TEST(Coalescing, SingleLane) {
   EXPECT_EQ(contiguous_transactions(0, 0, 8), 0u);
 }
 
-TEST(Coalescing, StridedWorstCase) {
-  // Stride of one segment per lane: one transaction per lane.
-  EXPECT_EQ(strided_transactions(0, 32, 128, 8), 32u);
-}
-
-TEST(Coalescing, StridedSmallStrideCollapses) {
-  EXPECT_EQ(strided_transactions(0, 32, 8, 8), 2u);
-}
-
 TEST(Coalescing, GatherDeduplicatesSegments) {
   // All lanes hit the same segment -> 1 transaction (hardware broadcast).
   std::vector<std::uint64_t> same(32, 40);
