@@ -131,9 +131,6 @@ class RunReport {
   }
 
   const ResilienceStats& total() const { return total_; }
-  const std::vector<std::pair<std::string, ResilienceStats>>& sources() const {
-    return sources_;
-  }
 
   void print(std::ostream& os) const;
 

@@ -46,14 +46,4 @@ double percentile(std::span<const double> xs, double p) {
   return sorted[r - 1];
 }
 
-double min_of(std::span<const double> xs) {
-  FUSEDML_CHECK(!xs.empty(), "min of empty span");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  FUSEDML_CHECK(!xs.empty(), "max of empty span");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 }  // namespace fusedml

@@ -21,7 +21,4 @@ double geomean(std::span<const double> xs);
 /// definition of the repo: histograms, SLO reports and bench JSON use it.
 double percentile(std::span<const double> xs, double p);
 
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
 }  // namespace fusedml

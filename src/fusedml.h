@@ -27,7 +27,7 @@
 //   ml       — the algorithm ScriptLibrary (LR-CG, logreg, GLM, SVM, HITS,
 //              ALS, k-means, PageRank, mini-batch logreg) lowered through
 //              the expression frontend
-//   obs      — tracing, metrics, profiler reports, plan audit
+//   obs      — tracing, metrics, plan audit
 //   serve    — the concurrent serving layer on top of everything
 #pragma once
 
@@ -77,7 +77,6 @@
 #include "obs/metrics.h"
 #include "obs/plan_audit.h"
 #include "obs/profile_flags.h"
-#include "obs/profiler_report.h"
 #include "obs/trace.h"
 
 #include "serve/admission_queue.h"

@@ -33,7 +33,7 @@
 // corruption — recomputing reproduces it — so it throws NonFiniteError,
 // which the retry loop rethrows at once.
 //
-// VerifyPolicy::kSpot samples every spot_interval()-th GPU dispatch —
+// VerifyPolicy::kSpot samples every 8th GPU dispatch —
 // cheap continuous assurance; kFull checks every GPU dispatch — required
 // for the bit-exact guarantees of the chaos SDC soak. CPU results are
 // never checked (host arithmetic cannot be silently corrupted here).
@@ -56,7 +56,7 @@ namespace fusedml::kernels {
 /// How much of the GPU dispatch stream ABFT verification covers.
 enum class VerifyPolicy {
   kOff,   ///< no checks (the default — zero overhead)
-  kSpot,  ///< every Nth GPU dispatch (N = spot_interval())
+  kSpot,  ///< every 8th GPU dispatch
   kFull,  ///< every GPU dispatch — bit-exact guarantee under SDC injection
 };
 
@@ -87,9 +87,6 @@ class AbftVerifier {
 
   void set_policy(VerifyPolicy policy) { policy_ = policy; }
   VerifyPolicy policy() const { return policy_; }
-
-  /// Spot-mode sampling period: every Nth GPU dispatch is verified.
-  int spot_interval() const { return kSpotInterval; }
 
   /// Called once per GPU dispatch: advances the spot counter and returns
   /// whether THIS dispatch must be verified under the current policy.

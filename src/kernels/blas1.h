@@ -42,7 +42,7 @@ OpResult dev_map(vgpu::Device& dev, std::span<const real> x, real (*f)(real));
 
 /// One launch of the fusion planner's generated elementwise-chain kernel:
 /// reads every input stream once, writes the output once, and keeps all
-/// intermediates in registers (ewise_program.h / generate_ewise_chain_cuda).
+/// intermediates in registers (ewise_program.h).
 OpResult dev_ewise_chain(vgpu::Device& dev, const EwiseProgram& program,
                          std::span<const std::span<const real>> inputs);
 

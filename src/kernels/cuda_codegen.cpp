@@ -119,66 +119,6 @@ std::string generate_dense_fused_cuda(const DenseKernelSpec& spec) {
   return os.str();
 }
 
-std::string generate_sparse_fused_cuda(int vs, bool shared_aggregation) {
-  FUSEDML_CHECK(vs >= 1 && vs <= 32 && (vs & (vs - 1)) == 0,
-                "sparse codegen: VS must be a power of two <= 32");
-  std::ostringstream os;
-  os << "// generated by fusedml (Algorithm 2), VS=" << vs << ", "
-     << (shared_aggregation ? "shared" : "global") << " aggregation\n";
-  os << "__global__ void fused_pattern_vs" << vs
-     << (shared_aggregation ? "_shared" : "_global")
-     << "(const double *values, const int *col_idx, const long *row_off,\n"
-     << "    const double *y, const double *v, const double *z,\n"
-     << "    double a, double b, double *w, int m, int n, int C) {\n"
-     << "  unsigned int tid = threadIdx.x;\n"
-     << "  unsigned int lid = tid & " << (vs - 1) << "u;\n"
-     << "  unsigned int vid = tid / " << vs << "u;\n"
-     << "  unsigned int NV = blockDim.x / " << vs << "u;\n";
-  if (shared_aggregation) {
-    os << "  extern __shared__ double SD[];  // [0,NV) staging | [NV,NV+n) "
-          "partial w\n"
-       << "  for (unsigned int i = tid; i < NV + n; i += blockDim.x) SD[i] = "
-          "0.0;\n"
-       << "  __syncthreads();\n";
-  }
-  os << "  for (unsigned int i = blockIdx.x * blockDim.x + tid; i < n;\n"
-     << "       i += gridDim.x * blockDim.x)\n"
-     << "    atomicAdd(&w[i], b * z[i]);\n"
-     << "  unsigned int row = blockIdx.x * NV + vid;\n"
-     << "  for (int c = 0; c < C; ++c, row += (gridDim.x * NV)) {\n"
-     << "    if (row >= (unsigned)m) continue;\n"
-     << "    long start = row_off[row], end = row_off[row + 1];\n"
-     << "    double sum = 0.0;\n"
-     << "    for (long i = start + lid; i < end; i += " << vs << ")\n"
-     << "      sum += values[i] * __ldg(&y[col_idx[i]]);\n"
-     << "    for (int off = " << (vs / 2)
-     << "; off > 0; off >>= 1) sum += __shfl_down(sum, off, " << vs << ");\n"
-     << "    sum = __shfl(sum, 0, " << vs << ") * v[row];\n"
-     << "    for (long i = start + lid; i < end; i += " << vs << ")\n";
-  if (shared_aggregation) {
-    os << "      atomicAdd((double*)&SD[NV + col_idx[i]], values[i] * "
-          "sum);\n"
-       << "  }\n"
-       << "  __syncthreads();\n"
-       << "  for (unsigned int i = tid; i < n; i += blockDim.x)\n"
-       << "    atomicAdd(&w[i], a * SD[NV + i]);\n";
-  } else {
-    os << "      atomicAdd(&w[col_idx[i]], a * values[i] * sum);\n"
-       << "  }\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
-namespace {
-std::string ewise_slot_expr(int slot, int num_inputs) {
-  std::string expr(slot < num_inputs ? "in" : "s");
-  expr += std::to_string(slot < num_inputs ? slot : slot - num_inputs);
-  if (slot < num_inputs) expr += "[i]";
-  return expr;
-}
-}  // namespace
-
 std::string ewise_kernel_name(const EwiseProgram& program) {
   std::string name = "ewise" + std::to_string(program.num_inputs);
   for (const EwiseStep& s : program.steps) {
@@ -187,54 +127,6 @@ std::string ewise_kernel_name(const EwiseProgram& program) {
     if (s.op == EwiseOp::kMap) name += "_" + s.map_name;
   }
   return name;
-}
-
-std::string generate_ewise_chain_cuda(const EwiseProgram& program) {
-  FUSEDML_CHECK(program.valid(), "codegen: invalid ewise program");
-  std::ostringstream os;
-  os << "// generated by fusedml (fusion planner elementwise chain): "
-     << program.signature() << "\n";
-  // Device helpers for the map steps (by declared name; a real system would
-  // resolve these against a library of __device__ unary functions).
-  for (const EwiseStep& s : program.steps) {
-    if (s.op == EwiseOp::kMap) {
-      os << "extern \"C\" __device__ double map_" << s.map_name
-         << "(double x);\n";
-    }
-  }
-  os << "__global__ void " << ewise_kernel_name(program) << "(";
-  for (int k = 0; k < program.num_inputs; ++k) {
-    os << "const double *__restrict__ in" << k << ", ";
-  }
-  os << "double *__restrict__ out, unsigned int n) {\n"
-     << "  for (unsigned int i = blockIdx.x * blockDim.x + threadIdx.x;"
-        " i < n; i += gridDim.x * blockDim.x) {\n";
-  for (usize j = 0; j < program.steps.size(); ++j) {
-    const EwiseStep& s = program.steps[j];
-    os << "    const double s" << j << " = ";
-    switch (s.op) {
-      case EwiseOp::kScale:
-        os << s.scalar << " * " << ewise_slot_expr(s.a, program.num_inputs);
-        break;
-      case EwiseOp::kAdd:
-        os << ewise_slot_expr(s.a, program.num_inputs) << " + "
-           << ewise_slot_expr(s.b, program.num_inputs);
-        break;
-      case EwiseOp::kMul:
-        os << ewise_slot_expr(s.a, program.num_inputs) << " * "
-           << ewise_slot_expr(s.b, program.num_inputs);
-        break;
-      case EwiseOp::kMap:
-        os << "map_" << s.map_name << "("
-           << ewise_slot_expr(s.a, program.num_inputs) << ")";
-        break;
-    }
-    os << ";\n";
-  }
-  os << "    out[i] = s" << (program.steps.size() - 1) << ";\n"
-     << "  }\n"
-     << "}\n";
-  return os.str();
 }
 
 }  // namespace fusedml::kernels

@@ -35,19 +35,8 @@ std::string cuda_kernel_name(const DenseKernelSpec& spec);
 /// Full CUDA C source of the generated dense fused kernel.
 std::string generate_dense_fused_cuda(const DenseKernelSpec& spec);
 
-/// CUDA C source of the sparse fused kernel (Algorithm 2) for a given
-/// vector size — not unrolled (sparse rows are ragged), but specialized on
-/// VS and the aggregation variant like the real implementation.
-std::string generate_sparse_fused_cuda(int vs, bool shared_aggregation);
-
-/// The generated elementwise-chain kernel's name, derived from the program
-/// shape, e.g. "ewise2_mul_map_sigmoid_mul".
+/// Name of the elementwise-chain kernel a trace shows, derived from the
+/// program shape, e.g. "ewise2_mul_map_sigmoid_mul".
 std::string ewise_kernel_name(const EwiseProgram& program);
-
-/// Full CUDA C source of the generated streaming kernel for a fused
-/// elementwise chain: one grid-stride loop, one statement per program step,
-/// every intermediate in a named register (no materialized temporaries —
-/// the traffic the fusion planner's elementwise fuser removes).
-std::string generate_ewise_chain_cuda(const EwiseProgram& program);
 
 }  // namespace fusedml::kernels

@@ -9,7 +9,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "kernels/blas1.h"
+#include "kernels/cuda_codegen.h"
+#include "kernels/fused_dense.h"
 #include "kernels/fused_row.h"
+#include "kernels/fused_sparse.h"
 #include "kernels/gemv.h"
 #include "kernels/spmv.h"
 
@@ -145,7 +148,7 @@ KernelOutcome OpRegistry::transposed_product(Backend b, la::MatrixRef X,
   return on_device(
       [&] {
         if (b == Backend::kFused && X.sparse()) {
-          return from_op(fused_spmv_t(dev_, *X.csr(), y, alpha, sparse_opts_),
+          return from_op(fused_spmv_t(dev_, *X.csr(), y, alpha),
                          "fused_spmv_t (Alg. 1)");
         }
         // The paper does not fuse dense X^T x y ("we do not consider
@@ -210,8 +213,7 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha, la::MatrixRef X,
                                  : "gemv + blas1 + gemv_t (padded tiles)");
         }
         if (const auto* Xs = X.csr()) {
-          return from_op(fused_pattern_sparse(dev_, alpha, *Xs, v, y, beta, z,
-                                              sparse_opts_),
+          return from_op(fused_pattern_sparse(dev_, alpha, *Xs, v, y, beta, z),
                          "fused_pattern_sparse (Alg. 2)");
         }
         const la::DenseMatrix& Xd = *X.dense();
@@ -220,17 +222,8 @@ KernelOutcome OpRegistry::pattern(Backend b, real alpha, la::MatrixRef X,
           // to two separate Level-2 kernels instead of fusing.
           return baseline("gemv + gemv_t (fused infeasible: n too large, §3.2)");
         }
-        if (dense_opts_.use_codegen) {
-          // §3.2 lifecycle: the kernel for this (n, VS, TL, options) shape
-          // is generated once and reused on every subsequent iteration.
-          const auto params = fused_dense_params(dev_, Xd, dense_opts_);
-          codegen_cache_.dense_kernel({Xd.cols(), params.config.vector_size,
-                                       params.config.thread_load, !v.empty(),
-                                       !z.empty() && beta != real{0}});
-        }
-        return from_op(
-            fused_pattern_dense(dev_, alpha, Xd, v, y, beta, z, dense_opts_),
-            "fused_pattern_dense (Alg. 3, codegen)");
+        return from_op(fused_pattern_dense(dev_, alpha, Xd, v, y, beta, z),
+                       "fused_pattern_dense (Alg. 3, codegen)");
       },
       [&](std::span<const real> w) {
         return sdc_.check_pattern(w, alpha, X, v, y, beta, z);
@@ -308,11 +301,9 @@ KernelOutcome OpRegistry::fused_ewise(
     return from_cpu(cpu_.ewise_chain(program, inputs),
                     "cpu ewise chain " + program.signature());
   }
-  // §3.2 lifecycle for generated chains: source generated + cached per
-  // program signature; every GPU backend runs the same generated kernel
-  // (there is no vendor-library equivalent to fall back to — the unfused
-  // plan, not a different kernel, is the alternative).
-  codegen_cache_.ewise_kernel(program);
+  // Every GPU backend runs the same generated kernel (there is no
+  // vendor-library equivalent to fall back to — the unfused plan, not a
+  // different kernel, is the alternative).
   return on_device(
       [&] {
         return from_op(dev_ewise_chain(dev_, program, inputs),

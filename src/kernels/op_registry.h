@@ -28,9 +28,6 @@
 #include "kernels/abft.h"
 #include "kernels/cpu_backend.h"
 #include "kernels/ewise_program.h"
-#include "kernels/fused_dense.h"
-#include "kernels/fused_sparse.h"
-#include "kernels/kernel_cache.h"
 #include "la/matrix_ref.h"
 #include "vgpu/device.h"
 
@@ -120,15 +117,13 @@ struct KernelOutcome {
   double verify_ms = 0.0;
 };
 
-/// One registry per device: owns the CPU backend, the fused-kernel options,
-/// and the generated-kernel cache, and exposes each logical op as a single
-/// backend-switch body. All methods may throw the typed faults of
+/// One registry per device: owns the CPU backend and exposes each logical op
+/// as a single backend-switch body. All methods may throw the typed faults of
 /// common/error.h when a fault injector is armed — wrap calls in
 /// execute_resilient to absorb them under a RetryPolicy.
 class OpRegistry {
  public:
-  explicit OpRegistry(vgpu::Device& dev, int cpu_threads = 8)
-      : dev_(dev), cpu_(vgpu::paper_host_cpu(), cpu_threads) {}
+  explicit OpRegistry(vgpu::Device& dev) : dev_(dev) {}
 
   // --- Single-attempt dispatch bodies (one switch per op, shared by every
   // caller; no retry logic here) -------------------------------------------
@@ -148,8 +143,7 @@ class OpRegistry {
                           std::span<const real> y);
   KernelOutcome map(Backend b, std::span<const real> x, real (*f)(real),
                     const std::string& name);
-  /// Generated streaming kernel for a fused elementwise chain (§3.2
-  /// lifecycle: source generated + cached on first use of each shape).
+  /// Generated streaming kernel for a fused elementwise chain.
   KernelOutcome fused_ewise(Backend b, const EwiseProgram& program,
                             std::span<const std::span<const real>> inputs);
 
@@ -192,7 +186,6 @@ class OpRegistry {
   void set_dispatch_observer(DispatchObserver* observer) {
     observer_ = observer;
   }
-  DispatchObserver* dispatch_observer() const { return observer_; }
 
   /// ABFT verification of GPU results (kernels/abft.h). kOff (the default)
   /// adds zero work; kSpot/kFull make sampled/every GPU dispatches prove
@@ -201,13 +194,6 @@ class OpRegistry {
   void set_verify_policy(VerifyPolicy policy) { sdc_.set_policy(policy); }
   VerifyPolicy verify_policy() const { return sdc_.policy(); }
   AbftVerifier& verifier() { return sdc_; }
-
-  /// Fused-kernel options applied on the kFused backend.
-  FusedSparseOptions& sparse_options() { return sparse_opts_; }
-  FusedDenseOptions& dense_options() { return dense_opts_; }
-
-  /// Generated-kernel cache (dense pattern shapes + ewise-chain programs).
-  const KernelCache& kernel_cache() const { return codegen_cache_; }
 
   vgpu::Device& device() { return dev_; }
   const CpuBackend& cpu() const { return cpu_; }
@@ -223,9 +209,6 @@ class OpRegistry {
  private:
   vgpu::Device& dev_;
   CpuBackend cpu_;
-  FusedSparseOptions sparse_opts_;
-  FusedDenseOptions dense_opts_;
-  KernelCache codegen_cache_;
   BackendHealth* health_ = nullptr;
   DispatchObserver* observer_ = nullptr;
   AbftVerifier sdc_{dev_, cpu_};

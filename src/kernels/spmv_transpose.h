@@ -48,7 +48,7 @@ TransposeSplit spmv_t_explicit_transpose(vgpu::Device& dev,
 
 /// Device-side csr2csc alone (histogram + scan + scatter); the returned
 /// value is empty, only the timing/counters matter. The functional result
-/// is produced by la::transpose in the callers that need it.
+/// is the X^T that la::kept_transpose keeps on X.
 OpResult device_csr2csc_cost(vgpu::Device& dev, const la::CsrMatrix& X);
 
 }  // namespace fusedml::kernels

@@ -63,7 +63,7 @@ std::shared_ptr<const CsrMatrix> kept_transpose(const CsrMatrix& csr) {
   return csr.transposed([&] { return scatter_transpose(csr); });
 }
 
-CsrMatrix transpose(const CsrMatrix& csr) { return *kept_transpose(csr); }
+CsrMatrix transpose(const CsrMatrix& csr) { return scatter_transpose(csr); }
 
 CsrMatrix select_rows(const CsrMatrix& csr, std::span<const index_t> rows) {
   std::vector<offset_t> row_off(rows.size() + 1, 0);

@@ -20,7 +20,9 @@ CsrMatrix coo_to_csr(const CooMatrix& coo);
 /// it instead of scattering again.
 std::shared_ptr<const CsrMatrix> kept_transpose(const CsrMatrix& csr);
 
-/// A copy of kept_transpose(csr).
+/// A fresh X^T, equal to kept_transpose(csr), that leaves csr's slot as it
+/// was: a caller that owns the result (a runtime leaf, say) holds X^T once,
+/// and csr does not keep a second copy alive.
 CsrMatrix transpose(const CsrMatrix& csr);
 
 /// Row-subset extraction: the rows listed in `rows` (strictly increasing),

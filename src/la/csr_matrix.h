@@ -104,7 +104,7 @@ class CsrMatrix {
   /// The checksums of this copy's values (kernels/abft.h).
   const Checksums& checksums() const { return checksums_; }
 
-  /// X^T, made by `build()` on first use (la::transpose) and kept under
+  /// X^T, made by `build()` on first use (la::kept_transpose) and kept under
   /// the checksum rule: copies share it and values_mut() drops it. X^T's
   /// own warp tables then live as long as it does.
   template <typename Build>

@@ -95,56 +95,4 @@ CsrMatrix read_matrix_market_file(const std::string& path) {
   return read_matrix_market(in);
 }
 
-void write_matrix_market(std::ostream& out, const CsrMatrix& m) {
-  out << "%%MatrixMarket matrix coordinate real general\n";
-  out << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
-  for (index_t r = 0; r < m.rows(); ++r) {
-    for (offset_t i = m.row_begin(r); i < m.row_end(r); ++i) {
-      out << (r + 1) << " " << (m.col_idx()[static_cast<usize>(i)] + 1) << " "
-          << m.values()[static_cast<usize>(i)] << "\n";
-    }
-  }
-}
-
-void write_matrix_market_file(const std::string& path, const CsrMatrix& m) {
-  std::ofstream out(path);
-  FUSEDML_CHECK(out.good(), "cannot open for writing: " + path);
-  write_matrix_market(out, m);
-}
-
-DenseMatrix read_matrix_market_dense(std::istream& in) {
-  std::string header;
-  FUSEDML_CHECK(static_cast<bool>(std::getline(in, header)),
-                "matrix market: empty stream");
-  FUSEDML_CHECK(header.rfind("%%MatrixMarket", 0) == 0,
-                "matrix market: missing banner");
-  FUSEDML_CHECK(header.find("array") != std::string::npos,
-                "matrix market: expected array format");
-  std::istringstream dims(next_data_line(in));
-  long long rows = 0, cols = 0;
-  dims >> rows >> cols;
-  FUSEDML_CHECK(rows > 0 && cols > 0, "matrix market: bad dimensions line");
-  DenseMatrix out(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  // Array format is column-major.
-  for (long long c = 0; c < cols; ++c) {
-    for (long long r = 0; r < rows; ++r) {
-      std::istringstream entry(next_data_line(in));
-      double v = 0;
-      entry >> v;
-      out.at(static_cast<index_t>(r), static_cast<index_t>(c)) = v;
-    }
-  }
-  return out;
-}
-
-void write_matrix_market_dense(std::ostream& out, const DenseMatrix& m) {
-  out << "%%MatrixMarket matrix array real general\n";
-  out << m.rows() << " " << m.cols() << "\n";
-  for (index_t c = 0; c < m.cols(); ++c) {
-    for (index_t r = 0; r < m.rows(); ++r) {
-      out << m.at(r, c) << "\n";
-    }
-  }
-}
-
 }  // namespace fusedml::la

@@ -1,25 +1,17 @@
-// Matrix Market I/O so users can feed real datasets (e.g. the actual
-// KDD 2010 / HIGGS files) into the benches instead of the synthetic stand-ins.
+// Matrix Market input, so a user can feed a real dataset (e.g. the actual
+// KDD 2010 file) to a bench instead of its synthetic stand-in. The reader
+// validates what it reads: shape, index range, entry count, finite values.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
 #include "la/csr_matrix.h"
-#include "la/dense_matrix.h"
 
 namespace fusedml::la {
 
 /// Reads a MatrixMarket "coordinate real general" file into CSR.
 CsrMatrix read_matrix_market(std::istream& in);
 CsrMatrix read_matrix_market_file(const std::string& path);
-
-/// Writes CSR as MatrixMarket coordinate format.
-void write_matrix_market(std::ostream& out, const CsrMatrix& m);
-void write_matrix_market_file(const std::string& path, const CsrMatrix& m);
-
-/// Dense array-format variants.
-DenseMatrix read_matrix_market_dense(std::istream& in);
-void write_matrix_market_dense(std::ostream& out, const DenseMatrix& m);
 
 }  // namespace fusedml::la

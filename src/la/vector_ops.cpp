@@ -32,15 +32,6 @@ void ewise_mul(std::span<const real> x, std::span<const real> y,
   for (usize i = 0; i < x.size(); ++i) out[i] = x[i] * y[i];
 }
 
-void copy(std::span<const real> x, std::span<real> out) {
-  FUSEDML_CHECK(x.size() == out.size(), "copy size mismatch");
-  std::copy(x.begin(), x.end(), out.begin());
-}
-
-void fill(std::span<real> x, real value) {
-  std::fill(x.begin(), x.end(), value);
-}
-
 namespace reference {
 
 std::vector<real> spmv(const CsrMatrix& X, std::span<const real> y) {

@@ -25,10 +25,6 @@ real nrm2(std::span<const real> x);
 /// out[i] = x[i] * y[i]
 void ewise_mul(std::span<const real> x, std::span<const real> y,
                std::span<real> out);
-/// out = x (copy)
-void copy(std::span<const real> x, std::span<real> out);
-/// x = value
-void fill(std::span<real> x, real value);
 
 // --- Reference matrix-vector products (oracles) --------------------------
 

@@ -87,10 +87,6 @@ class WorkerSession {
   /// streams stay distinct but the storm as a whole replays from one seed.
   void apply_faults(vgpu::FaultConfig cfg);
 
-  const vgpu::FaultLog* fault_log() const {
-    return injector_ ? &injector_->log() : nullptr;
-  }
-
  private:
   int id_;
   usize memory_bytes_;

@@ -13,6 +13,13 @@
 
 namespace fusedml::sysml {
 
+namespace {
+/// Upload costs are amortized over this many expected reuses when scoring
+/// a GPU placement — §3: "amortization of the cost of data transfer between
+/// the host and the device across multiple iterations of an ML algorithm".
+constexpr double kTransferAmortization = 16.0;
+}  // namespace
+
 PlannerOptions planner_options_from_cli(Cli& cli) {
   PlannerOptions po;
   po.candidate_budget = static_cast<int>(cli.get_int(
@@ -36,7 +43,7 @@ Runtime::Runtime(vgpu::Device& dev, RuntimeOptions opts)
     : dev_(dev),
       opts_(opts),
       mm_(dev, opts.device_capacity),
-      registry_(dev, 8) {
+      registry_(dev) {
   FUSEDML_CHECK(opts.gpu_backend != kernels::Backend::kCpu,
                 "gpu_backend must name a device backend");
 }
@@ -185,7 +192,7 @@ bool Runtime::choose_gpu_span(usize bytes_touched,
     if (!mm_.on_device(id) ||
         mm_.residency(id) == Residency::kHostDirty) {
       gpu += static_cast<double>(b) / dev_.spec().pcie_bandwidth_gbs / 1e6 /
-             std::max(1.0, opts_.transfer_amortization);
+             kTransferAmortization;
     }
     if (mm_.on_device(id) && mm_.residency(id) == Residency::kDeviceDirty) {
       cpu += static_cast<double>(b) / dev_.spec().pcie_bandwidth_gbs / 1e6;

@@ -61,12 +61,6 @@ struct RuntimeOptions {
   /// Scheduler bias: GPU estimated time is multiplied by this before the
   /// comparison (values > 1 make the scheduler more conservative).
   double gpu_cost_bias = 1.0;
-  /// Upload costs are amortized over this many expected reuses when scoring
-  /// a GPU placement — §3: "amortization of the cost of data transfer
-  /// between the host and the device across multiple iterations of an ML
-  /// algorithm". 1 = fully pessimistic (charge the whole upload to the
-  /// current op).
-  double transfer_amortization = 16.0;
   /// Backend for every op the scheduler places on the device: the paper's
   /// fused kernels, or an operator-at-a-time baseline (kCusparse,
   /// kBidmatGpu) for the comparison columns of Tables 5/6. kCpu is not a
@@ -271,7 +265,6 @@ class Runtime {
   /// burning backoffs mid-op instead of completing six retries per tier.
   /// The serving layer sets this to a request's remaining deadline.
   void set_modeled_deadline(double deadline_ms) { deadline_ms_ = deadline_ms; }
-  double modeled_deadline() const { return deadline_ms_; }
 
   kernels::OpRegistry& registry() { return registry_; }
   vgpu::Device& device() { return dev_; }

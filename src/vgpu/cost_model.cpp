@@ -5,23 +5,26 @@
 
 namespace fusedml::vgpu {
 
-double CostModel::effective_bandwidth_gbs(double occupancy) const {
+namespace {
+double effective_bandwidth_gbs(const DeviceSpec& spec, const CostParams& params,
+                               double occupancy) {
   // DRAM latency is hidden by warp-level parallelism; below the knee the
   // achievable bandwidth degrades roughly linearly (classic roofline-with-
   // concurrency behaviour), with a floor so a one-warp launch still makes
   // progress.
-  const double factor =
-      std::clamp(occupancy / params_.occupancy_knee,
-                 params_.min_bandwidth_fraction, 1.0);
-  return spec_.mem_bandwidth_gbs * params_.dram_efficiency * factor;
+  const double factor = std::clamp(occupancy / params.occupancy_knee,
+                                   params.min_bandwidth_fraction, 1.0);
+  return spec.mem_bandwidth_gbs * params.dram_efficiency * factor;
 }
+}  // namespace
 
 TimeBreakdown CostModel::kernel_time(const MemCounters& c,
                                      const OccupancyResult& occ) const {
   TimeBreakdown t;
   t.launch_ms = params_.launch_overhead_us / 1e3;
 
-  const double bw = effective_bandwidth_gbs(occ.occupancy);  // GB/s == B/ns
+  // GB/s == B/ns
+  const double bw = effective_bandwidth_gbs(spec_, params_, occ.occupancy);
   const double seg = static_cast<double>(spec_.transaction_bytes);
 
   t.dram_ms = static_cast<double>(c.gld_transactions + c.gst_transactions) *

@@ -77,8 +77,6 @@ class CostModel {
  private:
   DeviceSpec spec_;
   CostParams params_;
-
-  double effective_bandwidth_gbs(double occupancy) const;
 };
 
 /// Host-CPU analytical model for the BIDMat-CPU / MKL comparison lines.

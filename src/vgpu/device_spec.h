@@ -65,9 +65,6 @@ struct CpuSpec {
   int threads = 8;                   ///< 8 hyper-threads, as in the paper
   double mem_bandwidth_gbs = 25.6;   ///< dual-channel DDR3-1600
   double peak_gflops_dp = 108.8;     ///< 4 cores * 8 DP flops/cycle * 3.4 GHz
-  double per_thread_bandwidth_gbs() const {
-    return mem_bandwidth_gbs;  // bandwidth is shared, not per-thread
-  }
 };
 
 CpuSpec paper_host_cpu();

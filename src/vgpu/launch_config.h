@@ -7,8 +7,8 @@
 namespace fusedml::vgpu {
 
 struct LaunchConfig {
-  /// Kernel name shown in traces and profiler reports. Launch sites set
-  /// this; must point at a string literal (or otherwise outlive the launch).
+  /// Kernel name shown in traces. Launch sites set this; must point at a
+  /// string literal (or otherwise outlive the launch).
   const char* label = "kernel";
   int grid_size = 1;    ///< number of thread blocks
   int block_size = 32;  ///< BS: threads per block
@@ -19,7 +19,6 @@ struct LaunchConfig {
   KernelResources resources{};  ///< regs/thread + smem bytes for occupancy
 
   int num_vectors_per_block() const { return block_size / vector_size; }
-  int total_threads() const { return grid_size * block_size; }
   int total_vectors() const { return grid_size * num_vectors_per_block(); }
 
   /// Validity for the virtual device (block size caps etc.) is checked by

@@ -28,11 +28,6 @@ struct OccupancyResult {
   /// Which limit bound the result (useful in tests and the Fig. 6 bench).
   enum class Limiter { kBlocks, kWarps, kRegisters, kSharedMemory, kInvalid };
   Limiter limiter = Limiter::kInvalid;
-
-  /// Total concurrently resident threads on the whole device.
-  int device_threads(const DeviceSpec& spec) const {
-    return active_threads_per_sm * spec.num_sms;
-  }
 };
 
 /// Computes occupancy for a kernel launch of `block_size` threads per block.

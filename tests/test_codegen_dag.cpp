@@ -1,10 +1,13 @@
-// Tests for the compiler-side pieces: the CUDA source generator (Listing 2)
-// and the expression-DAG fusion pass (the "transparently selects our fused
-// GPU kernel" integration of §4.4).
+// Tests for the compiler-side pieces: the CUDA source generator (Listing 2),
+// repeat dispatches of generated kernels, and the expression-DAG fusion pass
+// (the "transparently selects our fused GPU kernel" integration of §4.4).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "kernels/cuda_codegen.h"
@@ -94,18 +97,7 @@ TEST(CudaCodegen, RejectsInsufficientCoverage) {
                Error);
 }
 
-TEST(CudaCodegen, SparseVariants) {
-  const auto shared = kernels::generate_sparse_fused_cuda(8, true);
-  const auto global = kernels::generate_sparse_fused_cuda(8, false);
-  EXPECT_NE(shared.find("__shared__"), std::string::npos);
-  EXPECT_NE(shared.find("SD[NV + col_idx[i]]"), std::string::npos);
-  EXPECT_EQ(global.find("extern __shared__"), std::string::npos);
-  EXPECT_NE(global.find("atomicAdd(&w[col_idx[i]]"), std::string::npos);
-  EXPECT_EQ(count_occurrences(shared, "{"), count_occurrences(shared, "}"));
-  EXPECT_THROW(kernels::generate_sparse_fused_cuda(3, true), Error);
-}
-
-// --- Generated elementwise-chain kernels ------------------------------------------
+// --- Elementwise-chain kernel names -------------------------------------------
 
 real test_sigmoid(real t) { return real{1} / (real{1} + std::exp(-t)); }
 
@@ -137,67 +129,53 @@ TEST(EwiseCodegen, NamesEncodeTheStepSequence) {
             "ewise2_mul_map_sigmoid_mul");
 }
 
-TEST(EwiseCodegen, EmitsOneRegisterPerStepAndAGridStrideLoop) {
-  const auto src =
-      kernels::generate_ewise_chain_cuda(sigmoid_chain_program());
-  // SSA registers s0..s2, no spilled intermediate arrays.
-  EXPECT_NE(src.find("const double s0"), std::string::npos) << src;
-  EXPECT_NE(src.find("const double s1"), std::string::npos);
-  EXPECT_NE(src.find("const double s2"), std::string::npos);
-  EXPECT_EQ(src.find("const double s3"), std::string::npos);
-  // Grid-stride loop over n, one load per input stream, one store.
-  EXPECT_NE(src.find("gridDim.x * blockDim.x"), std::string::npos);
-  EXPECT_EQ(count_occurrences(src, "in0[i]"), 2);  // mul + final mul
-  EXPECT_EQ(count_occurrences(src, "in1[i]"), 1);
-  EXPECT_EQ(count_occurrences(src, "out[i]"), 1);
-  // The map resolves to a device-function declaration, not an inline body.
-  EXPECT_NE(src.find("map_sigmoid"), std::string::npos);
-  EXPECT_EQ(count_occurrences(src, "{"), count_occurrences(src, "}"));
+// --- Repeat dispatches on one registry ----------------------------------------
+
+void expect_same_dispatch(const kernels::KernelOutcome& want,
+                          const kernels::KernelOutcome& got) {
+  EXPECT_EQ(want.kernel, got.kernel);
+  EXPECT_EQ(want.launches, got.launches);
+  EXPECT_EQ(want.modeled_ms, got.modeled_ms);
+  test::expect_same_counters(want.counters, got.counters);
+  test::expect_same_bits(want.value, got.value);
 }
 
-TEST(EwiseCodegen, RejectsInvalidPrograms) {
-  kernels::EwiseProgram bad;
-  bad.num_inputs = 1;
-  bad.steps.push_back(binary_step(kernels::EwiseOp::kAdd, 0, 5));  // slot 5 undefined
-  EXPECT_THROW(kernels::generate_ewise_chain_cuda(bad), Error);
-}
-
-// --- Kernel cache ----------------------------------------------------------------
-
-TEST(KernelCache, GeneratesOnceThenHits) {
-  kernels::KernelCache cache;
-  const kernels::DenseKernelSpec spec{200, 32, 7};
-  const auto& a = cache.dense_kernel(spec);
-  const auto& b = cache.dense_kernel(spec);
-  EXPECT_EQ(&a, &b) << "same specialization must return the cached source";
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(KernelCache, DistinguishesSpecializations) {
-  kernels::KernelCache cache;
-  cache.dense_kernel({200, 32, 7});
-  cache.dense_kernel({200, 32, 8});                       // different TL
-  cache.dense_kernel({200, 32, 7, false, true});          // no v
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(KernelCache, ExecutorCachesAcrossIterations) {
-  vgpu::Device dev;
-  kernels::OpRegistry reg(dev);
+// A registry keeps no per-shape state: the first dispatch of a shape on a
+// fresh registry and every repeat on a long-lived one run the same kernel
+// at the same cost and produce the same bits (§3.2: an iterative algorithm
+// hits the same (n, VS, TL) shape every iteration).
+TEST(RegistryRepeat, DensePatternAndEwiseChainKeepKernelCostAndBits) {
   const auto X = la::dense_random(500, 96, 905);
   const auto y = la::random_vector(96, 1);
+  const auto v = la::random_vector(500, 2);
+  const auto z = la::random_vector(96, 3);
+  const auto a = la::random_vector(700, 4);
+  const auto b = la::random_vector(700, 5);
+  const std::vector<std::span<const real>> inputs{a, b};
+  const auto program = sigmoid_chain_program();
+  const auto pattern = [&](kernels::OpRegistry& reg) {
+    return reg.pattern(kernels::Backend::kFused, 1.5, X, v, y, -0.5, z);
+  };
+  const auto chain = [&](kernels::OpRegistry& reg) {
+    return reg.fused_ewise(kernels::Backend::kFused, program, inputs);
+  };
+
+  vgpu::Device fresh_dev;
+  kernels::OpRegistry fresh(fresh_dev);
+  const auto first_pattern = pattern(fresh);
+  const auto first_chain = chain(fresh);
+  EXPECT_EQ(first_pattern.kernel, "fused_pattern_dense (Alg. 3, codegen)");
+  EXPECT_EQ(first_chain.kernel, kernels::ewise_kernel_name(program));
+  EXPECT_GT(first_pattern.launches, 0u);
+  EXPECT_GT(first_chain.launches, 0u);
+
+  vgpu::Device dev;
+  kernels::OpRegistry reg(dev);
   for (int it = 0; it < 5; ++it) {
-    reg.pattern(kernels::Backend::kFused, 1, X, {}, y, 0, {});
+    SCOPED_TRACE("iteration " + std::to_string(it));
+    expect_same_dispatch(first_pattern, pattern(reg));
+    expect_same_dispatch(first_chain, chain(reg));
   }
-  EXPECT_EQ(reg.kernel_cache().stats().misses, 1u)
-      << "one generation for the shape";
-  EXPECT_EQ(reg.kernel_cache().stats().hits, 4u)
-      << "iterations 2..5 reuse the generated kernel";
 }
 
 // --- DAG + the Equation-1-only planner ---------------------------------------

@@ -1,8 +1,7 @@
 // Unit tests for src/common: RNG determinism and distributions, stats,
-// table rendering, CLI parsing, profiler accounting.
+// table rendering, CLI parsing.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -16,7 +15,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/timer.h"
 
 namespace fusedml {
 namespace {
@@ -274,26 +272,6 @@ TEST(Cli, HelpRequested) {
   const char* argv[] = {"prog", "--help"};
   Cli cli(2, argv);
   EXPECT_TRUE(cli.help_requested());
-}
-
-TEST(Profiler, PercentagesSumToHundred) {
-  Profiler p;
-  p.add("pattern", 80.0);
-  p.add("blas1", 20.0);
-  EXPECT_DOUBLE_EQ(p.total_ms(), 100.0);
-  EXPECT_DOUBLE_EQ(p.percent("pattern"), 80.0);
-  EXPECT_DOUBLE_EQ(p.percent("blas1"), 20.0);
-  EXPECT_DOUBLE_EQ(p.percent("absent"), 0.0);
-}
-
-TEST(Profiler, ScopedTimerAccumulates) {
-  Profiler p;
-  {
-    ScopedTimer t(p, "work");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(p.total_ms(), 1.0);
-  EXPECT_DOUBLE_EQ(p.percent("work"), 100.0);
 }
 
 TEST(ErrorMacro, ThrowsWithContext) {

@@ -3,7 +3,6 @@
 // counter sanity checks (the quantities the figures are built from).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -30,6 +29,8 @@ namespace {
 
 using la::random_vector;
 using la::uniform_sparse;
+using test::expect_same_bits;
+using test::expect_same_counters;
 using test::expect_vectors_near;
 
 // --- BLAS-1 -----------------------------------------------------------------
@@ -523,15 +524,6 @@ TEST_F(WarpTableTest, MatrixBuiltAfterAnotherIsDestroyedGetsItsOwnTable) {
 
 // --- Transpose slot: X^T kept on the matrix, under the checksum rule ---------
 
-void expect_same_bits(std::span<const real> want, std::span<const real> got) {
-  ASSERT_EQ(want.size(), got.size());
-  for (usize i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
-              std::bit_cast<std::uint64_t>(got[i]))
-        << "at index " << i;
-  }
-}
-
 using TransposeSlotTest = WarpTableTest;
 
 TEST_F(TransposeSlotTest, ValuesMutBetweenProductsGivesTheNewValuesResult) {
@@ -578,6 +570,20 @@ TEST_F(TransposeSlotTest, ValuesMutOnACopyLeavesTheOriginalsTranspose) {
   EXPECT_TRUE(*mine == la::transpose(rebuilt(copy)));
 }
 
+// la::transpose hands its caller a fresh X^T and keeps nothing on X, so a
+// caller that stores the result holds X^T once.
+TEST_F(TransposeSlotTest, TransposeLeavesTheSlotEmpty) {
+  const auto X = uniform_sparse(300, 150, 0.05, 416);
+  const la::CsrMatrix Xt = la::transpose(X);
+  bool built = false;
+  const auto kept = X.transposed([&] {
+    built = true;
+    return la::transpose(X);
+  });
+  EXPECT_TRUE(built) << "la::transpose filled X's slot";
+  EXPECT_TRUE(*kept == Xt);
+}
+
 // Server workers share one dataset: concurrent transposed products on one
 // matrix build X^T once and all read that one.
 TEST_F(TransposeSlotTest, ConcurrentReadersShareOneBuild) {
@@ -610,22 +616,7 @@ void expect_same_device_op(const OpResult& want, const OpResult& got) {
   expect_same_bits(want.value, got.value);
   EXPECT_EQ(want.modeled_ms, got.modeled_ms);
   EXPECT_EQ(want.launches, got.launches);
-  const vgpu::MemCounters& a = want.counters;
-  const vgpu::MemCounters& b = got.counters;
-  EXPECT_EQ(a.gld_transactions, b.gld_transactions);
-  EXPECT_EQ(a.gst_transactions, b.gst_transactions);
-  EXPECT_EQ(a.gld_bytes, b.gld_bytes);
-  EXPECT_EQ(a.gst_bytes, b.gst_bytes);
-  EXPECT_EQ(a.l2_hit_transactions, b.l2_hit_transactions);
-  EXPECT_EQ(a.tex_transactions, b.tex_transactions);
-  EXPECT_EQ(a.atomic_global_ops, b.atomic_global_ops);
-  EXPECT_EQ(a.atomic_shared_ops, b.atomic_shared_ops);
-  EXPECT_EQ(a.atomic_global_targets, b.atomic_global_targets);
-  EXPECT_EQ(a.smem_accesses, b.smem_accesses);
-  EXPECT_EQ(a.smem_bank_conflicts, b.smem_bank_conflicts);
-  EXPECT_EQ(a.shuffle_ops, b.shuffle_ops);
-  EXPECT_EQ(a.local_spill_bytes, b.local_spill_bytes);
-  EXPECT_EQ(a.flops, b.flops);
+  expect_same_counters(want.counters, got.counters);
 }
 
 void expect_same_cpu_op(const CpuOpResult& want, const CpuOpResult& got) {

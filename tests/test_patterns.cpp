@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "kernels/fused_dense.h"
 #include "kernels/op_registry.h"
 #include "la/generate.h"
 #include "la/vector_ops.h"
@@ -293,15 +294,14 @@ TEST(Executor, BaselineDispatchNamesAndLaunches) {
 }
 
 TEST(Executor, SingleThreadCpuSlowerThanEightInModel) {
-  vgpu::Device dev;
-  OpRegistry cpu8(dev, 8);
-  OpRegistry cpu1(dev, 1);
+  const CpuBackend cpu8(vgpu::paper_host_cpu(), 8);
+  const CpuBackend cpu1(vgpu::paper_host_cpu(), 1);
   const auto X = uniform_sparse(5000, 200, 0.05, 77);
   const auto y = random_vector(200, 13);
   // Bandwidth-bound sparse ops share memory bandwidth, but the flop-bound
   // component scales; at minimum 1-thread must not be faster.
-  EXPECT_GE(cpu1.pattern(Backend::kCpu, 1, X, {}, y, 0, {}).modeled_ms,
-            cpu8.pattern(Backend::kCpu, 1, X, {}, y, 0, {}).modeled_ms);
+  EXPECT_GE(cpu1.pattern(1, X, {}, y, 0, {}).modeled_ms,
+            cpu8.pattern(1, X, {}, y, 0, {}).modeled_ms);
 }
 
 }  // namespace
